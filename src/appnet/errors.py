@@ -113,10 +113,6 @@ class BindFailed(AppNetError):
     """Node could not bind its configured address."""
 
 
-class JoinUnreachable(AppNetError):
-    """Configured join peer did not answer."""
-
-
 class DaemonUnreachable(AppNetError):
     """No daemon is listening on the run directory's control socket."""
 

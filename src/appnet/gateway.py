@@ -9,7 +9,7 @@ proxy is the one place this system sits on the data path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union
 
@@ -103,7 +103,3 @@ def pick_external_port(
 def synthetic_client_tags(binding: GatewayBinding) -> TagSet:
     """Tags the proxy presents when connecting inward on behalf of an external peer."""
     return TagSet.from_pairs([f"grp={EXTERNAL_GROUP}"]).union(binding.admit)
-
-
-def released(binding: GatewayBinding) -> GatewayBinding:
-    return replace(binding, state=BindingState.RELEASED, incarnation=binding.incarnation + 1)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from appnet import wire
 from appnet.errors import DecodeError
@@ -214,7 +214,6 @@ class Gossip:
         self._join_peer: Optional[RealEndpoint] = None
         self._next_join = 0
         self._join_backoff = 1
-        self.on_host_dead: Optional[Callable[[HostId], None]] = None
         self.counters = {"decode_errors": 0, "stale_rumors": 0}
         # Announce ourselves so the first contacts learn who we are.
         self._queue_rumor(local.host)
@@ -353,8 +352,6 @@ class Gossip:
     def _declare_dead(self, host: HostId, now: int) -> None:
         self._outstanding.pop(host, None)
         self.table.tombstone_host(host, now)
-        if self.on_host_dead is not None:
-            self.on_host_dead(host)
 
     def refute(self, observed_incarnation: int, now: int) -> MemberRecord:
         """Re-assert our own liveness above a rumor that doubts it."""

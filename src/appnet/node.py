@@ -106,7 +106,6 @@ class Node:
         )
         self.gossip = Gossip(local, self.table, rng, gossip_params)
         self.table.on_local_update = self.gossip.queue_delta
-        self.gossip.on_host_dead = self._on_host_dead
         self.switch = Switch(
             local_host=host_id,
             table=self.table,
@@ -322,11 +321,6 @@ class Node:
             self.start_pump(session)
 
     # --- bookkeeping ---
-
-    def _on_host_dead(self, host: HostId) -> None:
-        # Entries and bindings were already tombstoned; intents re-expose on
-        # the next reconcile pass.
-        return None
 
     def dump(self) -> str:
         return self.table.dump()

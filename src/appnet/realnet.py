@@ -1,24 +1,31 @@
 """Real-socket runtime: one daemon per host over UDP, TCP, and Unix sockets.
 
-All protocol state still lives in a plain Node driven by a single event loop
-thread; everything else (ticker, gossip receiver, per-service acceptors,
-per-app trap channels, sync exchanges, proxy pumps) runs on worker threads
-that only talk to the loop through its queue. Connected sockets reach
-applications as file descriptors passed over the app's Unix trap channel, so
-established streams never touch the daemon again.
+One loop thread owns every control-plane socket through a `selectors`
+selector and is the only thread that touches the Node. It reads streams as
+whole frames, buffers what it cannot write at once, ticks on the select
+timeout, and parks a trap accept or recvfrom that would block until the switch
+reports its handle deliverable. Other threads reach it through in_loop().
+
+The gateway pump is the one exception: each proxied session copies its bytes
+on two blocking threads, which measured faster than copying on the loop.
+Every other connection is passed to its application as a descriptor over the
+app's Unix trap channel and never touches the daemon again.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
-import queue
 import random
+import selectors
 import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass
+import traceback
+from collections import deque
+from contextlib import suppress
 from ipaddress import IPv4Address
 from pathlib import Path
 from typing import Callable, Optional
@@ -32,17 +39,11 @@ from appnet.errors import (
     DecodeError,
     WouldBlock,
 )
-from appnet.gossip import (
-    PERIOD_MS,
-    RELIABLE_KINDS,
-    EnvelopeKind,
-    decode_envelope,
-    encode_envelope,
-)
+from appnet.gossip import PERIOD_MS, RELIABLE_KINDS, encode_envelope
 from appnet.model import HostId, RealEndpoint, parse_app_spec
 from appnet.node import GatewaySession, Node, NodeConfig
 from appnet.switch import PREAMBLE_SIZE, decode_preamble
-from appnet.trap import Addr, SocketShim, TrapReply, TrapRequest
+from appnet.trap import SocketShim, TrapReply, TrapRequest
 
 _SYNC_FRAME = struct.Struct(">I")
 _WOULD_BLOCK = trap.status_for_error(WouldBlock(""))
@@ -52,7 +53,7 @@ COPY_CHUNK = 65536
 
 
 class RuntimeStopped(RuntimeError):
-    """The runtime shut down while a worker was waiting on its loop."""
+    """The runtime shut down while a caller was waiting on its loop."""
 
 
 def _recv_exactly(sock: socket.socket, n: int) -> bytes:
@@ -65,73 +66,347 @@ def _recv_exactly(sock: socket.socket, n: int) -> bytes:
     return bytes(buf)
 
 
-class RealFabric:
-    """Socket-backed transports for one node's switch."""
+def _tcp_listener(addr: tuple[str, int]) -> socket.socket:
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    try:
+        sock.bind(addr)
+        sock.listen(16)
+    except OSError:
+        sock.close()
+        raise
+    return sock
 
-    def __init__(self, runtime: "RealNodeRuntime") -> None:
+
+def _unix_listener(path: Path) -> socket.socket:
+    path.unlink(missing_ok=True)
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.bind(str(path))
+    sock.listen(8)
+    return sock
+
+
+# Framings: the length of the first whole frame in buf, or None if not known yet.
+
+
+def _trap_frame_size(buf: bytearray) -> Optional[int]:
+    if len(buf) < trap.HEADER_SIZE:
+        return None
+    return trap.HEADER_SIZE + trap.frame_payload_length(bytes(buf[: trap.HEADER_SIZE]))
+
+
+def _sync_frame_size(buf: bytearray) -> Optional[int]:
+    if len(buf) < _SYNC_FRAME.size:
+        return None
+    return _SYNC_FRAME.size + _SYNC_FRAME.unpack_from(buf)[0]
+
+
+def _line_size(buf: bytearray) -> Optional[int]:
+    return buf.find(b"\n") + 1 or None
+
+
+class _Stream:
+    """A non-blocking stream on the loop: whole frames in, buffered bytes out.
+
+    on_close runs once the peer closes, I/O fails, or it idles `idle` seconds.
+    Reads stop at a frame's known end, so detach() leaves later bytes unread.
+    """
+
+    def __init__(
+        self,
+        runtime: "RealNodeRuntime",
+        sock: socket.socket,
+        frame_size: Callable[[bytearray], Optional[int]],
+        on_frame: Callable[["_Stream", bytes], None],
+        on_close: Optional[Callable[["_Stream"], None]] = None,
+        idle: Optional[float] = None,
+    ) -> None:
         self.runtime = runtime
-        self.host_ip = runtime.config.bind.host_ip
+        self.sock = sock
+        self.open = True
+        self._frame_size = frame_size
+        self._on_frame = on_frame
+        self._on_close = on_close
+        self.idle = idle
+        self.active = time.monotonic()
+        self._in = bytearray()
+        self._out: deque[tuple[memoryview, Optional[socket.socket]]] = deque()
+        sock.setblocking(False)
+        runtime._selector.register(sock, selectors.EVENT_READ, self._ready)
+        runtime._streams.add(self)
+
+    def _ready(self, mask: int) -> None:
+        try:
+            if mask & selectors.EVENT_WRITE:
+                self._flush()
+            if mask & selectors.EVENT_READ and self.open:
+                self._read()
+        except Exception:
+            self.close()  # a stream whose handler failed is in an unknown state
+            raise
+
+    def _read(self) -> None:
+        size = self._frame_size(self._in)
+        want = COPY_CHUNK if size is None else min(size - len(self._in), COPY_CHUNK)
+        try:
+            chunk = self.sock.recv(want)
+        except BlockingIOError:
+            return
+        except OSError:
+            chunk = b""  # a reset ends the stream like an orderly close
+        if not chunk:
+            self.close()
+            return
+        self._in += chunk
+        self.active = time.monotonic()
+        while self.open:
+            size = self._frame_size(self._in)
+            if size is None or len(self._in) < size:
+                return
+            frame = bytes(self._in[:size])
+            del self._in[:size]
+            self._on_frame(self, frame)
+
+    def send(self, data: bytes, transport: Optional[socket.socket] = None) -> None:
+        """Queue data; transport's descriptor goes along with its first byte."""
+        self._out.append((memoryview(data), transport))
+        self.active = time.monotonic()
+        self._flush()
+
+    def _flush(self) -> None:
+        if not self.open:
+            self.close()  # releases what was queued on a dead stream
+            return
+        while self._out:
+            data, transport = self._out[0]
+            try:
+                if transport is None:
+                    sent = self.sock.send(data)
+                else:
+                    sent = socket.send_fds(self.sock, [data], [transport.fileno()])
+            except BlockingIOError:
+                break
+            except OSError:
+                self.runtime.counters["send_errors"] += 1
+                self.close()
+                return
+            if transport is not None:
+                transport.close()  # the descriptor now lives with the peer
+            if sent < len(data):
+                self._out[0] = (data[sent:], None)
+                break
+            self._out.popleft()
+        # A no-op unless the events change.
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if self._out else 0)
+        self.runtime._selector.modify(self.sock, events, self._ready)
+
+    def detach(self) -> socket.socket:
+        """Take the socket off the loop, blocking again, for someone else to own."""
+        self.open = False
+        self.runtime._streams.discard(self)
+        self.runtime._selector.unregister(self.sock)
+        self.sock.setblocking(True)
+        return self.sock
+
+    def close(self) -> None:
+        for _data, transport in self._out:
+            if transport is not None:
+                transport.close()
+        self._out.clear()
+        if self.open:
+            self.detach().close()
+            if self._on_close is not None:
+                self._on_close(self)
+
+
+class RealNodeRuntime:
+    """One selector loop around one Node and its fabric, plus pump threads."""
+
+    def __init__(self, config: NodeConfig, period_ms: int = PERIOD_MS) -> None:
+        if config.run_dir is None:
+            raise BindFailed("a run directory is required")
+        self.config = config
+        self.period_ms = period_ms
+        self.run_dir = Path(config.run_dir)
+        self.running = False
+        # What the loop survives: failed steps, and sends that were lost.
+        self.counters = {"loop_errors": 0, "send_errors": 0}
+        self.last_error: Optional[str] = None  # traceback of the last failed step
+        self.gossip_udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self.dgram_out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self._tick = 0
+        self._selector = selectors.DefaultSelector()
+        self._streams: set[_Stream] = set()
+        self._calls: deque = deque()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._loop_thread: Optional[threading.Thread] = None
+        self._parked: dict[tuple[str, int], tuple[_Stream, bytes]] = {}
+        self._app_servers: dict[str, socket.socket] = {}
+        self._pump_lock = threading.Lock()
+        rng = random.Random(os.urandom(16).hex())
+        self.node = Node(config, HostId.generate(rng), rng, self)
+        self.node.start_pump = self._start_pump
+        self.node.switch.on_deliverable = self._answer_parked
+
+    # --- lifecycle ---
+
+    def start(self) -> "RealNodeRuntime":
+        self.run_dir.mkdir(parents=True, exist_ok=True)
+        (self.run_dir / "apps").mkdir(exist_ok=True)
+        (self.run_dir / "node_id").write_text(self.node.host.hex + "\n")
+        bind = (str(self.config.bind.host_ip), self.config.bind.port)
+        try:
+            self.gossip_udp.bind(bind)
+            sync_listener = _tcp_listener(bind)
+        except OSError as exc:
+            raise BindFailed(f"cannot bind {bind}: {exc}") from exc
+        udp = self.gossip_udp
+        self._watch(udp, lambda: udp.recvfrom(65535), self._on_gossip_datagram)
+        self._watch(sync_listener, sync_listener.accept, self._sync_stream)
+        control = _unix_listener(self.run_dir / "control.sock")
+        self._watch(
+            control,
+            control.accept,
+            lambda conn, _addr: _Stream(self, conn, _line_size, self._on_control_line),
+        )
+        self._watch(self._wake_r, lambda: self._wake_r.recvfrom(4096), self._run_calls)
+        self._wake_w.setblocking(False)
+        self.running = True
+        self._loop_thread = self._thread("loop", self._loop)
+        return self
+
+    def _thread(self, role: str, target: Callable, *args) -> threading.Thread:
+        name = f"appnet-{role}:{self.node.host.hex[:6]}"
+        thread = threading.Thread(target=target, args=args, name=name, daemon=True)
+        thread.start()
+        return thread
+
+    def stop(self) -> None:
+        if not self.running:
+            return
+        self.running = False
+        self._wake()
+        if self._loop_thread is not threading.current_thread():
+            self._loop_thread.join(timeout=1.0)
+        closing = [key.fileobj for key in list(self._selector.get_map().values())]
+        closing += [self.dgram_out, self._wake_w]
+        for session in self.node.gateway_sessions:
+            closing += [session.external, session.internal]
+        for sock in closing:
+            with suppress(OSError):  # not connected, or already shut
+                sock.shutdown(socket.SHUT_RDWR)  # wakes a pump blocked in recv
+            sock.close()
+        self._selector.close()
+
+    # --- the event loop ---
+
+    def _loop(self) -> None:
+        period = self.period_ms / 1000
+        next_tick = time.monotonic() + period
+        while self.running:
+            timeout = max(0.0, next_tick - time.monotonic())
+            for key, mask in self._selector.select(timeout):
+                if self._selector.get_map().get(key.fd) is key:  # still watched
+                    self._guard(key.data, mask)
+            now = time.monotonic()
+            if now >= next_tick:
+                next_tick = now + period
+                self._guard(self._on_tick, now)
+
+    def _guard(self, step: Callable, *args) -> None:
+        """Run one loop step; a failure is counted and kept, never fatal."""
+        try:
+            step(*args)
+        except Exception:
+            self.counters["loop_errors"] += 1
+            self.last_error = traceback.format_exc()
+
+    def _on_tick(self, now: float) -> None:
+        self._tick += 1
+        self._send_outbound(self.node.tick(self._tick))
+        for stream in [s for s in self._streams if s.idle and now - s.active > s.idle]:
+            stream.close()
+
+    def _watch(self, sock: socket.socket, receive: Callable, handle: Callable) -> None:
+        """Call handle(*receive()) on the loop whenever sock is readable."""
+        def ready(_mask: int) -> None:
+            try:
+                got = receive()
+            except BlockingIOError:
+                return
+            handle(*got)
+
+        sock.setblocking(False)
+        self._selector.register(sock, selectors.EVENT_READ, ready)
+
+    def _unwatch(self, sock: socket.socket) -> None:
+        with suppress(KeyError):  # never watched, or already off the loop
+            self._selector.unregister(sock)
+        sock.close()
+
+    def in_loop(self, fn: Callable[[], object]) -> object:
+        """Run fn on the loop thread and return its result."""
+        if threading.current_thread() is self._loop_thread:
+            return fn()
+        if not self.running:
+            raise RuntimeStopped("runtime stopped")
+        box: list = []
+        done = threading.Event()
+        self._calls.append((fn, box, done))
+        self._wake()
+        while not done.wait(timeout=0.1):
+            if not self.running and not done.is_set():
+                raise RuntimeStopped("runtime stopped")
+        if isinstance(box[0], BaseException):
+            raise box[0]
+        return box[0]
+
+    def _wake(self) -> None:
+        # A full buffer already holds a wake-up; a closed one means we stopped.
+        with suppress(OSError):
+            self._wake_w.send(b"\0")
+
+    def _run_calls(self, _wakeups: bytes, _addr) -> None:
+        # The wake-ups were drained first: a call queued now sends a fresh one.
+        while self._calls:
+            fn, box, done = self._calls.popleft()
+            try:
+                box.append(fn())
+            except BaseException as exc:  # handed back to the caller
+                box.append(exc)
+            done.set()
+
+    # --- the fabric: transports for the switch ---
 
     def bind_stream(self, on_inbound) -> tuple[RealEndpoint, object]:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((str(self.host_ip), 0))
-        listener.listen(16)
-        endpoint = RealEndpoint(self.host_ip, listener.getsockname()[1])
-        self.runtime.spawn(
-            f"accept:{endpoint.port}",
-            lambda: self._accept_loop(listener, on_inbound),
-        )
-        return endpoint, listener
+        listener = _tcp_listener((str(self.config.bind.host_ip), 0))
 
-    def _accept_loop(self, listener: socket.socket, on_inbound) -> None:
-        while self.runtime.running:
-            try:
-                conn, _ = listener.accept()
-            except OSError:
-                return
-            self.runtime.spawn(
-                "preamble", lambda c=conn: self._read_preamble(c, on_inbound)
+        def accepted(conn: socket.socket, _addr) -> None:
+            _Stream(
+                self,
+                conn,
+                lambda _buf: PREAMBLE_SIZE,
+                lambda stream, frame: on_inbound(stream.detach(), decode_preamble(frame)),
+                on_close=lambda stream: on_inbound(stream.sock, None),
+                idle=PREAMBLE_TIMEOUT,
             )
 
-    def _read_preamble(self, conn: socket.socket, on_inbound) -> None:
-        peer: Optional[Addr] = None
-        try:
-            conn.settimeout(PREAMBLE_TIMEOUT)
-            peer = decode_preamble(_recv_exactly(conn, PREAMBLE_SIZE))
-        except (OSError, ConnectionError):
-            peer = None
-        if peer is not None:
-            conn.settimeout(None)
-        self.runtime._post(lambda: on_inbound(conn, peer))
+        self._watch(listener, listener.accept, accepted)
+        return RealEndpoint(self.config.bind.host_ip, listener.getsockname()[1]), listener
 
     def bind_dgram(self, on_dgram) -> tuple[RealEndpoint, object]:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sock.bind((str(self.host_ip), 0))
-        endpoint = RealEndpoint(self.host_ip, sock.getsockname()[1])
+        sock.bind((str(self.config.bind.host_ip), 0))
 
-        def receive_loop() -> None:
-            while self.runtime.running:
-                try:
-                    data, _ = sock.recvfrom(65535)
-                except OSError:
-                    return
-                peer = None
-                payload = data
-                if len(data) >= PREAMBLE_SIZE:
-                    peer = decode_preamble(data[:PREAMBLE_SIZE])
-                    if peer is not None:
-                        payload = data[PREAMBLE_SIZE:]
-                self.runtime._post(lambda p=peer, b=payload: on_dgram(p, b))
+        def received(data: bytes, _addr) -> None:
+            peer = decode_preamble(data[:PREAMBLE_SIZE])
+            on_dgram(peer, data if peer is None else data[PREAMBLE_SIZE:])
 
-        self.runtime.spawn(f"dgram:{endpoint.port}", receive_loop)
-        return endpoint, sock
+        self._watch(sock, lambda: sock.recvfrom(65535), received)
+        return RealEndpoint(self.config.bind.host_ip, sock.getsockname()[1]), sock
 
     def close_listener(self, token: object) -> None:
-        try:
-            token.close()  # type: ignore[union-attr]
-        except OSError:
-            pass
+        self._unwatch(token)  # type: ignore[arg-type]
 
     def connect_stream(self, dest: RealEndpoint, preamble: bytes) -> socket.socket:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -149,440 +424,171 @@ class RealFabric:
         return socket.socketpair()
 
     def send_dgram(self, dest: RealEndpoint, data: bytes) -> None:
-        self.runtime.dgram_out.sendto(data, (str(dest.host_ip), dest.port))
+        self.dgram_out.sendto(data, (str(dest.host_ip), dest.port))
 
     def bind_external(self, port: int, on_conn) -> object:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
-            listener.bind((str(self.host_ip), port))
+            listener = _tcp_listener((str(self.config.bind.host_ip), port))
         except OSError as exc:
-            listener.close()
             raise BindFailed(f"external port {port}: {exc}") from exc
-        listener.listen(16)
-
-        def accept_loop() -> None:
-            while self.runtime.running:
-                try:
-                    conn, _ = listener.accept()
-                except OSError:
-                    return
-                self.runtime._post(lambda c=conn: on_conn(c))
-
-        self.runtime.spawn(f"external:{port}", accept_loop)
+        # Accepted sockets come out blocking, as the pump threads need them.
+        self._watch(listener, listener.accept, lambda conn, _addr: on_conn(conn))
         return listener
-
-
-@dataclass
-class _Waiter:
-    event: threading.Event
-
-
-class RealNodeRuntime:
-    """Threads, sockets, and the event loop around one Node."""
-
-    def __init__(self, config: NodeConfig, period_ms: int = PERIOD_MS) -> None:
-        if config.run_dir is None:
-            raise BindFailed("a run directory is required")
-        self.config = config
-        self.period_ms = period_ms
-        self.run_dir = Path(config.run_dir)
-        self.running = False
-        self._threads: list[threading.Thread] = []
-        self._events: "queue.Queue[tuple]" = queue.Queue()
-        self._tick = 0
-        self._wakeups: dict[tuple[str, int], threading.Event] = {}
-        self._wakeup_lock = threading.Lock()
-        self._app_servers: dict[str, socket.socket] = {}
-        self._trap_conns: list[socket.socket] = []
-
-        rng = random.Random(os.urandom(16).hex())
-        host_id = HostId.generate(rng)
-        self.fabric = RealFabric(self)
-        self.node = Node(config, host_id, rng, self.fabric)
-        self.node.start_pump = self._start_pump
-        self.node.switch.on_deliverable = self._notify_deliverable
-
-        self.gossip_udp: Optional[socket.socket] = None
-        self.gossip_tcp: Optional[socket.socket] = None
-        self.dgram_out: Optional[socket.socket] = None
-        self.control: Optional[socket.socket] = None
-
-    # --- lifecycle ---
-
-    def start(self) -> "RealNodeRuntime":
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        (self.run_dir / "apps").mkdir(exist_ok=True)
-        (self.run_dir / "node_id").write_text(self.node.host.hex + "\n")
-        bind = (str(self.config.bind.host_ip), self.config.bind.port)
-        try:
-            self.gossip_udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            self.gossip_udp.bind(bind)
-            self.gossip_tcp = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self.gossip_tcp.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self.gossip_tcp.bind(bind)
-            self.gossip_tcp.listen(16)
-        except OSError as exc:
-            raise BindFailed(f"cannot bind {bind}: {exc}") from exc
-        self.dgram_out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.running = True
-        self.spawn("loop", self._loop)
-        self.spawn("ticker", self._ticker)
-        self.spawn("gossip-udp", self._gossip_receive_loop)
-        self.spawn("gossip-tcp", self._sync_accept_loop)
-        self._start_control()
-        return self
-
-    def stop(self) -> None:
-        self.running = False
-        self._events.put(("stop",))
-        with self._wakeup_lock:
-            for event in self._wakeups.values():
-                event.set()
-        closing = [self.gossip_udp, self.gossip_tcp, self.dgram_out, self.control]
-        closing += list(self._app_servers.values()) + list(self._trap_conns)
-        for session in self.node.gateway_sessions:
-            closing += [session.external, session.internal]
-        for sock in closing:
-            if isinstance(sock, socket.socket):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-        # Workers are daemons; give them a moment to notice the closed
-        # sockets but never hold shutdown hostage to a blocked recv.
-        deadline = 1.0
-        for thread in self._threads:
-            if deadline <= 0:
-                break
-            started = time.monotonic()
-            thread.join(timeout=min(0.1, deadline))
-            deadline -= time.monotonic() - started
-
-    def spawn(self, name: str, fn: Callable[[], None]) -> None:
-        thread = threading.Thread(target=fn, name=f"appnet-{name}", daemon=True)
-        thread.start()
-        self._threads.append(thread)
-
-    # --- the event loop ---
-
-    def _loop(self) -> None:
-        while True:
-            event = self._events.get()
-            kind = event[0]
-            if kind == "stop":
-                self._fail_pending_calls()
-                return
-            try:
-                if kind == "tick":
-                    self._tick += 1
-                    self._send_outbound(self.node.tick(self._tick))
-                elif kind == "envelope":
-                    _, data, source = event
-                    self._send_outbound(self.node.on_envelope(data, source, self._tick))
-                elif kind == "run":
-                    event[1]()
-                elif kind == "call":
-                    _, fn, box, done = event
-                    try:
-                        box.append(fn())
-                    except BaseException as exc:  # handed back to the caller
-                        box.append(exc)
-                    done.set()
-            except Exception:
-                # A failed tick or envelope must not kill the loop.
-                continue
-
-    def _fail_pending_calls(self) -> None:
-        while True:
-            try:
-                event = self._events.get_nowait()
-            except queue.Empty:
-                return
-            if event[0] == "call":
-                _, _fn, box, done = event
-                box.append(RuntimeStopped("runtime stopped"))
-                done.set()
-
-    def _post(self, fn: Callable[[], object]) -> None:
-        """Fire-and-forget execution on the loop thread."""
-        if self.running:
-            self._events.put(("run", fn))
-
-    def in_loop(self, fn: Callable[[], object]) -> object:
-        """Run fn on the loop thread and return its result."""
-        if threading.current_thread().name == "appnet-loop":
-            return fn()
-        if not self.running:
-            raise RuntimeStopped("runtime stopped")
-        box: list = []
-        done = threading.Event()
-        self._events.put(("call", fn, box, done))
-        while not done.wait(timeout=0.1):
-            if not self.running and not done.is_set():
-                raise RuntimeStopped("runtime stopped")
-        result = box[0]
-        if isinstance(result, BaseException):
-            raise result
-        return result
-
-    def _ticker(self) -> None:
-        while self.running:
-            time.sleep(self.period_ms / 1000)
-            self._events.put(("tick",))
 
     # --- gossip I/O ---
 
-    def _gossip_receive_loop(self) -> None:
-        while self.running:
-            try:
-                data, addr = self.gossip_udp.recvfrom(65535)
-            except OSError:
-                return
-            source = RealEndpoint(IPv4Address(addr[0]), addr[1])
-            self._events.put(("envelope", data, source))
+    def _on_gossip_datagram(self, data: bytes, addr) -> None:
+        source = RealEndpoint(IPv4Address(addr[0]), addr[1])
+        self._send_outbound(self.node.on_envelope(data, source, self._tick))
 
     def _send_outbound(self, outbound) -> None:
         for dest, env in outbound:
             data = encode_envelope(env)
             if env.kind in RELIABLE_KINDS:
-                self.spawn("sync-out", lambda d=dest, b=data: self._sync_exchange(d, b))
-            else:
-                try:
-                    self.gossip_udp.sendto(data, (str(dest.host_ip), dest.port))
-                except OSError:
-                    pass
-
-    def _sync_exchange(self, dest: RealEndpoint, frame: bytes) -> None:
-        """Anti-entropy over a short-lived stream: send ours, merge theirs."""
-        try:
-            with socket.create_connection(
-                (str(dest.host_ip), dest.port), timeout=CONNECT_TIMEOUT
-            ) as conn:
-                conn.sendall(_SYNC_FRAME.pack(len(frame)) + frame)
-                conn.settimeout(CONNECT_TIMEOUT)
-                self._drain_sync_frames(conn, dest)
-        except OSError:
-            return
-
-    def _drain_sync_frames(self, conn: socket.socket, peer: RealEndpoint) -> None:
-        while True:
+                self._open_sync(dest, _SYNC_FRAME.pack(len(data)) + data)
+                continue
             try:
-                header = _recv_exactly(conn, _SYNC_FRAME.size)
-                data = _recv_exactly(conn, _SYNC_FRAME.unpack(header)[0])
-                replies = self.in_loop(
-                    lambda d=data: self.node.on_envelope(d, peer, self._tick)
-                )
-            except (OSError, ConnectionError, RuntimeStopped):
-                return
-            for _, env in replies:
-                out = encode_envelope(env)
-                try:
-                    conn.sendall(_SYNC_FRAME.pack(len(out)) + out)
-                except OSError:
-                    return
-
-    def _sync_accept_loop(self) -> None:
-        while self.running:
-            try:
-                conn, addr = self.gossip_tcp.accept()
+                self.gossip_udp.sendto(data, (str(dest.host_ip), dest.port))
             except OSError:
-                return
-            peer = RealEndpoint(IPv4Address(addr[0]), addr[1])
-            self.spawn("sync-in", lambda c=conn, p=peer: self._sync_serve(c, p))
+                self.counters["send_errors"] += 1
 
-    def _sync_serve(self, conn: socket.socket, peer: RealEndpoint) -> None:
-        with conn:
-            conn.settimeout(CONNECT_TIMEOUT)
-            self._drain_sync_frames(conn, peer)
+    def _open_sync(self, dest: RealEndpoint, frame: bytes) -> None:
+        """Anti-entropy over a short-lived stream: send ours, merge theirs."""
+        addr = (str(dest.host_ip), dest.port)
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setblocking(False)
+        # Ghost syncs target dead peers every period; never wait on a connect.
+        if sock.connect_ex(addr) not in (0, errno.EINPROGRESS):
+            sock.close()
+            self.counters["send_errors"] += 1
+            return
+        self._sync_stream(sock, addr).send(frame)
+
+    def _sync_stream(self, sock: socket.socket, addr: tuple[str, int]) -> _Stream:
+        peer = RealEndpoint(IPv4Address(addr[0]), addr[1])
+
+        def on_frame(stream: _Stream, frame: bytes) -> None:
+            envelope = frame[_SYNC_FRAME.size :]
+            for _, env in self.node.on_envelope(envelope, peer, self._tick):
+                out = encode_envelope(env)
+                stream.send(_SYNC_FRAME.pack(len(out)) + out)
+
+        return _Stream(self, sock, _sync_frame_size, on_frame, idle=CONNECT_TIMEOUT)
 
     # --- trap channels ---
 
     def add_app(self, spec_args: list[str], app_id: Optional[str] = None) -> dict:
-        spec = parse_app_spec(spec_args)
-        identity = self.in_loop(lambda: self.node.add_app(spec, app_id))
-        trap_path = self._serve_trap_channel(identity.app_id)
-        return {
-            "app_id": identity.app_id,
-            "vip": str(identity.effective_vip),
-            "trap": str(trap_path),
-        }
+        return self.in_loop(lambda: self._add_app(spec_args, app_id))
 
-    def remove_app(self, app_id: str) -> int:
-        count = self.in_loop(lambda: self.node.remove_app(app_id))
-        server = self._app_servers.pop(app_id, None)
-        if server is not None:
-            try:
-                server.close()
-            except OSError:
-                pass
-        return count
-
-    def _serve_trap_channel(self, app_id: str) -> Path:
+    def _add_app(self, spec_args: list[str], app_id: Optional[str]) -> dict:
+        identity = self.node.add_app(parse_app_spec(spec_args), app_id)
+        app_id = identity.app_id
         app_dir = self.run_dir / "apps" / app_id
         app_dir.mkdir(parents=True, exist_ok=True)
         path = app_dir / "trap"
-        if path.exists():
-            path.unlink()
-        server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        server.bind(str(path))
-        server.listen(1)
-        self._app_servers[app_id] = server
-        self.spawn(f"trap:{app_id}", lambda: self._trap_accept(server, app_id))
-        return path
+        server = self._app_servers[app_id] = _unix_listener(path)
 
-    def _trap_accept(self, server: socket.socket, app_id: str) -> None:
-        attached = False
-        while self.running:
-            try:
-                conn, _ = server.accept()
-            except OSError:
-                return
-            if attached:
-                conn.close()  # one sandbox channel per app
-                continue
-            attached = True
-            self._trap_conns.append(conn)
-            self.spawn(f"trap-serve:{app_id}", lambda c=conn: self._trap_serve(c, app_id))
-
-    def _trap_serve(self, conn: socket.socket, app_id: str) -> None:
-        with conn:
-            while self.running:
-                try:
-                    header = _recv_exactly(conn, trap.HEADER_SIZE)
-                    payload = _recv_exactly(conn, trap.frame_payload_length(header))
-                except (OSError, ConnectionError):
-                    break
-                try:
-                    request = trap.decode_request(header + payload)
-                except DecodeError as exc:
-                    self._trap_send(conn, trap.error_reply(exc), None)
-                    continue
-                try:
-                    reply, transport = self._dispatch_blocking(app_id, request)
-                except RuntimeStopped:
-                    return
-                self._trap_send(conn, reply, transport)
-        # The application went away; withdraw whatever it registered.
-        try:
-            self.remove_app(app_id)
-        except (AppNetError, RuntimeStopped):
-            pass
-
-    def _dispatch_blocking(
-        self, app_id: str, request: TrapRequest
-    ) -> tuple[TrapReply, object | None]:
-        # Accept and recvfrom block the calling application, never the loop.
-        while True:
-            reply, transport = self.in_loop(
-                lambda: self.node.dispatch_trap(app_id, request)
+        def attached(conn: socket.socket, _addr) -> None:
+            # One sandbox channel per app: later connects are refused.
+            self._unwatch(self._app_servers.pop(app_id))
+            _Stream(
+                self,
+                conn,
+                _trap_frame_size,
+                lambda stream, frame: self._on_trap_frame(stream, app_id, frame),
+                on_close=lambda _stream: self._on_trap_closed(app_id),
             )
-            if reply.status != _WOULD_BLOCK:
-                return reply, transport
-            key = (app_id, request.handle)
-            with self._wakeup_lock:
-                event = self._wakeups.setdefault(key, threading.Event())
-                event.clear()
-            event.wait(timeout=0.25)
 
-    def _notify_deliverable(self, app_id: str, handle_id: int) -> None:
-        with self._wakeup_lock:
-            event = self._wakeups.get((app_id, handle_id))
-        if event is not None:
-            event.set()
+        self._watch(server, server.accept, attached)
+        return {"app_id": app_id, "vip": str(identity.effective_vip), "trap": str(path)}
 
-    def _trap_send(
-        self, conn: socket.socket, reply: TrapReply, transport: object | None
-    ) -> None:
-        data = trap.encode_reply(reply)
+    def remove_app(self, app_id: str) -> int:
+        return self.in_loop(lambda: self._remove_app(app_id))
+
+    def _remove_app(self, app_id: str) -> int:
+        count = self.node.remove_app(app_id)
+        server = self._app_servers.pop(app_id, None)
+        if server is not None:
+            self._unwatch(server)
+        # Calls the app left parked get their error now instead of waiting.
+        for key in [key for key in self._parked if key[0] == app_id]:
+            self._answer_parked(*key)
+        return count
+
+    def _on_trap_frame(self, stream: _Stream, app_id: str, frame: bytes) -> None:
         try:
-            if isinstance(transport, socket.socket):
-                socket.send_fds(conn, [data], [transport.fileno()])
-                transport.close()  # the fd now lives with the application
-            else:
-                conn.sendall(data)
-        except OSError:
-            pass
+            request = trap.decode_request(frame)
+        except DecodeError as exc:
+            stream.send(trap.encode_reply(trap.error_reply(exc)))
+            return
+        reply, transport = self.node.dispatch_trap(app_id, request)
+        if reply.status == _WOULD_BLOCK:
+            # Accept and recvfrom block the application, never the loop.
+            self._parked[(app_id, request.handle)] = (stream, frame)
+            return
+        stream.send(trap.encode_reply(reply), transport)
+
+    def _answer_parked(self, app_id: str, handle_id: int) -> None:
+        # The switch calls this once its state for the handle is complete.
+        parked = self._parked.pop((app_id, handle_id), None)
+        if parked is not None and parked[0].open:
+            self._on_trap_frame(parked[0], app_id, parked[1])
+
+    def _on_trap_closed(self, app_id: str) -> None:
+        # The application went away; withdraw whatever it registered.
+        with suppress(AppNetError):  # already removed through the control channel
+            self._remove_app(app_id)
 
     # --- gateway pump ---
 
     def _start_pump(self, session: GatewaySession) -> None:
-        counter_lock = threading.Lock()
-
         def copy(src: socket.socket, dst: socket.socket, counter: str) -> None:
             try:
-                while True:
-                    chunk = src.recv(COPY_CHUNK)
-                    if not chunk:
-                        break
+                while chunk := src.recv(COPY_CHUNK):
                     dst.sendall(chunk)
-                    with counter_lock:
+                    with self._pump_lock:
                         setattr(session, counter, getattr(session, counter) + len(chunk))
                         self.node.switch.data_path_bytes += len(chunk)
             except OSError:
-                pass
+                pass  # either side reset: the session is over
             finally:
-                session.closed = True
                 for sock in (src, dst):
-                    try:
+                    with suppress(OSError):  # already shut by the other direction
                         sock.shutdown(socket.SHUT_RDWR)
-                    except OSError:
-                        pass
+                with self._pump_lock:
+                    other_done, session.closed = session.closed, True
+                if other_done:
+                    src.close()
+                    dst.close()
 
-        external, internal = session.external, session.internal
-        assert isinstance(external, socket.socket) and isinstance(internal, socket.socket)
-        self.spawn("pump-in", lambda: copy(external, internal, "ext_to_int"))
-        self.spawn("pump-out", lambda: copy(internal, external, "int_to_ext"))
+        ext, internal = session.external, session.internal
+        assert isinstance(ext, socket.socket) and isinstance(internal, socket.socket)
+        self._thread("pump-in", copy, ext, internal, "ext_to_int")
+        self._thread("pump-out", copy, internal, ext, "int_to_ext")
 
     # --- control channel ---
 
-    def _start_control(self) -> None:
-        path = self.run_dir / "control.sock"
-        if path.exists():
-            path.unlink()
-        self.control = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self.control.bind(str(path))
-        self.control.listen(8)
-        self.spawn("control", self._control_accept)
-
-    def _control_accept(self) -> None:
-        while self.running:
-            try:
-                conn, _ = self.control.accept()
-            except OSError:
-                return
-            self.spawn("control-serve", lambda c=conn: self._control_serve(c))
-
-    def _control_serve(self, conn: socket.socket) -> None:
-        with conn, conn.makefile("rw", encoding="utf-8") as stream:
-            for line in stream:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    response = self._control_handle(json.loads(line))
-                except AppNetError as exc:
-                    response = {"ok": False, "error": type(exc).__name__, "detail": str(exc)}
-                except RuntimeStopped:
-                    return
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    response = {"ok": False, "error": "BadRequest", "detail": str(exc)}
-                stream.write(json.dumps(response) + "\n")
-                stream.flush()
+    def _on_control_line(self, stream: _Stream, line: bytes) -> None:
+        if not line.strip():
+            return
+        try:
+            response = self._control_handle(json.loads(line))
+        except AppNetError as exc:
+            response = {"ok": False, "error": type(exc).__name__, "detail": str(exc)}
+        except (ValueError, KeyError, TypeError) as exc:
+            response = {"ok": False, "error": "BadRequest", "detail": str(exc)}
+        stream.send((json.dumps(response) + "\n").encode())
 
     def _control_handle(self, request: dict) -> dict:
         op = request["op"]
         if op == "ping":
             return {"ok": True, "host": self.node.host.hex}
         if op == "add":
-            added = self.add_app(list(request["args"]))
-            return {"ok": True, **added}
+            return {"ok": True, **self.add_app(list(request["args"]))}
         if op == "remove":
-            count = self.remove_app(request["app_id"])
-            return {"ok": True, "tombstoned": count}
+            return {"ok": True, "tombstoned": self.remove_app(request["app_id"])}
         if op == "list":
-            dump = self.in_loop(self.node.dump)
-            return {"ok": True, "dump": dump}
+            return {"ok": True, "dump": self.node.dump()}
         return {"ok": False, "error": "BadRequest", "detail": f"unknown op {op!r}"}
 
 
@@ -603,18 +609,11 @@ class UnixTrapChannel:
         self.messages += 1
         self.sock.sendall(trap.encode_request(req))
         header, fds = self._recv_header_with_fds()
-        payload = (
-            _recv_exactly(self.sock, trap.frame_payload_length(header))
-            if trap.frame_payload_length(header)
-            else b""
-        )
+        payload = _recv_exactly(self.sock, trap.frame_payload_length(header))
         reply = trap.decode_reply(header + payload)
-        transport = None
-        if fds:
-            transport = socket.socket(fileno=fds[0])
-            for extra in fds[1:]:
-                os.close(extra)
-        return reply, transport
+        for extra in fds[1:]:
+            os.close(extra)
+        return reply, socket.socket(fileno=fds[0]) if fds else None
 
     def _recv_header_with_fds(self) -> tuple[bytes, list[int]]:
         buf = bytearray()

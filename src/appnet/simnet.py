@@ -249,10 +249,6 @@ class SimNetwork:
             delivered += 1
         return delivered
 
-    @property
-    def in_flight(self) -> int:
-        return len(self._queue)
-
     # --- streams ---
 
     def listen_stream(

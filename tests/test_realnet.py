@@ -1,11 +1,12 @@
 import socket
+import struct
 import threading
 import time
 from ipaddress import IPv4Address
 
 import pytest
 
-from appnet.errors import Unidentified
+from appnet.errors import AppNetError, Unidentified
 from appnet.model import RealEndpoint, ServiceKey
 from appnet.node import NodeConfig
 from appnet.realnet import ControlClient, RealNodeRuntime, connect_shim
@@ -240,3 +241,117 @@ def test_control_channel_list_and_remove(cluster, tmp_path):
     removed = control.call({"op": "remove", "app_id": info["app_id"]})
     assert removed["ok"] and removed["tombstoned"] == 1
     assert a.node.table.lookup(key) == []
+
+
+def _threads_of(*runtimes):
+    """Live threads the given runtimes started (all are named appnet-<role>:<host>)."""
+    hosts = tuple(f":{rt.node.host.hex[:6]}" for rt in runtimes)
+    return [
+        t.name
+        for t in threading.enumerate()
+        if t.name.startswith("appnet-") and t.name.endswith(hosts)
+    ]
+
+
+def _close_abortively(sock):
+    # A reset leaves no TIME_WAIT behind on the ephemeral port, which a later
+    # fixture's free-port probe could otherwise pick and fail to bind.
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def _serve_and_drop(shim, port, reply=False):
+    """Accept in a loop; echo one byte if asked, then close each connection."""
+    listener = shim.socket(HandleKind.STREAM)
+    shim.bind(listener, (IPv4Address("0.0.0.0"), port))
+    shim.listen(listener)
+
+    def serve():
+        while True:
+            try:
+                handle, _peer, transport = shim.accept(listener)
+                shim.close(handle)
+            except (AppNetError, ConnectionError, OSError):
+                return  # the channel closed
+            with transport:
+                if reply:
+                    transport.sendall(transport.recv(1))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return thread
+
+
+def _hang_up(shim):
+    # Shut down first: it wakes the serving thread blocked on the channel.
+    shim.channel.sock.shutdown(socket.SHUT_RDWR)
+    shim.channel.close()
+
+
+def test_loop_counts_a_failed_step_and_keeps_running(cluster):
+    a, _b = cluster
+    tick = a.node.tick
+    failed_at = []
+
+    def tick_failing_once(now):
+        if not failed_at:
+            failed_at.append(now)
+            raise RuntimeError("injected tick failure")
+        return tick(now)
+
+    a.node.tick = tick_failing_once
+    assert _wait_for(lambda: failed_at and a._tick > failed_at[0] + 3)
+    assert a.counters["loop_errors"] == 1
+    assert "injected tick failure" in a.last_error
+    assert a.in_loop(lambda: "still serving") == "still serving"
+
+
+def test_threads_stay_bounded_over_connects_and_anti_entropy(cluster):
+    a, b = cluster
+    server_info = a.add_app(["--ip", "10.50.0.12", "--name", "many", "--tag", "grp=t"])
+    server = connect_shim(server_info["trap"])
+    thread = _serve_and_drop(server, 4007)
+    client_info = b.add_app(["--tag", "grp=t"])
+    client = connect_shim(client_info["trap"])
+    key = ServiceKey(IPv4Address("10.50.0.12"), 4007)
+    assert _wait_for(lambda: b.node.table.lookup(key)), "entry never reached b"
+
+    first_tick = min(a._tick, b._tick)
+    for _ in range(200):
+        handle = client.socket(HandleKind.STREAM)
+        _close_abortively(client.connect(handle, (key.vip, key.port)))
+        client.close(handle)
+    periods = 5 * a.node.gossip.params.anti_entropy_period
+    assert _wait_for(lambda: min(a._tick, b._tick) >= first_tick + periods)
+
+    _hang_up(client)
+    _hang_up(server)
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert _wait_for(lambda: len(_threads_of(a, b)) == 2), _threads_of(a, b)
+    assert _wait_for(lambda: not a.node.app_ids() and not b.node.app_ids())
+
+
+def test_gateway_sessions_never_wait_on_a_missed_wakeup(cluster):
+    a, b = cluster
+    info = b.add_app(["--ip", "10.50.0.11", "--name", "quick", "--expose", "31010"])
+    server = connect_shim(info["trap"])
+    thread = _serve_and_drop(server, 4006, reply=True)
+    assert _wait_for(lambda: (a.node.host, 31010) in a.node._external_listeners)
+
+    session_s = []
+    for _ in range(100):
+        started = time.monotonic()
+        external = socket.create_connection(("127.0.0.1", 31010), timeout=5)
+        external.sendall(b"x")
+        assert external.recv(1) == b"x"
+        _close_abortively(external)
+        session_s.append(time.monotonic() - started)
+    slow = [s for s in session_s if s >= 0.25]
+    assert not slow, f"{len(slow)} of 100 sessions took >= 0.25 s: {slow}"
+
+    _hang_up(server)
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    # Pump threads end with their sessions: one loop per runtime is left.
+    assert _wait_for(lambda: len(_threads_of(a, b)) == 2), _threads_of(a, b)
