@@ -16,6 +16,7 @@ each entry u16-length-prefixed, all integers big-endian.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
@@ -27,9 +28,8 @@ from appnet.service_table import (
     MergeOutcome,
     ServiceTable,
     TableRecord,
+    Version,
     decode_record,
-    encode_record,
-    record_id_bytes,
 )
 
 ENVELOPE_VERSION = 0x01
@@ -45,6 +45,10 @@ RETRANSMIT_FACTOR = 3
 ANTI_ENTROPY_PERIOD = 10
 
 _GATEWAY_FLAG = 0x80
+
+# A sync digest item is an lp16 record id, then the record's version:
+# incarnation, state and the crc32 of its encoding.
+_DIGEST_VERSION = struct.Struct(">QBI")
 
 
 class MemberStatus(Enum):
@@ -86,7 +90,7 @@ class GossipEnvelope:
     sender: HostId
     membership_rumors: list[MemberRecord] = field(default_factory=list)
     table_deltas: list[TableRecord] = field(default_factory=list)
-    sync_digest: Optional[list[tuple[bytes, int]]] = None
+    sync_digest: Optional[list[tuple[bytes, Version]]] = None
 
 
 def _encode_member(m: MemberRecord) -> bytes:
@@ -124,13 +128,13 @@ def encode_envelope(env: GossipEnvelope) -> bytes:
     w.u8(env.kind.value)
     w.raw(env.sender.raw)
     w.section([_encode_member(m) for m in env.membership_rumors])
-    w.section([encode_record(d) for d in env.table_deltas])
-    digest_items: list[bytes] = []
-    if env.sync_digest is not None:
-        for id_bytes, incarnation in env.sync_digest:
-            item = wire.Writer().lp16(id_bytes).u64(incarnation).getvalue()
-            digest_items.append(item)
-    w.section(digest_items)
+    w.section([d.encoded for d in env.table_deltas])
+    w.section(
+        [
+            len(id_bytes).to_bytes(2, "big") + id_bytes + _DIGEST_VERSION.pack(*version)
+            for id_bytes, version in env.sync_digest or ()
+        ]
+    )
     data = w.getvalue()
     if len(data) > MAX_ENVELOPE:
         raise ValueError(f"envelope of {len(data)} bytes exceeds {MAX_ENVELOPE}")
@@ -151,12 +155,12 @@ def decode_envelope(data: bytes) -> GossipEnvelope:
     deltas = [decode_record(item) for item in r.section()]
     digest_section = r.section()
     r.expect_end()
-    digest: Optional[list[tuple[bytes, int]]] = None
+    digest: Optional[list[tuple[bytes, Version]]] = None
     if kind is EnvelopeKind.SYNC or digest_section:
         digest = []
         for item in digest_section:
             ir = wire.Reader(item)
-            digest.append((ir.lp16(), ir.u64()))
+            digest.append((ir.lp16(), _DIGEST_VERSION.unpack(ir.raw(_DIGEST_VERSION.size))))
             ir.expect_end()
     return GossipEnvelope(
         kind=kind,
@@ -255,7 +259,7 @@ class Gossip:
 
     def queue_delta(self, record: TableRecord) -> None:
         self._seq += 1
-        self._delta_queue[record_id_bytes(record)] = [record, self._budget(), self._seq]
+        self._delta_queue[record.record_id] = [record, self._budget(), self._seq]
 
     # --- piggyback composition ---
 
@@ -315,7 +319,7 @@ class Gossip:
         kind: EnvelopeKind,
         first_rumor: Optional[MemberRecord] = None,
         deltas: Optional[list[TableRecord]] = None,
-        digest: Optional[list[tuple[bytes, int]]] = None,
+        digest: Optional[list[tuple[bytes, Version]]] = None,
     ) -> GossipEnvelope:
         refresh = kind in RELIABLE_KINDS
         return GossipEnvelope(
@@ -600,7 +604,7 @@ def _chunk_records(records: list[TableRecord], limit: int = 48000) -> list[list[
     current: list[TableRecord] = []
     size = 0
     for record in records:
-        encoded = len(encode_record(record)) + 2
+        encoded = len(record.encoded) + 2
         if current and size + encoded > limit:
             chunks.append(current)
             current = []

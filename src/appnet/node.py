@@ -22,13 +22,7 @@ from appnet.errors import (
     NoSuchService,
     UnknownApp,
 )
-from appnet.gateway import (
-    BindingState,
-    GatewayBinding,
-    choose_gateway,
-    pick_external_port,
-    synthetic_client_tags,
-)
+from appnet.gateway import choose_gateway, pick_external_port, synthetic_client_tags
 from appnet.gossip import (
     Gossip,
     GossipParams,
@@ -45,7 +39,7 @@ from appnet.model import (
     ServiceKey,
     TagSet,
 )
-from appnet.service_table import ServiceTable
+from appnet.service_table import EntryState, GatewayBinding, ServiceTable, entry_record_id
 from appnet.switch import SelectionStrategy, Switch
 from appnet.trap import InProcChannel, TrapReply, TrapRequest
 
@@ -198,7 +192,7 @@ class Node:
         served = self.switch.unregister_app(app_id)
         count = 0
         for entry_id in served:
-            if self.table.tombstone_entry(entry_id, self.now):
+            if self.table.retire(entry_record_id(entry_id), self.now):
                 count += 1
         return count
 
@@ -233,7 +227,7 @@ class Node:
             key=key,
             gateway=gateway_host,
             external_port=port,
-            state=BindingState.ACTIVE,
+            state=EntryState.ALIVE,
             incarnation=0,
             admit=admit,
         )
@@ -274,7 +268,7 @@ class Node:
                 continue
             if not self.table.lookup(binding.key):
                 # Exposure outlived its service; withdraw it.
-                self.table.release_binding(binding.binding_id, self.now)
+                self.table.retire(binding.record_id, self.now)
                 self._close_sessions(binding.binding_id)
                 continue
             wanted[binding.binding_id] = binding

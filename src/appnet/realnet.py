@@ -50,6 +50,9 @@ _WOULD_BLOCK = trap.status_for_error(WouldBlock(""))
 CONNECT_TIMEOUT = 2.0
 PREAMBLE_TIMEOUT = 2.0
 COPY_CHUNK = 65536
+# A same-host pair's socket buffers. The Unix default (~208 KiB) wakes the
+# reader so often that a local stream fell behind a TCP loopback hairpin.
+LOCAL_PAIR_BUFFER = 1 << 20
 
 
 class RuntimeStopped(RuntimeError):
@@ -421,7 +424,11 @@ class RealNodeRuntime:
         return sock
 
     def open_local_pair(self) -> tuple[socket.socket, socket.socket]:
-        return socket.socketpair()
+        pair = socket.socketpair()
+        for sock in pair:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, LOCAL_PAIR_BUFFER)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, LOCAL_PAIR_BUFFER)
+        return pair
 
     def send_dgram(self, dest: RealEndpoint, data: bytes) -> None:
         self.dgram_out.sendto(data, (str(dest.host_ip), dest.port))

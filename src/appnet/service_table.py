@@ -1,31 +1,37 @@
 """The replicated service table: virtual identities mapped to real endpoints.
 
-Every node holds one table. Local registrations enter through insert_local;
-everything else arrives through merge_remote and converges by per-record
-last-writer-wins on (incarnation, owner host). Deletion is a tombstone with a
-bumped incarnation so it wins over the record it retires; tombstones are kept
-for TOMBSTONE_TTL ticks, long enough to outlive in-flight rumors.
+Service entries and gateway bindings share one record path. Local writes go
+through insert_local, insert_binding and retire; the rest arrives through
+merge_record. Merge and the anti-entropy digest order records by one version,
+(incarnation, state, crc32 of the encoding): the higher incarnation wins; at
+equal incarnation a tombstone beats a live record; at equal incarnation and
+state the larger fingerprint wins, so rival writes resolve alike everywhere.
+Retiring writes a tombstone at the next incarnation; tombstones are kept for
+TOMBSTONE_TTL ticks, long enough to outlive in-flight rumors.
+
+Only an entry's id names its sole writer, so two owner clauses apply to
+entries of the local host only: a foreign tombstone of a live one is refuted
+by re-writing it above the tombstone, and a ghost of one this node no longer
+holds is rejected. A binding is written by the exposing node and released by
+its gateway, or by any node once that gateway is dead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import zlib
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from ipaddress import IPv4Address
 from typing import Callable, Iterable, Optional, Union
 
 from appnet import wire
 from appnet.errors import AmbiguousName, DuplicateAppBinding
-from appnet.gateway import BindingState, GatewayBinding, decode_binding, encode_binding
 from appnet.model import AUTO_POOL, HostId, RealEndpoint, ServiceKey, TagSet
 
 TOMBSTONE_TTL = 30  # gossip periods
 
 SERVICE_PORT_MIN = 49152
 SERVICE_PORT_MAX = 65535
-
-_KIND_ENTRY = 0
-_KIND_BINDING = 1
 
 
 class EntryState(Enum):
@@ -40,10 +46,55 @@ class MergeOutcome(Enum):
 
 
 EntryId = tuple[ServiceKey, HostId, str]
+Version = tuple[int, int, int]  # (incarnation, state, crc32 of the encoding)
 
 
-@dataclass(frozen=True)
-class ServiceEntry:
+class _once:
+    """A property computed on first use and kept in the slot "_" + its name.
+    Kept as extra instance attributes instead, it made table scans 2x slower."""
+
+    def __init__(self, compute: Callable) -> None:
+        self.compute, self.slot = compute, "_" + compute.__name__
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        try:
+            return getattr(record, self.slot)
+        except AttributeError:
+            value = self.compute(record)
+            object.__setattr__(record, self.slot, value)
+            return value
+
+
+class _Record:
+    """What the table needs of either record class.
+
+    Records are frozen, so each object computes its id, encoding and version
+    once, on first use. The stamp is the local tick of the last write: it is
+    not on the wire and takes no part in comparisons.
+    """
+
+    __slots__ = ("_record_id", "_encoded", "_version")
+
+    @_once
+    def encoded(self) -> bytes:
+        return encode_record(self)
+
+    @_once
+    def version(self) -> Version:
+        return (self.incarnation, self.state.value, zlib.crc32(self.encoded))
+
+    def stamped(self, now: int):
+        """This record stamped `now`, keeping its computed id, encoding and version."""
+        out = replace(self, stamp=now)
+        for name in ("record_id", "encoded", "version"):
+            object.__setattr__(out, "_" + name, getattr(self, name))
+        return out
+
+
+@dataclass(frozen=True, slots=True)
+class ServiceEntry(_Record):
     key: ServiceKey
     real: RealEndpoint
     host: HostId
@@ -52,14 +103,74 @@ class ServiceEntry:
     name: Optional[str]
     incarnation: int
     state: EntryState
-    stamp: int = 0
+    stamp: int = field(default=0, compare=False)
+
+    @property
+    def owner(self) -> HostId:
+        return self.host
 
     @property
     def entry_id(self) -> EntryId:
         return (self.key, self.host, self.app_id)
 
+    @_once
+    def record_id(self) -> bytes:
+        return entry_record_id(self.entry_id)
+
+
+@dataclass(frozen=True, slots=True)
+class GatewayBinding(_Record):
+    """Ties a service key to one (gateway, external port) pair."""
+
+    key: ServiceKey
+    gateway: HostId
+    external_port: int
+    state: EntryState
+    incarnation: int
+    admit: TagSet
+    stamp: int = field(default=0, compare=False)
+
+    @property
+    def owner(self) -> HostId:
+        return self.gateway
+
+    @property
+    def binding_id(self) -> tuple[HostId, int]:
+        return (self.gateway, self.external_port)
+
+    @_once
+    def record_id(self) -> bytes:
+        return _binding_record_id(self.gateway, self.external_port)
+
 
 TableRecord = Union[ServiceEntry, GatewayBinding]
+
+# --- codec: a kind byte, then the record's body ---
+
+_KIND_ENTRY = 0
+_KIND_BINDING = 1
+
+
+def entry_record_id(entry_id: EntryId) -> bytes:
+    """An entry's store and digest id: its kind, key, host and app id."""
+    key, host, app_id = entry_id
+    w = wire.Writer().u8(_KIND_ENTRY).ip4(key.vip).u16(key.port)
+    return w.raw(host.raw).lp16(app_id.encode()).getvalue()
+
+
+def _binding_record_id(gateway: HostId, external_port: int) -> bytes:
+    return wire.Writer().u8(_KIND_BINDING).raw(gateway.raw).u16(external_port).getvalue()
+
+
+def _write_tags(w: wire.Writer, tags: TagSet) -> None:
+    pairs = tags.pairs()
+    w.u16(len(pairs))
+    for pair in pairs:
+        w.lp16(pair.encode())
+
+
+def _read_tags(r: wire.Reader) -> TagSet:
+    return TagSet.from_pairs([r.lp16().decode() for _ in range(r.u16())])
 
 
 def encode_entry(e: ServiceEntry) -> bytes:
@@ -71,71 +182,71 @@ def encode_entry(e: ServiceEntry) -> bytes:
     w.u8(e.state.value)
     w.u64(e.incarnation)
     w.lp16((e.name or "").encode())
-    pairs = e.tags.pairs()
-    w.u16(len(pairs))
-    for pair in pairs:
-        w.lp16(pair.encode())
+    _write_tags(w, e.tags)
     return w.getvalue()
 
 
 def decode_entry(data: bytes) -> ServiceEntry:
     r = wire.Reader(data)
-    key = ServiceKey(r.ip4(), r.u16())
-    real = RealEndpoint(r.ip4(), r.u16())
-    host = HostId(r.raw(16))
-    app_id = r.lp16().decode()
-    state = EntryState(r.u8())
-    incarnation = r.u64()
-    name = r.lp16().decode() or None
-    pairs = [r.lp16().decode() for _ in range(r.u16())]
-    r.expect_end()
-    return ServiceEntry(
-        key=key,
-        real=real,
-        host=host,
-        app_id=app_id,
-        tags=TagSet.from_pairs(pairs),
-        name=name,
-        incarnation=incarnation,
-        state=state,
+    entry = ServiceEntry(
+        key=ServiceKey(r.ip4(), r.u16()),
+        real=RealEndpoint(r.ip4(), r.u16()),
+        host=HostId(r.raw(16)),
+        app_id=r.lp16().decode(),
+        state=EntryState(r.u8()),
+        incarnation=r.u64(),
+        name=r.lp16().decode() or None,
+        tags=_read_tags(r),
     )
+    r.expect_end()
+    return entry
 
 
-def encode_record(record: TableRecord) -> bytes:
-    if isinstance(record, ServiceEntry):
-        return bytes([_KIND_ENTRY]) + encode_entry(record)
-    return bytes([_KIND_BINDING]) + encode_binding(record)
-
-
-def decode_record(data: bytes) -> TableRecord:
-    if not data:
-        raise wire.DecodeError("empty table record")
-    kind, body = data[0], data[1:]
-    if kind == _KIND_ENTRY:
-        return decode_entry(body)
-    if kind == _KIND_BINDING:
-        return decode_binding(body)
-    raise wire.DecodeError(f"unknown table record kind {kind}")
-
-
-def record_id_bytes(record: TableRecord) -> bytes:
-    """Stable identity bytes for sync digests."""
+def encode_binding(b: GatewayBinding) -> bytes:
     w = wire.Writer()
-    if isinstance(record, ServiceEntry):
-        w.u8(_KIND_ENTRY)
-        w.ip4(record.key.vip).u16(record.key.port)
-        w.raw(record.host.raw)
-        w.lp16(record.app_id.encode())
-    else:
-        w.u8(_KIND_BINDING)
-        w.raw(record.gateway.raw)
-        w.u16(record.external_port)
+    w.ip4(b.key.vip).u16(b.key.port)
+    w.raw(b.gateway.raw)
+    w.u16(b.external_port)
+    w.u8(b.state.value)
+    w.u64(b.incarnation)
+    _write_tags(w, b.admit)
     return w.getvalue()
 
 
-def _record_order(record: TableRecord) -> tuple[int, HostId]:
-    owner = record.host if isinstance(record, ServiceEntry) else record.gateway
-    return (record.incarnation, owner)
+def decode_binding(data: bytes) -> GatewayBinding:
+    r = wire.Reader(data)
+    binding = GatewayBinding(
+        key=ServiceKey(r.ip4(), r.u16()),
+        gateway=HostId(r.raw(16)),
+        external_port=r.u16(),
+        state=EntryState(r.u8()),
+        incarnation=r.u64(),
+        admit=_read_tags(r),
+    )
+    r.expect_end()
+    return binding
+
+
+_ENCODERS = {
+    ServiceEntry: (_KIND_ENTRY, encode_entry),
+    GatewayBinding: (_KIND_BINDING, encode_binding),
+}
+_DECODERS = {_KIND_ENTRY: decode_entry, _KIND_BINDING: decode_binding}
+
+
+def encode_record(record: TableRecord) -> bytes:
+    kind, encode = _ENCODERS[type(record)]
+    return bytes([kind]) + encode(record)
+
+
+def decode_record(data: bytes) -> TableRecord:
+    decode = _DECODERS.get(data[0]) if data else None
+    if decode is None:
+        raise wire.DecodeError(f"bad table record kind {data[:1]!r}")
+    record = decode(data[1:])
+    # Decoding and encoding are inverse, so these bytes are its encoding.
+    object.__setattr__(record, "_encoded", data)
+    return record
 
 
 class ServiceTable:
@@ -147,18 +258,30 @@ class ServiceTable:
 
     def __init__(self, local_host: HostId) -> None:
         self.local_host = local_host
-        self._entries: dict[EntryId, ServiceEntry] = {}
-        self._bindings: dict[tuple[HostId, int], GatewayBinding] = {}
-        self._binding_stamps: dict[tuple[HostId, int], int] = {}
+        # One store per record class, keyed by record id, so that scans of
+        # entries never walk bindings.
+        self._entries: dict[bytes, ServiceEntry] = {}
+        self._bindings: dict[bytes, GatewayBinding] = {}
+        self._stores = {ServiceEntry: self._entries, GatewayBinding: self._bindings}
         # Called with each record this node originates or re-owns, so the
         # gossip layer can queue it for dissemination.
         self.on_local_update: Optional[Callable[[TableRecord], None]] = None
 
-    def _announce(self, record: TableRecord) -> None:
-        if self.on_local_update is not None:
-            self.on_local_update(record)
+    def _resident(self, record_id: bytes) -> Optional[TableRecord]:
+        return self._entries.get(record_id) or self._bindings.get(record_id)
 
-    # --- local registration ---
+    # --- local writes ---
+
+    def _write_local(self, record: TableRecord, now: int, above: int = 0) -> TableRecord:
+        """Store `record` at this node's next incarnation for it, and announce it."""
+        store = self._stores[type(record)]
+        prior = store.get(record.record_id)
+        incarnation = max(prior.incarnation if prior else 0, above) + 1
+        stored = replace(record, incarnation=incarnation, stamp=now)
+        store[record.record_id] = stored
+        if self.on_local_update is not None:
+            self.on_local_update(stored)
+        return stored
 
     def insert_local(self, entry: ServiceEntry, now: int) -> MergeOutcome:
         if entry.host != self.local_host:
@@ -174,93 +297,57 @@ class ServiceTable:
                 raise DuplicateAppBinding(
                     f"app {entry.app_id} already holds {entry.key}"
                 )
-        prior = self._entries.get(entry.entry_id)
-        incarnation = prior.incarnation + 1 if prior else 1
-        stored = replace(entry, incarnation=incarnation, stamp=now)
-        self._entries[stored.entry_id] = stored
-        self._announce(stored)
+        self._write_local(entry, now)
         return MergeOutcome.APPLIED
 
-    def tombstone_entry(self, entry_id: EntryId, now: int) -> bool:
-        resident = self._entries.get(entry_id)
+    def insert_binding(self, binding: GatewayBinding, now: int) -> GatewayBinding:
+        return self._write_local(binding, now)
+
+    def retire(self, record_id: bytes, now: int) -> bool:
+        """Tombstone a live entry or release an active binding."""
+        resident = self._resident(record_id)
         if resident is None or resident.state is not EntryState.ALIVE:
             return False
-        stone = replace(
-            resident,
-            state=EntryState.TOMBSTONE,
-            incarnation=resident.incarnation + 1,
-            stamp=now,
-        )
-        self._entries[entry_id] = stone
-        self._announce(stone)
+        self._write_local(replace(resident, state=EntryState.TOMBSTONE), now)
         return True
 
     def tombstone_host(self, host: HostId, now: int) -> int:
-        """Retire everything a dead node owned; returns the count tombstoned."""
-        count = 0
-        for entry_id, entry in list(self._entries.items()):
-            if entry.host == host and entry.state is EntryState.ALIVE:
-                self.tombstone_entry(entry_id, now)
-                count += 1
-        for binding in list(self._bindings.values()):
-            if binding.gateway == host and binding.state is BindingState.ACTIVE:
-                self.release_binding(binding.binding_id, now)
-                count += 1
-        return count
+        """Retire every live record a dead node owned; returns the count."""
+        doomed = [
+            r for r in self.records() if r.owner == host and r.state is EntryState.ALIVE
+        ]
+        for record in doomed:
+            self.retire(record.record_id, now)
+        return len(doomed)
 
     def gc_tombstones(self, now: int, ttl: int = TOMBSTONE_TTL) -> int:
-        removed = 0
-        for entry_id, entry in list(self._entries.items()):
-            if entry.state is EntryState.TOMBSTONE and now - entry.stamp > ttl:
-                del self._entries[entry_id]
-                removed += 1
-        for binding_id, binding in list(self._bindings.items()):
-            stamp = self._binding_stamps.get(binding_id, now)
-            if binding.state is BindingState.RELEASED and now - stamp > ttl:
-                del self._bindings[binding_id]
-                self._binding_stamps.pop(binding_id, None)
-                removed += 1
-        return removed
+        expired = [
+            r
+            for r in self.records()
+            if r.state is EntryState.TOMBSTONE and now - r.stamp > ttl
+        ]
+        for record in expired:
+            del self._stores[type(record)][record.record_id]
+        return len(expired)
 
     # --- replication ---
 
-    def merge_remote(self, entry: ServiceEntry, now: int) -> MergeOutcome:
-        resident = self._entries.get(entry.entry_id)
-        if (
-            entry.host == self.local_host
-            and entry.state is EntryState.TOMBSTONE
-            and resident is not None
-            and resident.state is EntryState.ALIVE
-            and entry.incarnation >= resident.incarnation
-        ):
-            # Someone believes our live registration is dead; re-own it above
-            # the tombstone so the refutation wins everywhere.
-            refreshed = replace(
-                resident, incarnation=entry.incarnation + 1, stamp=now
-            )
-            self._entries[entry.entry_id] = refreshed
-            self._announce(refreshed)
-            return MergeOutcome.REFUTED
-        if entry.host == self.local_host and resident is None:
-            # A ghost of something we no longer own; the owner's view wins.
-            return MergeOutcome.STALE
-        if resident is not None and _record_order(entry) <= _record_order(resident):
-            return MergeOutcome.STALE
-        self._entries[entry.entry_id] = replace(entry, stamp=now)
-        return MergeOutcome.APPLIED
-
-    def merge_binding(self, binding: GatewayBinding, now: int) -> MergeOutcome:
-        resident = self._bindings.get(binding.binding_id)
-        if resident is not None and binding.incarnation <= resident.incarnation:
-            return MergeOutcome.STALE
-        self._bindings[binding.binding_id] = binding
-        self._binding_stamps[binding.binding_id] = now
-        return MergeOutcome.APPLIED
-
     def merge_record(self, record: TableRecord, now: int) -> MergeOutcome:
-        if isinstance(record, ServiceEntry):
-            return self.merge_remote(record, now)
-        return self.merge_binding(record, now)
+        store = self._stores[type(record)]
+        resident = store.get(record.record_id)
+        # Only an entry's id names its sole writer, so for our own entries we
+        # refute a foreign version (say a tombstone) that would beat a live
+        # one, and reject a ghost of one we no longer hold.
+        if store is self._entries and record.host == self.local_host:
+            if resident is None:
+                return MergeOutcome.STALE
+            if resident.state is EntryState.ALIVE and record.version > resident.version:
+                self._write_local(resident, now, above=record.incarnation)
+                return MergeOutcome.REFUTED
+        if resident is not None and record.version <= resident.version:
+            return MergeOutcome.STALE
+        store[record.record_id] = record.stamped(now)
+        return MergeOutcome.APPLIED
 
     # --- lookups ---
 
@@ -321,34 +408,9 @@ class ServiceTable:
                 return port
         raise DuplicateAppBinding(f"no free service port under {vip}")
 
-    # --- bindings ---
-
-    def insert_binding(self, binding: GatewayBinding, now: int) -> GatewayBinding:
-        prior = self._bindings.get(binding.binding_id)
-        incarnation = prior.incarnation + 1 if prior else 1
-        stored = replace(binding, incarnation=incarnation)
-        self._bindings[stored.binding_id] = stored
-        self._binding_stamps[stored.binding_id] = now
-        self._announce(stored)
-        return stored
-
-    def release_binding(self, binding_id: tuple[HostId, int], now: int) -> bool:
-        resident = self._bindings.get(binding_id)
-        if resident is None or resident.state is not BindingState.ACTIVE:
-            return False
-        released = replace(
-            resident,
-            state=BindingState.RELEASED,
-            incarnation=resident.incarnation + 1,
-        )
-        self._bindings[binding_id] = released
-        self._binding_stamps[binding_id] = now
-        self._announce(released)
-        return True
-
     def active_bindings(self) -> list[GatewayBinding]:
         return sorted(
-            (b for b in self._bindings.values() if b.state is BindingState.ACTIVE),
+            (b for b in self._bindings.values() if b.state is EntryState.ALIVE),
             key=lambda b: (b.gateway, b.external_port),
         )
 
@@ -362,38 +424,33 @@ class ServiceTable:
         return {
             b.external_port
             for b in self._bindings.values()
-            if b.gateway == gateway and b.state is BindingState.ACTIVE
+            if b.gateway == gateway and b.state is EntryState.ALIVE
         }
 
     # --- sync support ---
 
     def records(self) -> list[TableRecord]:
-        out: list[TableRecord] = list(self._entries.values())
-        out.extend(self._bindings.values())
-        return out
+        return [*self._entries.values(), *self._bindings.values()]
 
-    def digest(self) -> list[tuple[bytes, int]]:
-        return sorted(
-            (record_id_bytes(r), r.incarnation) for r in self.records()
-        )
+    def digest(self) -> list[tuple[bytes, Version]]:
+        return sorted((r.record_id, r.version) for r in self.records())
 
-    def records_newer_than(self, digest: Iterable[tuple[bytes, int]]) -> list[TableRecord]:
-        """Records a peer with the given digest is missing or has stale."""
+    def records_newer_than(self, digest: Iterable[tuple[bytes, Version]]) -> list[TableRecord]:
+        """Records a peer with the given digest is missing or has older."""
         theirs = dict(digest)
         out = []
         for record in self.records():
-            known = theirs.get(record_id_bytes(record))
-            if known is None or known < record.incarnation:
+            known = theirs.get(record.record_id)
+            if known is None or known < record.version:
                 out.append(record)
-        out.sort(key=lambda r: record_id_bytes(r))
+        out.sort(key=lambda r: r.record_id)
         return out
 
-    def digest_has_news(self, digest: Iterable[tuple[bytes, int]]) -> bool:
+    def digest_has_news(self, digest: Iterable[tuple[bytes, Version]]) -> bool:
         """True when the digest shows records we lack or have older."""
-        mine = {record_id_bytes(r): r.incarnation for r in self.records()}
-        for id_bytes, incarnation in digest:
-            known = mine.get(id_bytes)
-            if known is None or known < incarnation:
+        for record_id, version in digest:
+            mine = self._resident(record_id)
+            if mine is None or mine.version < version:
                 return True
         return False
 
@@ -405,21 +462,15 @@ class ServiceTable:
         )
 
     def dump(self) -> str:
-        """One entry per line, tab-separated, in a stable order."""
-        lines = []
-        for e in self.snapshot():
-            state = "alive" if e.state is EntryState.ALIVE else "tombstone"
-            lines.append(
-                "\t".join(
-                    [
-                        str(e.key),
-                        str(e.real),
-                        e.host.hex,
-                        state,
-                        str(e.incarnation),
-                        e.name or "-",
-                        str(e.tags),
-                    ]
-                )
-            )
-        return "\n".join(lines)
+        """One line per entry, then one per binding, tab-separated, in a stable order."""
+        rows = [
+            [str(e.key), str(e.real), e.host.hex, e.state.name.lower(),
+             str(e.incarnation), e.name or "-", str(e.tags)]
+            for e in self.snapshot()
+        ]
+        rows += [
+            ["binding", str(b.key), f"{b.gateway.hex}:{b.external_port}",
+             b.state.name.lower(), str(b.incarnation), str(b.admit)]
+            for b in sorted(self._bindings.values(), key=lambda b: b.record_id)
+        ]
+        return "\n".join("\t".join(row) for row in rows)

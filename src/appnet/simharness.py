@@ -29,6 +29,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from ipaddress import IPv4Address
+from itertools import zip_longest
 from typing import Optional
 
 from appnet import names
@@ -762,11 +763,13 @@ def _options(args: list[str]) -> dict[str, str]:
 
 
 def _diff_dumps(dumps: dict[str, str]) -> str:
-    lines = []
-    for label in sorted(dumps):
-        lines.append(f"--- {label} ---")
-        lines.append(dumps[label])
-    return "\n".join(lines)
+    """Each node's line at the first line number where the dumps differ."""
+    labels = sorted(dumps)
+    rows = zip_longest(*(dumps[label].splitlines() for label in labels), fillvalue="<end>")
+    for number, row in enumerate(rows, 1):
+        if len(set(row)) > 1:
+            return "\n".join(f"{label} line {number}: {line}" for label, line in zip(labels, row))
+    return "no difference"
 
 
 def real_endpoint_leaks(trace: Trace, host_ips: set[str]) -> list[dict]:

@@ -33,7 +33,7 @@ from appnet.errors import (
     WouldBlock,
 )
 from appnet.model import AppIdentity, HostId, RealEndpoint, ServiceKey, TagSet
-from appnet.service_table import EntryId, ServiceEntry, ServiceTable, EntryState
+from appnet.service_table import EntryId, EntryState, ServiceEntry, ServiceTable, entry_record_id
 from appnet.trap import (
     MAX_DGRAM,
     Addr,
@@ -602,7 +602,7 @@ class Switch:
         if hs.key is not None:
             entry_id = (hs.key, self.local_host, state.identity.app_id)
             self._local_services.pop(entry_id, None)
-            self.table.tombstone_entry(entry_id, self.clock())
+            self.table.retire(entry_record_id(entry_id), self.clock())
         del state.handles[hs.vh.id]
         return TrapReply(), None
 

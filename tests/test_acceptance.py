@@ -384,7 +384,7 @@ def test_criterion_10_merge_property_suite():
             rng.shuffle(shuffled)
             a = ServiceTable(H_LOCAL)
             for e in shuffled:
-                a.merge_remote(e, 0)
+                a.merge_record(e, 0)
             assert _view(a) == expected, f"case {case}: order sensitivity"
 
             # Batching must not matter: apply in random contiguous groups.
@@ -395,11 +395,11 @@ def test_criterion_10_merge_property_suite():
                 take = rng.randrange(1, len(remaining) + 1)
                 batch, remaining = remaining[:take], remaining[take:]
                 for e in batch:
-                    b.merge_remote(e, 0)
+                    b.merge_record(e, 0)
             assert _view(b) == expected, f"case {case}: batch sensitivity"
 
             # Replaying everything is a no-op.
-            replay_outcomes = {a.merge_remote(e, 1) for e in events}
+            replay_outcomes = {a.merge_record(e, 1) for e in events}
             assert replay_outcomes <= {MergeOutcome.STALE}, f"case {case}: not idempotent"
             assert _view(a) == expected
         print(f"[acceptance] 10 info  {cases} randomized cases checked")

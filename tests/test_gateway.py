@@ -3,16 +3,9 @@ from ipaddress import IPv4Address
 import pytest
 
 from appnet.errors import NoGateway, NoSuchService, PortUnavailable
-from appnet.gateway import (
-    BindingState,
-    GatewayBinding,
-    choose_gateway,
-    decode_binding,
-    encode_binding,
-    pick_external_port,
-    synthetic_client_tags,
-)
+from appnet.gateway import choose_gateway, pick_external_port, synthetic_client_tags
 from appnet.model import HostId, ServiceKey, TagSet
+from appnet.service_table import EntryState, GatewayBinding, decode_binding, encode_binding
 from appnet.simharness import ScriptEvent, SimCluster
 
 HA = HostId(b"\x0a" * 16)
@@ -38,7 +31,7 @@ def test_binding_codec_round_trip():
         key=ServiceKey(IPv4Address("10.9.0.1"), 7777),
         gateway=HA,
         external_port=30080,
-        state=BindingState.ACTIVE,
+        state=EntryState.ALIVE,
         incarnation=4,
         admit=TagSet.from_pairs(["grp=5"]),
     )
@@ -50,7 +43,7 @@ def test_synthetic_client_always_carries_external_group():
         key=ServiceKey(IPv4Address("10.9.0.1"), 7777),
         gateway=HA,
         external_port=30080,
-        state=BindingState.ACTIVE,
+        state=EntryState.ALIVE,
         incarnation=1,
         admit=TagSet.from_pairs(["grp=5"]),
     )
@@ -173,3 +166,29 @@ def test_proxied_session_terminates_on_service_crash():
     assert cluster.external_transfer("g1", 4096)["status"] == "reset"
     cluster.run_until(cluster.clock + 12)
     assert cluster.external_connect("g1", 30080)["status"] == "refused"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_concurrent_exposures_to_one_gateway_converge(seed):
+    # Two nodes auto-expose different services to g1 in the same tick, so
+    # both first write binding (g1, 30000) at incarnation 1; one must lose
+    # everywhere and move to another port.
+    cluster = SimCluster(seed=seed)
+    cluster.run_until(40, [
+        ScriptEvent(0, "start", ["g1", "gateway"]),
+        ScriptEvent(0, "start", ["h1", "join=g1"]),
+        ScriptEvent(0, "start", ["h2", "join=g1"]),
+        ScriptEvent(1, "add", ["h1", "a", "--ip", "10.9.0.1", "--expose"]),
+        ScriptEvent(1, "add", ["h2", "b", "--ip", "10.9.0.2", "--expose"]),
+        ScriptEvent(2, "serve", ["a", "7777"]),
+        ScriptEvent(2, "serve", ["b", "7777"]),
+    ])
+    views = {
+        label: cluster.nodes[label].node.table.active_bindings()
+        for label in ("g1", "h1", "h2")
+    }
+    assert views["g1"] == views["h1"] == views["h2"]
+    ports = {b.external_port for b in views["g1"]}
+    assert len(ports) == 2
+    for port in sorted(ports):
+        assert cluster.external_connect("g1", port)["status"] == "ok"

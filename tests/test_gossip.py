@@ -4,8 +4,10 @@ from ipaddress import IPv4Address
 
 import pytest
 
+from appnet import wire
 from appnet.errors import DecodeError
 from appnet.gossip import (
+    ENVELOPE_VERSION,
     EnvelopeKind,
     Gossip,
     GossipEnvelope,
@@ -84,10 +86,18 @@ def test_sync_envelope_carries_digest():
     env = GossipEnvelope(
         kind=EnvelopeKind.SYNC,
         sender=H1,
-        sync_digest=[(b"id-1", 3), (b"id-2", 9)],
+        sync_digest=[(b"id-1", (3, 0, 7)), (b"id-2", (9, 1, 0xFFFFFFFF))],
     )
     decoded = decode_envelope(encode_envelope(env))
-    assert decoded.sync_digest == [(b"id-1", 3), (b"id-2", 9)]
+    assert decoded.sync_digest == [(b"id-1", (3, 0, 7)), (b"id-2", (9, 1, 0xFFFFFFFF))]
+
+
+def test_digest_item_without_full_version_rejected():
+    old_item = wire.Writer().lp16(b"id-1").u64(3).getvalue()
+    w = wire.Writer().u8(ENVELOPE_VERSION).u8(EnvelopeKind.SYNC.value).raw(H1.raw)
+    data = w.section([]).section([]).section([old_item]).getvalue()
+    with pytest.raises(DecodeError):
+        decode_envelope(data)
 
 
 def test_truncated_envelope_rejected():
@@ -206,7 +216,7 @@ def test_dead_is_terminal_until_higher_incarnation():
 
 def test_host_death_tombstones_its_entries():
     g = make_gossip(H1, 1, suspect_timeout=1)
-    g.table.merge_remote(sample_entry(host=H2), 0)
+    g.table.merge_record(sample_entry(host=H2), 0)
     g._merge_member(member(H2, 2), 0)
     g._merge_member(member(H2, 2, MemberStatus.SUSPECT, incarnation=1), 1)
     g.suspect_timeout_sweep(5)

@@ -15,9 +15,18 @@ from appnet.trap import HandleKind
 
 
 def _free_port() -> int:
-    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
+    """A loopback port that binds for TCP and UDP both, as a daemon needs."""
+    for _ in range(100):
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as tcp:
+            tcp.bind(("127.0.0.1", 0))
+            port = tcp.getsockname()[1]
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
+                try:
+                    udp.bind(("127.0.0.1", port))
+                except OSError:
+                    continue
+                return port
+    raise RuntimeError("no loopback port free for both TCP and UDP")
 
 
 def _wait_for(predicate, timeout=10.0, interval=0.02):
@@ -43,20 +52,20 @@ def cluster(tmp_path):
         period_ms=40,
     ).start()
     runtimes.append(a)
-    b = RealNodeRuntime(
-        NodeConfig(
-            bind=RealEndpoint(IPv4Address("127.0.0.1"), port_b),
-            join=RealEndpoint(IPv4Address("127.0.0.1"), port_a),
-            run_dir=str(tmp_path / "b"),
-        ),
-        period_ms=40,
-    ).start()
-    runtimes.append(b)
-    assert _wait_for(
-        lambda: len(a.node.gossip.alive_members()) == 2
-        and len(b.node.gossip.alive_members()) == 2
-    ), "nodes never met"
     try:
+        b = RealNodeRuntime(
+            NodeConfig(
+                bind=RealEndpoint(IPv4Address("127.0.0.1"), port_b),
+                join=RealEndpoint(IPv4Address("127.0.0.1"), port_a),
+                run_dir=str(tmp_path / "b"),
+            ),
+            period_ms=40,
+        ).start()
+        runtimes.append(b)
+        assert _wait_for(
+            lambda: len(a.node.gossip.alive_members()) == 2
+            and len(b.node.gossip.alive_members()) == 2
+        ), "nodes never met"
         yield a, b
     finally:
         for runtime in runtimes:

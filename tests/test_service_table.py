@@ -8,6 +8,7 @@ from appnet.errors import AmbiguousName, DuplicateAppBinding
 from appnet.model import HostId, RealEndpoint, ServiceKey, TagSet
 from appnet.service_table import (
     EntryState,
+    GatewayBinding,
     MergeOutcome,
     ServiceEntry,
     ServiceTable,
@@ -54,7 +55,7 @@ def test_insert_then_lookup():
 def test_same_key_from_other_host_is_load_balanced_set():
     table = ServiceTable(H1)
     table.insert_local(entry(), 0)
-    assert table.merge_remote(entry(host=H2, app_id="a2"), 0) is MergeOutcome.APPLIED
+    assert table.merge_record(entry(host=H2, app_id="a2"), 0) is MergeOutcome.APPLIED
     found = table.lookup(ServiceKey(IPv4Address("10.1.1.1"), 80))
     assert len(found) == 2
     assert {e.host for e in found} == {H1, H2}
@@ -75,15 +76,15 @@ def test_lookup_empty_table():
 def test_merge_incarnation_wins_and_ties_are_stale():
     table = ServiceTable(H1)
     resident = entry(host=H2, app_id="a2", incarnation=3)
-    assert table.merge_remote(resident, 0) is MergeOutcome.APPLIED
-    assert table.merge_remote(replace(resident, incarnation=5), 0) is MergeOutcome.APPLIED
-    assert table.merge_remote(replace(resident, incarnation=5), 0) is MergeOutcome.STALE
-    assert table.merge_remote(replace(resident, incarnation=3), 0) is MergeOutcome.STALE
+    assert table.merge_record(resident, 0) is MergeOutcome.APPLIED
+    assert table.merge_record(replace(resident, incarnation=5), 0) is MergeOutcome.APPLIED
+    assert table.merge_record(replace(resident, incarnation=5), 0) is MergeOutcome.STALE
+    assert table.merge_record(replace(resident, incarnation=3), 0) is MergeOutcome.STALE
 
 
 def test_tombstone_host_hides_entries_and_bumps_incarnation():
     table = ServiceTable(H1)
-    table.merge_remote(entry(host=H2, app_id="a2", incarnation=4), 0)
+    table.merge_record(entry(host=H2, app_id="a2", incarnation=4), 0)
     assert table.tombstone_host(H2, now=7) == 1
     assert table.lookup(ServiceKey(IPv4Address("10.1.1.1"), 80)) == []
     stone = table.snapshot()[0]
@@ -94,13 +95,13 @@ def test_tombstone_host_hides_entries_and_bumps_incarnation():
 def test_no_resurrection_after_tombstone():
     table = ServiceTable(H1)
     victim = entry(host=H2, app_id="a2", incarnation=4)
-    table.merge_remote(victim, 0)
+    table.merge_record(victim, 0)
     table.tombstone_host(H2, now=0)
-    assert table.merge_remote(replace(victim, incarnation=5), 0) is MergeOutcome.STALE
-    assert table.merge_remote(replace(victim, incarnation=4), 0) is MergeOutcome.STALE
+    assert table.merge_record(replace(victim, incarnation=5), 0) is MergeOutcome.STALE
+    assert table.merge_record(replace(victim, incarnation=4), 0) is MergeOutcome.STALE
     assert table.lookup(victim.key) == []
     # Only a strictly newer registration returns.
-    assert table.merge_remote(replace(victim, incarnation=6), 0) is MergeOutcome.APPLIED
+    assert table.merge_record(replace(victim, incarnation=6), 0) is MergeOutcome.APPLIED
     assert len(table.lookup(victim.key)) == 1
 
 
@@ -110,16 +111,30 @@ def test_owner_refutes_foreign_tombstone():
     announced = []
     table.on_local_update = announced.append
     stone = replace(entry(), state=EntryState.TOMBSTONE, incarnation=2)
-    assert table.merge_remote(stone, 5) is MergeOutcome.REFUTED
+    assert table.merge_record(stone, 5) is MergeOutcome.REFUTED
     survivor = table.lookup(entry().key)[0]
     assert survivor.incarnation == 3
     assert announced and announced[0].incarnation == 3
 
 
+def test_owner_refutes_foreign_rival_at_same_incarnation():
+    table = ServiceTable(H1)
+    table.insert_local(entry(), 0)
+    mine = table.lookup(entry().key)[0]
+    rival = next(
+        r
+        for r in (entry(real_port=port) for port in range(50000, 50100))
+        if r.version > mine.version
+    )
+    assert table.merge_record(rival, 5) is MergeOutcome.REFUTED
+    survivor = table.lookup(entry().key)[0]
+    assert (survivor.real, survivor.incarnation) == (mine.real, 2)
+
+
 def test_gc_keeps_fresh_and_drops_old_tombstones():
     table = ServiceTable(H1)
     table.insert_local(entry(), 0)
-    table.tombstone_entry(entry().entry_id, now=10)
+    table.retire(entry().record_id, now=10)
     assert table.gc_tombstones(now=20) == 0
     assert table.gc_tombstones(now=41) == 1
     assert table.snapshot() == []
@@ -132,12 +147,12 @@ def test_lookup_name_resolution_rules():
     assert table.lookup_name("web") == IPv4Address("240.1.1.1")
     assert table.lookup_name("WEB") == IPv4Address("240.1.1.1")
     # Two live holders with the same vip: a distributed app, no error.
-    table.merge_remote(
+    table.merge_record(
         entry(host=H2, app_id="a2", name="web", vip="240.1.1.1", port=81), 0
     )
     assert table.lookup_name("web") == IPv4Address("240.1.1.1")
     # A holder with a different vip makes the alias ambiguous.
-    table.merge_remote(
+    table.merge_record(
         entry(host=H3, app_id="a3", name="web", vip="240.2.2.2"), 0
     )
     with pytest.raises(AmbiguousName):
@@ -159,7 +174,7 @@ def test_entry_codec_round_trip():
 def test_dump_format_is_stable():
     table = ServiceTable(H1)
     table.insert_local(entry(name="web", tags=("grp=1",)), 0)
-    table.merge_remote(entry(host=H2, app_id="a2", vip="10.1.1.2", port=443), 0)
+    table.merge_record(entry(host=H2, app_id="a2", vip="10.1.1.2", port=443), 0)
     lines = table.dump().splitlines()
     assert lines[0].split("\t") == [
         "10.1.1.1:80",
@@ -178,6 +193,32 @@ def test_dump_format_is_stable():
         "1",
         "-",
         "-",
+    ]
+
+
+def test_dump_lists_bindings_after_entries():
+    table = ServiceTable(H1)
+    table.insert_local(entry(), 0)
+    binding = GatewayBinding(
+        key=entry().key,
+        gateway=H3,
+        external_port=30080,
+        state=EntryState.ALIVE,
+        incarnation=0,
+        admit=TagSet.from_pairs(["grp=5"]),
+    )
+    table.insert_binding(binding, 0)
+    entry_line = table.dump().splitlines()[0]
+    table.retire(binding.record_id, 1)
+    lines = table.dump().splitlines()
+    assert lines[0] == entry_line
+    assert lines[1].split("\t") == [
+        "binding",
+        "10.1.1.1:80",
+        f"{H3.hex}:30080",
+        "tombstone",
+        "2",
+        "grp=5",
     ]
 
 
@@ -236,9 +277,9 @@ def test_merge_convergence_matches_oracle():
         # Duplicate deliveries are normal gossip behavior.
         order_a += rng.sample(order_a, k=min(3, len(order_a)))
         for e in order_a:
-            replica_a.merge_remote(e, 0)
+            replica_a.merge_record(e, 0)
         for e in order_b:
-            replica_b.merge_remote(e, 0)
+            replica_b.merge_record(e, 0)
         expected = _oracle_view(events)
         assert _table_view(replica_a) == expected
         assert _table_view(replica_b) == expected
@@ -249,8 +290,47 @@ def test_full_replay_idempotence():
     events = _random_events(rng, [H2, H3], 20)
     table = ServiceTable(H1)
     for e in events:
-        table.merge_remote(e, 0)
+        table.merge_record(e, 0)
     settled = _table_view(table)
-    outcomes = [table.merge_remote(e, 1) for e in events]
+    outcomes = [table.merge_record(e, 1) for e in events]
     assert all(o is MergeOutcome.STALE for o in outcomes)
     assert _table_view(table) == settled
+
+
+def _rival_writes(rng):
+    """Records that share (id, incarnation, state) and differ elsewhere."""
+    incarnation = rng.randrange(1, 4)
+    state = rng.choice(list(EntryState))
+    out = []
+    for _ in range(rng.randrange(2, 6)):
+        tags = [f"grp={rng.randrange(4)}"]
+        if rng.random() < 0.5:
+            out.append(replace(
+                entry(host=H2, app_id="a2", real_port=40000 + rng.randrange(3), tags=tags),
+                incarnation=incarnation,
+                state=state,
+            ))
+        else:
+            out.append(GatewayBinding(
+                key=ServiceKey(IPv4Address(f"10.1.1.{rng.randrange(1, 4)}"), 80),
+                gateway=H3,
+                external_port=30000,
+                state=state,
+                incarnation=incarnation,
+                admit=TagSet.from_pairs(tags),
+            ))
+    return out
+
+
+def test_rival_writes_converge_to_one_whole_record():
+    rng = random.Random(31)
+    for _ in range(300):
+        writes = _rival_writes(rng)
+        replicas = [ServiceTable(H1), ServiceTable(HostId(b"\x09" * 16))]
+        for table in replicas:
+            order = writes[:]
+            rng.shuffle(order)
+            for record in order:
+                table.merge_record(record, 0)
+        held = [sorted(r.encoded for r in table.records()) for table in replicas]
+        assert held[0] == held[1]

@@ -86,6 +86,19 @@ def test_failed_assertion_reports_tick_and_diff():
     assert info.value.observed == 0
 
 
+def test_failed_convergence_names_first_differing_line():
+    script = parse_script(
+        "seed 3\ntick 0 start n1\ntick 0 start n2\n"
+        "tick 1 add n1 a --ip 10.0.5.5\ntick 2 serve a 80\ntick 4 assert converged"
+    )
+    with pytest.raises(AssertionFailed) as info:
+        run_script(script)
+    lines = info.value.observed.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("n1 line 1: 10.0.5.5:80\t")
+    assert lines[1] == "n2 line 1: <end>"
+
+
 # --- convergence against the flood oracle ---
 
 def _start_cluster(n, seed, loss=0.0):
