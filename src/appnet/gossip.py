@@ -4,7 +4,10 @@ Failure detection follows the familiar probe / indirect-probe / suspicion /
 refutation cycle, one protocol period per tick. Service-table records ride
 the same envelopes as bounded piggyback, each retransmitted a logarithmic
 number of times; periodic anti-entropy digests close any gaps the rumor
-budget leaves. Everything is driven by the owning node's loop: tick() and
+budget leaves. An envelope carries up to PIGGYBACK_LIMIT queued records, those
+with the highest remaining budget first and, among equals, the oldest; they
+come off a heap, so picking them costs work in proportion to the envelope, not
+to the queue. Everything is driven by the owning node's loop: tick() and
 handle_envelope() mutate state and return the envelopes to send, and never
 touch a socket themselves.
 
@@ -15,10 +18,12 @@ each entry u16-length-prefixed, all integers big-endian.
 
 from __future__ import annotations
 
+import heapq
 import math
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from ipaddress import IPv4Address
 from typing import Optional
 
 from appnet import wire
@@ -45,6 +50,10 @@ RETRANSMIT_FACTOR = 3
 ANTI_ENTROPY_PERIOD = 10
 
 _GATEWAY_FLAG = 0x80
+
+# A member rumor: host id, gossip address and port, status byte (with the
+# gateway flag), incarnation.
+_MEMBER = struct.Struct(">16sIHBQ")
 
 # A sync digest item is an lp16 record id, then the record's version:
 # incarnation, state and the crc32 of its encoding.
@@ -94,28 +103,21 @@ class GossipEnvelope:
 
 
 def _encode_member(m: MemberRecord) -> bytes:
-    w = wire.Writer()
-    w.raw(m.host.raw)
-    w.ip4(m.addr.host_ip).u16(m.addr.port)
-    w.u8(m.status.value | (_GATEWAY_FLAG if m.is_gateway else 0))
-    w.u64(m.incarnation)
-    return w.getvalue()
+    status = m.status.value | (_GATEWAY_FLAG if m.is_gateway else 0)
+    return _MEMBER.pack(m.host.raw, int(m.addr.host_ip), m.addr.port, status, m.incarnation)
 
 
 def _decode_member(data: bytes) -> MemberRecord:
-    r = wire.Reader(data)
-    host = HostId(r.raw(16))
-    addr = RealEndpoint(r.ip4(), r.u16())
-    status_byte = r.u8()
-    incarnation = r.u64()
-    r.expect_end()
+    if len(data) != _MEMBER.size:
+        raise DecodeError(f"member rumor of {len(data)} bytes, expected {_MEMBER.size}")
+    host, ip, port, status_byte, incarnation = _MEMBER.unpack(data)
     try:
         status = MemberStatus(status_byte & 0x0F)
     except ValueError as exc:
         raise DecodeError(f"bad member status {status_byte}") from exc
     return MemberRecord(
-        host=host,
-        addr=addr,
+        host=HostId(host),
+        addr=RealEndpoint(IPv4Address(ip), port),
         status=status,
         incarnation=incarnation,
         is_gateway=bool(status_byte & _GATEWAY_FLAG),
@@ -159,9 +161,10 @@ def decode_envelope(data: bytes) -> GossipEnvelope:
     if kind is EnvelopeKind.SYNC or digest_section:
         digest = []
         for item in digest_section:
-            ir = wire.Reader(item)
-            digest.append((ir.lp16(), _DIGEST_VERSION.unpack(ir.raw(_DIGEST_VERSION.size))))
-            ir.expect_end()
+            id_end = len(item) - _DIGEST_VERSION.size
+            if id_end < 2 or int.from_bytes(item[:2], "big") != id_end - 2:
+                raise DecodeError(f"sync digest item of {len(item)} bytes is malformed")
+            digest.append((item[2:id_end], _DIGEST_VERSION.unpack_from(item, id_end)))
     return GossipEnvelope(
         kind=kind,
         sender=sender,
@@ -208,6 +211,9 @@ class Gossip:
         self._rumor_budget: dict[HostId, int] = {}
         self._rumor_seq: dict[HostId, int] = {}
         self._delta_queue: dict[bytes, list] = {}  # id -> [record, budget, seq]
+        # (-budget, seq, id) per queued record; items whose seq no longer
+        # matches the queue (re-queued or spent) are skipped when popped.
+        self._delta_heap: list[tuple[int, int, bytes]] = []
         self._seq = 0
         self._outstanding: dict[HostId, _PingState] = {}
         self._proxy: dict[tuple[HostId, HostId], tuple[RealEndpoint, int]] = {}
@@ -259,7 +265,19 @@ class Gossip:
 
     def queue_delta(self, record: TableRecord) -> None:
         self._seq += 1
-        self._delta_queue[record.record_id] = [record, self._budget(), self._seq]
+        budget = self._budget()
+        self._delta_queue[record.record_id] = [record, budget, self._seq]
+        heapq.heappush(self._delta_heap, (-budget, self._seq, record.record_id))
+        self._drop_stale_deltas()
+
+    def _drop_stale_deltas(self) -> None:
+        """Rebuild the heap from the queue once stale items outnumber live ones."""
+        if len(self._delta_heap) > 2 * len(self._delta_queue):
+            self._delta_heap = [
+                (-budget, seq, id_bytes)
+                for id_bytes, (_, budget, seq) in self._delta_queue.items()
+            ]
+            heapq.heapify(self._delta_heap)
 
     # --- piggyback composition ---
 
@@ -300,18 +318,26 @@ class Gossip:
         return out
 
     def _take_deltas(self) -> list[TableRecord]:
+        """Up to piggyback_limit queued records: highest remaining budget first, then oldest."""
         limit = self.params.piggyback_limit
+        heap, queue = self._delta_heap, self._delta_queue
         out: list[TableRecord] = []
-        queued = sorted(
-            self._delta_queue.items(), key=lambda kv: (-kv[1][1], kv[1][2])
-        )
-        for id_bytes, slot in queued:
-            if len(out) >= limit:
-                break
+        survivors = []
+        while heap and len(out) < limit:
+            _, seq, id_bytes = heapq.heappop(heap)
+            slot = queue.get(id_bytes)
+            if slot is None or slot[2] != seq:
+                continue
             out.append(slot[0])
             slot[1] -= 1
-            if slot[1] <= 0:
-                del self._delta_queue[id_bytes]
+            if slot[1] > 0:
+                survivors.append((-slot[1], seq, id_bytes))
+            else:
+                del queue[id_bytes]
+        # Pushed back only now, so no record rides one envelope twice.
+        for item in survivors:
+            heapq.heappush(heap, item)
+        self._drop_stale_deltas()
         return out
 
     def _envelope(

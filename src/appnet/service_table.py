@@ -18,6 +18,7 @@ its gateway, or by any node once that gateway is dead.
 
 from __future__ import annotations
 
+import struct
 import zlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -25,7 +26,7 @@ from ipaddress import IPv4Address
 from typing import Callable, Iterable, Optional, Union
 
 from appnet import wire
-from appnet.errors import AmbiguousName, DuplicateAppBinding
+from appnet.errors import AmbiguousName, DecodeError, DuplicateAppBinding, InvalidTag
 from appnet.model import AUTO_POOL, HostId, RealEndpoint, ServiceKey, TagSet
 
 TOMBSTONE_TTL = 30  # gossip periods
@@ -149,6 +150,17 @@ TableRecord = Union[ServiceEntry, GatewayBinding]
 
 _KIND_ENTRY = 0
 _KIND_BINDING = 1
+_ENTRY_KIND_BYTE = bytes([_KIND_ENTRY])
+_BINDING_KIND_BYTE = bytes([_KIND_BINDING])
+
+# An entry's body: vip, port, real ip, real port, host id, app id length;
+# the app id; state, incarnation, name length; the name; the tags.
+_ENTRY_HEAD = struct.Struct(">IHIH16sH")
+_ENTRY_TAIL = struct.Struct(">BQH")
+# A binding's body: vip, port, gateway id, external port, state,
+# incarnation; the admit tags.
+_BINDING_HEAD = struct.Struct(">IH16sHBQ")
+_U16 = struct.Struct(">H")
 
 
 def entry_record_id(entry_id: EntryId) -> bytes:
@@ -169,8 +181,23 @@ def _write_tags(w: wire.Writer, tags: TagSet) -> None:
         w.lp16(pair.encode())
 
 
-def _read_tags(r: wire.Reader) -> TagSet:
-    return TagSet.from_pairs([r.lp16().decode() for _ in range(r.u16())])
+def _read_tags(data: bytes, pos: int) -> tuple[TagSet, int]:
+    """The tag set at `pos` and the offset after it."""
+    (count,) = _U16.unpack_from(data, pos)
+    pos += 2
+    pairs = []
+    for _ in range(count):
+        start = pos + 2
+        pos = start + _U16.unpack_from(data, pos)[0]
+        pairs.append(data[start:pos].decode())
+    return TagSet.from_pairs(pairs), pos
+
+
+def _check_end(data: bytes, pos: int, what: str) -> None:
+    # A length that overran the record leaves pos past the end; slicing
+    # does not catch that by itself.
+    if pos != len(data):
+        raise DecodeError(f"{what} ends at byte {pos} of {len(data)}")
 
 
 def encode_entry(e: ServiceEntry) -> bytes:
@@ -186,19 +213,33 @@ def encode_entry(e: ServiceEntry) -> bytes:
     return w.getvalue()
 
 
-def decode_entry(data: bytes) -> ServiceEntry:
-    r = wire.Reader(data)
-    entry = ServiceEntry(
-        key=ServiceKey(r.ip4(), r.u16()),
-        real=RealEndpoint(r.ip4(), r.u16()),
-        host=HostId(r.raw(16)),
-        app_id=r.lp16().decode(),
-        state=EntryState(r.u8()),
-        incarnation=r.u64(),
-        name=r.lp16().decode() or None,
-        tags=_read_tags(r),
-    )
-    r.expect_end()
+def decode_entry(data: bytes, pos: int = 0) -> ServiceEntry:
+    """The entry whose body starts at `pos` and runs to the end of `data`."""
+    start = pos
+    try:
+        vip, port, real_ip, real_port, host, app_len = _ENTRY_HEAD.unpack_from(data, pos)
+        app_end = pos + _ENTRY_HEAD.size + app_len
+        app_id = data[app_end - app_len : app_end].decode()
+        state, incarnation, name_len = _ENTRY_TAIL.unpack_from(data, app_end)
+        pos = app_end + _ENTRY_TAIL.size + name_len
+        name = data[pos - name_len : pos].decode() or None
+        tags, pos = _read_tags(data, pos)
+        _check_end(data, pos, "table entry")
+        entry = ServiceEntry(
+            key=ServiceKey(IPv4Address(vip), port),
+            real=RealEndpoint(IPv4Address(real_ip), real_port),
+            host=HostId(host),
+            app_id=app_id,
+            tags=tags,
+            name=name,
+            incarnation=incarnation,
+            state=EntryState(state),
+        )
+    except (struct.error, ValueError, InvalidTag) as exc:
+        raise DecodeError(f"bad table entry: {exc}") from exc
+    # The id is the kind, then the key, host and app id as they sit here.
+    record_id = _ENTRY_KIND_BYTE + data[start : start + 6] + data[start + 12 : app_end]
+    object.__setattr__(entry, "_record_id", record_id)
     return entry
 
 
@@ -213,17 +254,27 @@ def encode_binding(b: GatewayBinding) -> bytes:
     return w.getvalue()
 
 
-def decode_binding(data: bytes) -> GatewayBinding:
-    r = wire.Reader(data)
-    binding = GatewayBinding(
-        key=ServiceKey(r.ip4(), r.u16()),
-        gateway=HostId(r.raw(16)),
-        external_port=r.u16(),
-        state=EntryState(r.u8()),
-        incarnation=r.u64(),
-        admit=_read_tags(r),
-    )
-    r.expect_end()
+def decode_binding(data: bytes, pos: int = 0) -> GatewayBinding:
+    """The binding whose body starts at `pos` and runs to the end of `data`."""
+    start = pos
+    try:
+        vip, port, gateway, external_port, state, incarnation = _BINDING_HEAD.unpack_from(
+            data, pos
+        )
+        admit, pos = _read_tags(data, pos + _BINDING_HEAD.size)
+        _check_end(data, pos, "gateway binding")
+        binding = GatewayBinding(
+            key=ServiceKey(IPv4Address(vip), port),
+            gateway=HostId(gateway),
+            external_port=external_port,
+            state=EntryState(state),
+            incarnation=incarnation,
+            admit=admit,
+        )
+    except (struct.error, ValueError, InvalidTag) as exc:
+        raise DecodeError(f"bad gateway binding: {exc}") from exc
+    # The id is the kind, then the gateway and external port as they sit here.
+    object.__setattr__(binding, "_record_id", _BINDING_KIND_BYTE + data[start + 6 : start + 24])
     return binding
 
 
@@ -242,8 +293,8 @@ def encode_record(record: TableRecord) -> bytes:
 def decode_record(data: bytes) -> TableRecord:
     decode = _DECODERS.get(data[0]) if data else None
     if decode is None:
-        raise wire.DecodeError(f"bad table record kind {data[:1]!r}")
-    record = decode(data[1:])
+        raise DecodeError(f"bad table record kind {data[:1]!r}")
+    record = decode(data, 1)
     # Decoding and encoding are inverse, so these bytes are its encoding.
     object.__setattr__(record, "_encoded", data)
     return record

@@ -59,9 +59,6 @@ class Writer:
     def getvalue(self) -> bytes:
         return bytes(self._buf)
 
-    def __len__(self) -> int:
-        return len(self._buf)
-
 
 class Reader:
     def __init__(self, data: bytes) -> None:
@@ -87,34 +84,27 @@ class Reader:
     def u32(self) -> int:
         return struct.unpack(">I", self._take(4))[0]
 
-    def u64(self) -> int:
-        return struct.unpack(">Q", self._take(8))[0]
-
     def raw(self, n: int) -> bytes:
         return self._take(n)
 
     def ip4(self) -> IPv4Address:
         return IPv4Address(self._take(4))
 
-    def lp16(self) -> bytes:
-        return self._take(self.u16())
-
     def section(self) -> list[bytes]:
         length = self.u32()
-        end = self._pos + length
-        if end > len(self._data):
+        data, pos, end = self._data, self._pos, self._pos + length
+        if end > len(data):
             raise DecodeError(f"truncated section: {length} bytes claimed")
         items: list[bytes] = []
-        while self._pos < end:
-            items.append(self.lp16())
-        if self._pos != end:
+        while pos < end:
+            start = pos + 2
+            pos = start + int.from_bytes(data[pos:start], "big")
+            items.append(data[start:pos])
+        if pos != end:
             raise DecodeError("section entries overran the section length")
+        self._pos = end
         return items
 
     def expect_end(self) -> None:
         if self._pos != len(self._data):
             raise DecodeError(f"{len(self._data) - self._pos} trailing bytes")
-
-    @property
-    def remaining(self) -> int:
-        return len(self._data) - self._pos

@@ -18,7 +18,7 @@ from appnet.gossip import (
     encode_envelope,
 )
 from appnet.model import HostId, RealEndpoint, ServiceKey, TagSet
-from appnet.service_table import EntryState, ServiceEntry, ServiceTable
+from appnet.service_table import EntryState, GatewayBinding, ServiceEntry, ServiceTable
 
 H1 = HostId(b"\x01" * 16)
 H2 = HostId(b"\x02" * 16)
@@ -107,6 +107,127 @@ def test_truncated_envelope_rejected():
             decode_envelope(data[:cut])
     with pytest.raises(DecodeError):
         decode_envelope(b"\x02" + data[1:])  # wrong version
+
+
+def _full_envelope() -> bytes:
+    """A SYNC with two member rumors, one entry, one binding and a digest."""
+    binding = GatewayBinding(
+        key=ServiceKey(IPv4Address("10.1.1.1"), 80),
+        gateway=H3,
+        external_port=30000,
+        state=EntryState.ALIVE,
+        incarnation=2,
+        admit=TagSet.from_pairs(["grp=1"]),
+    )
+    records = [sample_entry(), binding]
+    return encode_envelope(GossipEnvelope(
+        kind=EnvelopeKind.SYNC,
+        sender=H1,
+        membership_rumors=[member(H2, 2), member(H3, 3, MemberStatus.SUSPECT, 4, True)],
+        table_deltas=records,
+        sync_digest=[(r.record_id, r.version) for r in records],
+    ))
+
+
+def _u16(data: bytes, pos: int) -> int:
+    return int.from_bytes(data[pos : pos + 2], "big")
+
+
+def _length_prefixes(data: bytes) -> list[tuple[int, int]]:
+    """(offset, width) of every length prefix and count in _full_envelope()."""
+    found = []
+    pos = 18  # version, kind, sender
+    for section in range(3):  # rumors, deltas, digest
+        found.append((pos, 4))
+        end = pos + 4 + int.from_bytes(data[pos : pos + 4], "big")
+        pos += 4
+        while pos < end:
+            found.append((pos, 2))
+            item = pos + 2
+            inner = []
+            if section == 1 and data[item] == 0:  # entry: app id, name, tags
+                inner.append(item + 29)
+                inner.append(inner[-1] + 2 + _u16(data, inner[-1]) + 9)
+                inner.append(inner[-1] + 2 + _u16(data, inner[-1]))
+            elif section == 1:  # binding: tags
+                inner.append(item + 34)
+            elif section == 2:  # digest item: record id
+                inner.append(item)
+            if section == 1:
+                tag = inner[-1] + 2
+                for _ in range(_u16(data, inner[-1])):
+                    inner.append(tag)
+                    tag += 2 + _u16(data, tag)
+            found += [(offset, 2) for offset in inner]
+            pos = item + _u16(data, pos)
+    return found
+
+
+def test_malformed_envelopes_raise_only_decode_error():
+    data = _full_envelope()
+    decoded = decode_envelope(data)
+    assert len(decoded.table_deltas) == 2 and len(decoded.sync_digest) == 2
+    for cut in range(len(data)):
+        with pytest.raises(DecodeError):
+            decode_envelope(data[:cut])
+    with pytest.raises(DecodeError):
+        decode_envelope(data + b"\x00")
+    prefixes = _length_prefixes(data)
+    # 3 sections; 2 rumors; 2 records; app id, name, tag count and tag of
+    # the entry; tag count and tag of the binding; 2 digest items and ids.
+    assert len(prefixes) == 3 + 2 + 2 + 4 + 2 + 2 + 2
+    for offset, width in prefixes:
+        with pytest.raises(DecodeError):
+            decode_envelope(data[:offset] + (0xFFFF).to_bytes(width, "big") + data[offset + width :])
+
+
+def _sorted_take(queue: dict, limit: int) -> list:
+    """Delta selection by a full sort of the queue, as before the heap."""
+    out = []
+    for id_bytes, slot in sorted(queue.items(), key=lambda kv: (-kv[1][1], kv[1][2])):
+        if len(out) >= limit:
+            break
+        out.append(slot[0])
+        slot[1] -= 1
+        if slot[1] <= 0:
+            del queue[id_bytes]
+    return out
+
+
+def test_delta_heap_picks_what_a_full_sort_picks():
+    g = make_gossip(H1, 1)
+    rng = random.Random(7)
+    records = [replace(sample_entry(), app_id=f"a{i}") for i in range(40)]
+    model: dict = {}
+    seq = 0
+    for step in range(4000):
+        roll = rng.random()
+        if roll < 0.02:  # a new member raises the budget of later deltas
+            g._merge_member(member(HostId(step.to_bytes(16, "big")), 5), 0)
+        elif roll < 0.55:
+            # Mostly re-queue a few hot ids, sometimes one of many.
+            pool = records[: rng.choice((3, 3, 3, 40))]
+            record = replace(rng.choice(pool), incarnation=step)
+            g.queue_delta(record)
+            seq += 1
+            model[record.record_id] = [record, g._budget(), seq]
+        else:
+            assert g._take_deltas() == _sorted_take(model, g.params.piggyback_limit)
+        assert {k: v[:2] for k, v in g._delta_queue.items()} == {
+            k: v[:2] for k, v in model.items()
+        }
+    assert len(g.members) > 20  # budgets did change along the way
+
+
+def test_delta_heap_stays_bounded_under_requeues():
+    g = make_gossip(H1, 1)
+    hot = [replace(sample_entry(), app_id=f"a{i}") for i in range(3)]
+    for i in range(10_000):
+        g.queue_delta(replace(hot[i % 3], incarnation=i))
+        if i % 100 == 99:
+            g._take_deltas()
+        assert len(g._delta_heap) <= 2 * len(g._delta_queue) + g.params.piggyback_limit
+    assert len(g._delta_queue) == 3
 
 
 def test_single_node_emits_nothing():

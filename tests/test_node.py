@@ -11,7 +11,17 @@ from appnet.errors import (
     UnknownApp,
     WouldBlock,
 )
-from appnet.model import AUTO_POOL, LINK_LOCAL_POOL, ServiceKey, parse_app_spec
+from appnet.gossip import EnvelopeKind, GossipEnvelope, encode_envelope
+from appnet.model import (
+    AUTO_POOL,
+    LINK_LOCAL_POOL,
+    HostId,
+    RealEndpoint,
+    ServiceKey,
+    TagSet,
+    parse_app_spec,
+)
+from appnet.service_table import EntryState, GatewayBinding, ServiceEntry
 from appnet.simharness import ScriptEvent, SimCluster
 from appnet.trap import HandleKind
 
@@ -188,3 +198,64 @@ def test_fresh_node_converges_via_single_join_sync():
     cluster.run_until(7)
     late = cluster.nodes["late"].node
     assert late.table.lookup(ServiceKey(IPv4Address("10.1.1.1"), 80))
+
+
+PEER = HostId(b"\x02" * 16)
+PEER_ADDR = RealEndpoint(IPv4Address("10.0.0.2"), 7946)
+PEER_ENTRY = ServiceEntry(
+    key=ServiceKey(IPv4Address("10.1.1.1"), 80),
+    real=RealEndpoint(IPv4Address("10.0.0.2"), 41001),
+    host=PEER,
+    app_id="a1",
+    tags=TagSet.from_pairs(["grp=1"]),
+    name="web",
+    incarnation=1,
+    state=EntryState.ALIVE,
+)
+PEER_BINDING = GatewayBinding(
+    key=ServiceKey(IPv4Address("10.1.1.1"), 80),
+    gateway=PEER,
+    external_port=30000,
+    state=EntryState.ALIVE,
+    incarnation=1,
+    admit=TagSet.from_pairs(["grp=1"]),
+)
+
+
+def _with_state(record, offset):
+    encoded = bytearray(record.encoded)
+    encoded[offset] = 7
+    return bytes(encoded)
+
+
+@pytest.mark.parametrize(
+    "record, corrupt",
+    [
+        # Kind byte, then the key, real endpoint, host and lp16 app id.
+        (PEER_ENTRY, lambda r: _with_state(r, 1 + 28 + 2 + len(r.app_id))),
+        (PEER_ENTRY, lambda r: r.encoded.replace(b"\x00\x02a1", b"\x00\x02\xff\xfe")),
+        (PEER_ENTRY, lambda r: r.encoded.replace(b"grp=1", b"grp:1")),
+        # Kind byte, then the key, gateway and external port.
+        (PEER_BINDING, lambda r: _with_state(r, 1 + 24)),
+        (PEER_BINDING, lambda r: r.encoded.replace(b"grp=1", b"grp=\xff")),
+        (PEER_BINDING, lambda r: r.encoded.replace(b"grp=1", b"grp:1")),
+    ],
+    ids=["entry-state-7", "entry-app-id-not-utf8", "entry-tag-without-eq",
+         "binding-state-7", "binding-tag-not-utf8", "binding-tag-without-eq"],
+)
+def test_malformed_table_record_is_counted_and_survived(record, corrupt):
+    cluster, node = one_node_cluster()
+    good = encode_envelope(
+        GossipEnvelope(kind=EnvelopeKind.PING, sender=PEER, table_deltas=[record])
+    )
+    bad_record = corrupt(record)
+    assert len(bad_record) == len(record.encoded) and bad_record != record.encoded
+    bad = good.replace(record.encoded, bad_record)
+    assert node.on_envelope(bad, PEER_ADDR, 1) == []
+    assert node.counters["envelope_decode_errors"] == 1
+    # The node goes on: a good copy is merged and answered, and it ticks.
+    (reply,) = node.on_envelope(good, PEER_ADDR, 1)
+    assert reply[1].kind is EnvelopeKind.ACK
+    assert record.record_id in {r.record_id for r in node.table.records()}
+    cluster.run_until(3)
+    assert node.counters["envelope_decode_errors"] == 1

@@ -13,7 +13,10 @@ from appnet.service_table import (
     ServiceEntry,
     ServiceTable,
     decode_entry,
+    decode_record,
     encode_entry,
+    encode_record,
+    entry_record_id,
 )
 
 H1 = HostId(b"\x01" * 16)
@@ -169,6 +172,26 @@ def test_tombstones_excluded_from_name_lookup():
 def test_entry_codec_round_trip():
     e = entry(name="web", tags=("grp=1", "grp=2", "env=prod"), incarnation=9)
     assert decode_entry(encode_entry(e)) == replace(e, stamp=0)
+
+
+def test_decoded_records_keep_the_ids_they_were_encoded_with():
+    records = [
+        entry(app_id="a1"),
+        entry(app_id="äpp-ü", name="web", tags=("grp=1",)),
+        GatewayBinding(
+            key=ServiceKey(IPv4Address("10.9.0.1"), 7777),
+            gateway=H2,
+            external_port=30080,
+            state=EntryState.TOMBSTONE,
+            incarnation=4,
+            admit=TagSet(),
+        ),
+    ]
+    for record in records:
+        decoded = decode_record(encode_record(record))
+        assert decoded == record
+        assert decoded.record_id == type(record).record_id.compute(record)
+    assert records[1].record_id == entry_record_id(records[1].entry_id)
 
 
 def test_dump_format_is_stable():
