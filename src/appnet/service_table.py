@@ -314,12 +314,45 @@ class ServiceTable:
         self._entries: dict[bytes, ServiceEntry] = {}
         self._bindings: dict[bytes, GatewayBinding] = {}
         self._stores = {ServiceEntry: self._entries, GatewayBinding: self._bindings}
+        # Indexes over the stores, kept by _put alone: live entries by key and
+        # by lower-cased name, and tombstones of either class by stamp. Each
+        # bucket maps record id to record; an emptied bucket is dropped.
+        self._by_key: dict[ServiceKey, dict[bytes, ServiceEntry]] = {}
+        self._by_name: dict[str, dict[bytes, ServiceEntry]] = {}
+        self._tombstones: dict[int, dict[bytes, TableRecord]] = {}
         # Called with each record this node originates or re-owns, so the
         # gossip layer can queue it for dissemination.
         self.on_local_update: Optional[Callable[[TableRecord], None]] = None
 
     def _resident(self, record_id: bytes) -> Optional[TableRecord]:
         return self._entries.get(record_id) or self._bindings.get(record_id)
+
+    def _put(self, store: dict, record_id: bytes, record: Optional[TableRecord]) -> None:
+        """The one write to a store: put `record` under `record_id`, or delete
+        what is there when `record` is None, keeping the indexes in step. A
+        replaced record keeps its place in the store's order."""
+        prior = store.get(record_id)
+        if prior is not None:
+            for index, bucket in self._buckets(prior):
+                del index[bucket][record_id]
+                if not index[bucket]:
+                    del index[bucket]
+        if record is None:
+            del store[record_id]
+            return
+        store[record_id] = record
+        for index, bucket in self._buckets(record):
+            index.setdefault(bucket, {})[record_id] = record
+
+    def _buckets(self, record: TableRecord) -> list[tuple[dict, object]]:
+        """Each (index, bucket) that holds `record`."""
+        if record.state is EntryState.TOMBSTONE:
+            return [(self._tombstones, record.stamp)]
+        if type(record) is not ServiceEntry:
+            return []
+        if record.name:
+            return [(self._by_key, record.key), (self._by_name, record.name.lower())]
+        return [(self._by_key, record.key)]
 
     # --- local writes ---
 
@@ -329,7 +362,7 @@ class ServiceTable:
         prior = store.get(record.record_id)
         incarnation = max(prior.incarnation if prior else 0, above) + 1
         stored = replace(record, incarnation=incarnation, stamp=now)
-        store[record.record_id] = stored
+        self._put(store, record.record_id, stored)
         if self.on_local_update is not None:
             self.on_local_update(stored)
         return stored
@@ -339,12 +372,8 @@ class ServiceTable:
             raise ValueError("insert_local is for entries this node owns")
         if entry.state is not EntryState.ALIVE:
             raise ValueError("insert_local only registers live entries")
-        for resident in self._entries.values():
-            if (
-                resident.state is EntryState.ALIVE
-                and resident.key == entry.key
-                and resident.app_id == entry.app_id
-            ):
+        for resident in self._by_key.get(entry.key, {}).values():
+            if resident.app_id == entry.app_id:
                 raise DuplicateAppBinding(
                     f"app {entry.app_id} already holds {entry.key}"
                 )
@@ -374,11 +403,12 @@ class ServiceTable:
     def gc_tombstones(self, now: int, ttl: int = TOMBSTONE_TTL) -> int:
         expired = [
             r
-            for r in self.records()
-            if r.state is EntryState.TOMBSTONE and now - r.stamp > ttl
+            for stamp, bucket in self._tombstones.items()
+            if now - stamp > ttl
+            for r in bucket.values()
         ]
         for record in expired:
-            del self._stores[type(record)][record.record_id]
+            self._put(self._stores[type(record)], record.record_id, None)
         return len(expired)
 
     # --- replication ---
@@ -397,27 +427,18 @@ class ServiceTable:
                 return MergeOutcome.REFUTED
         if resident is not None and record.version <= resident.version:
             return MergeOutcome.STALE
-        store[record.record_id] = record.stamped(now)
+        self._put(store, record.record_id, record.stamped(now))
         return MergeOutcome.APPLIED
 
     # --- lookups ---
 
     def lookup(self, key: ServiceKey) -> list[ServiceEntry]:
-        found = [
-            e
-            for e in self._entries.values()
-            if e.key == key and e.state is EntryState.ALIVE
-        ]
+        found = list(self._by_key.get(key, {}).values())
         found.sort(key=lambda e: (e.host, e.app_id))
         return found
 
     def lookup_name(self, name: str) -> Optional[IPv4Address]:
-        wanted = name.lower()
-        vips = {
-            e.key.vip
-            for e in self._entries.values()
-            if e.state is EntryState.ALIVE and e.name and e.name.lower() == wanted
-        }
+        vips = {e.key.vip for e in self._by_name.get(name.lower(), {}).values()}
         if not vips:
             return None
         if len(vips) > 1:

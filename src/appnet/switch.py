@@ -13,13 +13,14 @@ Preamble wire format: magic 0x41535057 ("ASPW"), version byte, client vip
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, Optional, Protocol
 
-from appnet import names, wire
+from appnet import names
 from appnet.errors import (
     AddrInUse,
     AppNetError,
@@ -50,7 +51,8 @@ LOOPBACK = IPv4Network("127.0.0.0/8")
 
 PREAMBLE_MAGIC = 0x41535057  # "ASPW"
 PREAMBLE_VERSION = 0x01
-PREAMBLE_SIZE = 11
+_PREAMBLE = struct.Struct(">IBIH")  # magic, version, client vip, client port
+PREAMBLE_SIZE = _PREAMBLE.size
 
 POLICY_KEY = "grp"
 
@@ -85,19 +87,17 @@ class SelectionStrategy:
 
 
 def encode_preamble(addr: Addr) -> bytes:
-    w = wire.Writer()
-    w.u32(PREAMBLE_MAGIC).u8(PREAMBLE_VERSION).ip4(addr[0]).u16(addr[1])
-    return w.getvalue()
+    return _PREAMBLE.pack(PREAMBLE_MAGIC, PREAMBLE_VERSION, int(addr[0]), addr[1])
 
 
 def decode_preamble(data: bytes) -> Optional[Addr]:
     """The identity carried by a preamble, or None when there isn't one."""
     if len(data) != PREAMBLE_SIZE:
         return None
-    r = wire.Reader(data)
-    if r.u32() != PREAMBLE_MAGIC or r.u8() != PREAMBLE_VERSION:
+    magic, version, ip, port = _PREAMBLE.unpack(data)
+    if magic != PREAMBLE_MAGIC or version != PREAMBLE_VERSION:
         return None
-    return (r.ip4(), r.u16())
+    return (IPv4Address(ip), port)
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,18 @@ byte, u32 handle id, 4-byte address, u16 port, u32 payload length, payload.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from ipaddress import IPv4Address
 from typing import Callable, Optional, Protocol
 
-from appnet import errors, wire
+from appnet import errors
 
 TRAP_VERSION = 0x01
-HEADER_SIZE = 16
+# Version, op/status, handle, ip, port, payload length.
+_HEADER = struct.Struct(">BBIIHI")
+HEADER_SIZE = _HEADER.size
 MAX_DGRAM = 60000
 MAX_FRAME_PAYLOAD = 1 << 20
 
@@ -135,26 +138,23 @@ def _encode_frame(code: int, handle: int, addr: Optional[Addr], payload: bytes) 
     if len(payload) > MAX_FRAME_PAYLOAD:
         raise ValueError(f"frame payload of {len(payload)} bytes is oversized")
     ip, port = addr if addr is not None else (_ZERO_IP, 0)
-    w = wire.Writer()
-    w.u8(TRAP_VERSION).u8(code).u32(handle).ip4(ip).u16(port).u32(len(payload))
-    w.raw(payload)
-    return w.getvalue()
+    return _HEADER.pack(TRAP_VERSION, code, handle, int(ip), port, len(payload)) + payload
 
 
 def _decode_frame(data: bytes) -> tuple[int, int, Addr, bytes]:
-    r = wire.Reader(data)
-    version = r.u8()
+    try:
+        version, code, handle, ip, port, length = _HEADER.unpack_from(data)
+    except struct.error as exc:
+        raise errors.DecodeError(f"truncated trap frame: {len(data)} bytes") from exc
     if version != TRAP_VERSION:
         raise errors.DecodeError(f"unsupported trap version {version}")
-    code = r.u8()
-    handle = r.u32()
-    addr = (r.ip4(), r.u16())
-    length = r.u32()
     if length > MAX_FRAME_PAYLOAD:
         raise errors.DecodeError(f"claimed payload of {length} bytes is oversized")
-    payload = r.raw(length)
-    r.expect_end()
-    return code, handle, addr, payload
+    if len(data) != HEADER_SIZE + length:
+        raise errors.DecodeError(
+            f"trap frame of {len(data)} bytes claims a {length}-byte payload"
+        )
+    return code, handle, (IPv4Address(ip) if ip else _ZERO_IP, port), data[HEADER_SIZE:]
 
 
 def encode_request(req: TrapRequest) -> bytes:
@@ -194,7 +194,7 @@ def frame_payload_length(header: bytes) -> int:
     """Payload length claimed by a 16-byte frame header."""
     if len(header) != HEADER_SIZE:
         raise errors.DecodeError("short trap frame header")
-    return wire.Reader(header[12:16]).u32()
+    return _HEADER.unpack(header)[5]
 
 
 class TrapChannel(Protocol):

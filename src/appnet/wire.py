@@ -1,4 +1,4 @@
-"""Big-endian binary helpers shared by the envelope and trap codecs."""
+"""Big-endian binary helpers for the gossip envelope and table record codecs."""
 
 from __future__ import annotations
 
@@ -78,17 +78,11 @@ class Reader:
     def u8(self) -> int:
         return self._take(1)[0]
 
-    def u16(self) -> int:
-        return struct.unpack(">H", self._take(2))[0]
-
     def u32(self) -> int:
         return struct.unpack(">I", self._take(4))[0]
 
     def raw(self, n: int) -> bytes:
         return self._take(n)
-
-    def ip4(self) -> IPv4Address:
-        return IPv4Address(self._take(4))
 
     def section(self) -> list[bytes]:
         length = self.u32()

@@ -357,3 +357,128 @@ def test_rival_writes_converge_to_one_whole_record():
                 table.merge_record(record, 0)
         held = [sorted(r.encoded for r in table.records()) for table in replicas]
         assert held[0] == held[1]
+
+
+# --- indexes against brute-force scans of records() ---
+
+_KEYS = [ServiceKey(IPv4Address(vip), port) for vip in ("10.1.1.1", "10.1.1.2") for port in (80, 81)]
+_NAMES = [None, "web", "WEB", "Web", "db"]
+
+
+def _scan_lookup(table, key):
+    found = [
+        r for r in table.records()
+        if isinstance(r, ServiceEntry) and r.state is EntryState.ALIVE and r.key == key
+    ]
+    return sorted(found, key=lambda e: (e.host, e.app_id))
+
+
+def _scan_lookup_name(table, name):
+    vips = {
+        r.key.vip for r in table.records()
+        if isinstance(r, ServiceEntry) and r.state is EntryState.ALIVE
+        and r.name and r.name.lower() == name.lower()
+    }
+    if len(vips) > 1:
+        return AmbiguousName
+    return vips.pop() if vips else None
+
+
+def _lookup_name_or_ambiguous(table, name):
+    try:
+        return table.lookup_name(name)
+    except AmbiguousName:
+        return AmbiguousName
+
+
+def _scan_duplicate(table, key, app_id):
+    return any(r.app_id == app_id for r in _scan_lookup(table, key))
+
+
+def _assert_indexes_hold_exactly_the_current_records(table):
+    by_key, by_name, tombstones = {}, {}, {}
+    for r in table.records():
+        if r.state is EntryState.TOMBSTONE:
+            tombstones.setdefault(r.stamp, {})[r.record_id] = r
+        elif isinstance(r, ServiceEntry):
+            by_key.setdefault(r.key, {})[r.record_id] = r
+            if r.name:
+                by_name.setdefault(r.name.lower(), {})[r.record_id] = r
+    for index, expected in (
+        (table._by_key, by_key), (table._by_name, by_name), (table._tombstones, tombstones)
+    ):
+        assert index == expected
+        # The very objects the stores hold, not equal leftovers of superseded writes.
+        for bucket, records in index.items():
+            for record_id, record in records.items():
+                assert record is expected[bucket][record_id]
+
+
+def _random_entry(rng, host):
+    return entry(
+        host=host,
+        app_id=f"a{rng.randrange(3)}",
+        vip=str(rng.choice(_KEYS).vip),
+        port=rng.choice(_KEYS).port,
+        real_port=40000 + rng.randrange(4),
+        name=rng.choice(_NAMES),
+    )
+
+
+def test_indexes_match_brute_force_scans():
+    rng = random.Random(5150)
+    table = ServiceTable(H1)
+    outcomes = {outcome: 0 for outcome in MergeOutcome}
+    now = duplicates = collected = ambiguous = 0
+    for _ in range(4000):
+        now += rng.randrange(2)
+        step = rng.random()
+        if step < 0.25:
+            fresh = _random_entry(rng, H1)
+            if _scan_duplicate(table, fresh.key, fresh.app_id):
+                duplicates += 1
+                with pytest.raises(DuplicateAppBinding):
+                    table.insert_local(fresh, now)
+            else:
+                assert table.insert_local(fresh, now) is MergeOutcome.APPLIED
+        elif step < 0.4 and table.records():
+            target = rng.choice(table.records())
+            was_alive = target.state is EntryState.ALIVE
+            assert table.retire(target.record_id, now) is was_alive
+        elif step < 0.9:
+            # A foreign version of a held record (a re-registration under a new
+            # name or endpoint, or a tombstone) at a lower, equal or higher
+            # incarnation, or a record not held yet; now and then one of ours.
+            held = [r for r in table.records() if isinstance(r, ServiceEntry)]
+            if held and rng.random() < 0.7:
+                base = rng.choice(held)
+                fresh = _random_entry(rng, base.host)
+                base = replace(fresh, key=base.key, app_id=base.app_id,
+                               incarnation=base.incarnation)
+            else:
+                base = _random_entry(rng, rng.choice([H1, H2, H3]))
+            record = replace(
+                base,
+                incarnation=max(1, base.incarnation + rng.choice([-1, 0, 1])),
+                state=rng.choice([EntryState.ALIVE, EntryState.ALIVE, EntryState.TOMBSTONE]),
+            )
+            outcomes[table.merge_record(record, now)] += 1
+        else:
+            ttl = rng.randrange(4)
+            expired = [
+                r for r in table.records()
+                if r.state is EntryState.TOMBSTONE and now - r.stamp > ttl
+            ]
+            assert table.gc_tombstones(now, ttl) == len(expired)
+            collected += len(expired)
+            assert not {r.record_id for r in expired} & {r.record_id for r in table.records()}
+        for key in _KEYS:
+            assert table.lookup(key) == _scan_lookup(table, key)
+        for name in _NAMES[1:]:
+            answer = _scan_lookup_name(table, name)
+            assert _lookup_name_or_ambiguous(table, name) == answer
+            ambiguous += answer is AmbiguousName
+        _assert_indexes_hold_exactly_the_current_records(table)
+    # Every path was taken.
+    assert all(outcomes.values()), outcomes
+    assert duplicates and collected and ambiguous

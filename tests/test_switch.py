@@ -122,9 +122,17 @@ def test_preamble_round_trip():
     assert len(data) == 11
     assert data[:4] == b"ASPW"
     assert decode_preamble(data) == addr
+    # Bytes written by the earlier field-by-field encoder.
+    golden = bytes.fromhex("41535057010a090807ffff")
+    assert encode_preamble((IPv4Address("10.9.8.7"), 65535)) == golden
+    assert decode_preamble(golden) == (IPv4Address("10.9.8.7"), 65535)
 
 
 def test_preamble_rejects_noise():
     assert decode_preamble(b"") is None
     assert decode_preamble(b"x" * 11) is None
     assert decode_preamble(encode_preamble((IPv4Address("1.2.3.4"), 5))[:-1]) is None
+    assert decode_preamble(encode_preamble((IPv4Address("1.2.3.4"), 5)) + b"\x00") is None
+    wrong_version = bytearray(encode_preamble((IPv4Address("1.2.3.4"), 5)))
+    wrong_version[4] = 2
+    assert decode_preamble(bytes(wrong_version)) is None

@@ -55,6 +55,79 @@ def test_reply_addr_presence():
     assert got.addr == (IPv4Address("10.1.1.1"), 0)
     got = decode_reply(encode_reply(TrapReply()))
     assert got.addr is None
+    got = decode_reply(encode_reply(TrapReply(addr=(IPv4Address("0.0.0.0"), 0))))
+    assert got.addr is None
+
+
+# Frames and the hex the earlier field-by-field Writer codec produced for them.
+_GOLDEN_FRAMES = [
+    (
+        encode_request,
+        TrapRequest(op=TrapOp.CONNECT, handle=3, addr=(IPv4Address("10.1.1.1"), 80)),
+        "0104000000030a010101005000000000",
+    ),
+    (
+        encode_request,
+        TrapRequest(
+            op=TrapOp.SEND_TO,
+            handle=0x01020304,
+            addr=(IPv4Address("240.0.0.9"), 53),
+            payload=b"query",
+        ),
+        "010801020304f00000090035000000057175657279",
+    ),
+    (
+        encode_request,
+        TrapRequest(op=TrapOp.SOCKET, payload=bytes([1])),
+        "0101000000000000000000000000000101",
+    ),
+    (
+        encode_reply,
+        TrapReply(handle=7, addr=(IPv4Address("192.168.0.2"), 49152)),
+        "010000000007c0a80002c00000000000",
+    ),
+    (
+        encode_reply,
+        TrapReply(status=8, payload=b"refused"),
+        "0108000000000000000000000000000772656675736564",
+    ),
+]
+
+
+@pytest.mark.parametrize("encode,frame,golden", _GOLDEN_FRAMES)
+def test_frames_encode_to_golden_bytes(encode, frame, golden):
+    data = encode(frame)
+    assert data.hex() == golden
+    decode = decode_request if encode is encode_request else decode_reply
+    assert decode(data) == frame
+    assert trap.frame_payload_length(data[: trap.HEADER_SIZE]) == len(frame.payload)
+
+
+def _malformed_frames():
+    good = encode_request(
+        TrapRequest(
+            op=TrapOp.SEND_TO,
+            handle=5,
+            addr=(IPv4Address("240.0.0.9"), 53),
+            payload=b"hello",
+        )
+    )
+    frames = [good[:cut] for cut in range(len(good))]
+    frames.append(good + b"\x00")
+    frames.append(b"\x02" + good[1:])
+    oversized = bytearray(good)
+    oversized[12:16] = (trap.MAX_FRAME_PAYLOAD + 1).to_bytes(4, "big")
+    frames.append(bytes(oversized))
+    return frames
+
+
+def test_malformed_frames_raise_only_decode_error():
+    for data in _malformed_frames():
+        for decode in (decode_request, decode_reply):
+            with pytest.raises(errors.DecodeError):
+                decode(data)
+    with pytest.raises(errors.DecodeError):
+        trap.frame_payload_length(b"\x01" * (trap.HEADER_SIZE - 1))
 
 
 def test_status_error_mapping_round_trip():
