@@ -3,8 +3,8 @@
 One loop thread owns every control-plane socket through a `selectors`
 selector and is the only thread that touches the Node. It reads streams as
 whole frames, buffers what it cannot write at once, ticks on the select
-timeout, and parks a trap accept or recvfrom that would block until the switch
-reports its handle deliverable. Other threads reach it through in_loop().
+timeout, and re-runs a trap accept or recvfrom that would block when the
+switch wakes its handle (Switch.wait). Other threads reach it through in_loop().
 
 The gateway pump is the one exception: each proxied session copies its bytes
 on two blocking threads, which measured faster than copying on the loop.
@@ -26,6 +26,7 @@ import time
 import traceback
 from collections import deque
 from contextlib import suppress
+from functools import partial
 from ipaddress import IPv4Address
 from pathlib import Path
 from typing import Callable, Optional
@@ -243,13 +244,11 @@ class RealNodeRuntime:
         self._calls: deque = deque()
         self._wake_r, self._wake_w = socket.socketpair()
         self._loop_thread: Optional[threading.Thread] = None
-        self._parked: dict[tuple[str, int], tuple[_Stream, bytes]] = {}
         self._app_servers: dict[str, socket.socket] = {}
         self._pump_lock = threading.Lock()
         rng = random.Random(os.urandom(16).hex())
         self.node = Node(config, HostId.generate(rng), rng, self)
         self.node.start_pump = self._start_pump
-        self.node.switch.on_deliverable = self._answer_parked
 
     # --- lifecycle ---
 
@@ -517,12 +516,11 @@ class RealNodeRuntime:
         server = self._app_servers.pop(app_id, None)
         if server is not None:
             self._unwatch(server)
-        # Calls the app left parked get their error now instead of waiting.
-        for key in [key for key in self._parked if key[0] == app_id]:
-            self._answer_parked(*key)
         return count
 
     def _on_trap_frame(self, stream: _Stream, app_id: str, frame: bytes) -> None:
+        if not stream.open:
+            return  # a blocked call woke after its application hung up
         try:
             request = trap.decode_request(frame)
         except DecodeError as exc:
@@ -530,16 +528,12 @@ class RealNodeRuntime:
             return
         reply, transport = self.node.dispatch_trap(app_id, request)
         if reply.status == _WOULD_BLOCK:
-            # Accept and recvfrom block the application, never the loop.
-            self._parked[(app_id, request.handle)] = (stream, frame)
+            # Accept and recvfrom block the application, never the loop: the
+            # switch runs this frame again once the handle can answer it.
+            wake = partial(self._on_trap_frame, stream, app_id, frame)
+            self.node.switch.wait(app_id, request.handle, wake)
             return
         stream.send(trap.encode_reply(reply), transport)
-
-    def _answer_parked(self, app_id: str, handle_id: int) -> None:
-        # The switch calls this once its state for the handle is complete.
-        parked = self._parked.pop((app_id, handle_id), None)
-        if parked is not None and parked[0].open:
-            self._on_trap_frame(parked[0], app_id, parked[1])
 
     def _on_trap_closed(self, app_id: str) -> None:
         # The application went away; withdraw whatever it registered.

@@ -18,7 +18,8 @@ Script format, one event per line (blank lines and '#' comments ignored):
     tick 6 assert <predicate> <args>...
 
 Each tick runs in fixed phases: pending deliveries, node protocol ticks,
-same-tick message chains, app steps (accept draining), then script events.
+same-tick message chains, app steps, then script events. An app step drains
+the accepts of each serving handle, then waits on it via Switch.wait().
 The same seed and script always produce a byte-identical JSONL trace.
 """
 
@@ -28,6 +29,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from ipaddress import IPv4Address
 from itertools import zip_longest
 from typing import Optional
@@ -53,7 +55,7 @@ from appnet.model import (
 )
 from appnet.node import GatewaySession, Node, NodeConfig
 from appnet.simnet import GOSSIP_PORT, NetProfile, SimFabric, SimNetwork, SimStream
-from appnet.switch import SelectionStrategy, StrategyMode
+from appnet.switch import SelectionStrategy, StrategyMode, Switch
 from appnet.trap import HandleKind, SocketShim
 
 TRANSFER_CHUNK = 1 << 20
@@ -169,14 +171,17 @@ class _App:
         self.node_rt = node_rt
         self.shim = shim
         self.identity = identity
+        self.switch = node_rt.node.switch
         self.serving: list[int] = []
         self.dgram_handle: Optional[int] = None
         self.last_transport: Optional[SimStream] = None
-        self.last_conn_handle: Optional[int] = None
         self.accepted: list[SimStream] = []
+        self.waiting: set[int] = set()  # serving handles the switch will wake
 
     def step(self) -> None:
         for handle in self.serving:
+            if handle in self.waiting:
+                continue
             while True:
                 try:
                     conn_handle, _peer, transport = self.shim.accept(handle)
@@ -190,6 +195,8 @@ class _App:
                     on_eof=transport.close,
                 )
                 self.accepted.append(transport)
+            self.waiting.add(handle)
+            self.switch.wait(self.identity.app_id, handle, partial(self.waiting.discard, handle))
 
 
 def _echo(transport: SimStream, data: bytes) -> None:
@@ -266,7 +273,8 @@ class SimCluster:
                 size=len(reply.payload),
             ),
         )
-        node.start_pump = self._pump_gateway_session
+        # Only a binding's gateway listens on its external port: this node is it.
+        node.start_pump = partial(self._pump_gateway_session, node.switch)
         rt = _NodeRt(label=label, node=node, host_ip=host_ip)
         self.nodes[label] = rt
         self._labels_by_host[host_id] = label
@@ -303,18 +311,13 @@ class SimCluster:
                 sent=sent,
             )
 
-    def _pump_gateway_session(self, session: GatewaySession) -> None:
+    def _pump_gateway_session(self, gateway_switch: Switch, session: GatewaySession) -> None:
         external, internal = session.external, session.internal
         assert isinstance(external, SimStream) and isinstance(internal, SimStream)
-        gateway_switch = None
-        for rt in self.nodes.values():
-            if rt.node.host == session.binding.gateway:
-                gateway_switch = rt.node.switch
         def forward(dest: SimStream, counter: str):
             def on_data(data: bytes) -> None:
                 setattr(session, counter, getattr(session, counter) + len(data))
-                if gateway_switch is not None:
-                    gateway_switch.data_path_bytes += len(data)
+                gateway_switch.data_path_bytes += len(data)
                 try:
                     dest.write(data)
                 except BrokenPipeError:
@@ -361,7 +364,6 @@ class SimCluster:
             app.shim.getpeername(handle)
             assert isinstance(transport, SimStream)
             app.last_transport = transport
-            app.last_conn_handle = handle
             meta = app.node_rt.node.switch.conn_meta(app_label, handle)
             result["channel"] = meta.channel_kind.value if meta else None
         except AppNetError as exc:
@@ -790,9 +792,7 @@ def real_endpoint_leaks(trace: Trace, host_ips: set[str]) -> list[dict]:
 
 
 def run_script(script: ClusterScript) -> Trace:
-    cluster = SimCluster(seed=script.seed, profile=script.profile)
-    cluster.run_until(script.last_tick() + 1, script.events)
-    return cluster.trace
+    return run_script_with_cluster(script)[0]
 
 
 def run_script_with_cluster(script: ClusterScript) -> tuple[Trace, SimCluster]:

@@ -231,8 +231,8 @@ class Switch:
             "dgrams_dropped_unidentified": 0,
             "dgrams_dropped_filtered": 0,
         }
-        # Real-socket runtimes hook this to wake blocked accept/recv calls.
-        self.on_deliverable: Optional[Callable[[str, int], None]] = None
+        # One-shot wakes a runtime registers when its accept/recvfrom gets WouldBlock.
+        self._waits: dict[tuple[str, int], Callable[[], None]] = {}
 
     # --- app lifecycle ---
 
@@ -254,10 +254,8 @@ class Switch:
                 entry_id = (hs.key, self.local_host, app_id)
                 self._local_services.pop(entry_id, None)
                 served.append(entry_id)
+            self._notify(app_id, hs.vh.id)
         return served
-
-    def app_identity(self, app_id: str) -> AppIdentity:
-        return self._apps[app_id].identity
 
     # --- dispatch ---
 
@@ -604,6 +602,7 @@ class Switch:
             self._local_services.pop(entry_id, None)
             self.table.retire(entry_record_id(entry_id), self.clock())
         del state.handles[hs.vh.id]
+        self._notify(state.identity.app_id, hs.vh.id)
         return TrapReply(), None
 
     # --- inbound from the fabric ---
@@ -638,9 +637,14 @@ class Switch:
             return None
         return state.handles.get(handle_id)
 
+    def wait(self, app_id: str, handle_id: int, wake: Callable[[], None]) -> None:
+        """After WouldBlock: call wake once the handle can deliver, or it or its app is gone."""
+        self._waits[(app_id, handle_id)] = wake
+
     def _notify(self, app_id: str, handle_id: int) -> None:
-        if self.on_deliverable is not None:
-            self.on_deliverable(app_id, handle_id)
+        wake = self._waits.pop((app_id, handle_id), None)
+        if wake is not None:
+            wake()
 
     # --- views for tests and the harness ---
 

@@ -6,7 +6,7 @@ from ipaddress import IPv4Address
 
 import pytest
 
-from appnet.errors import AppNetError, Unidentified
+from appnet.errors import AppNetError, BadHandle, Unidentified
 from appnet.model import RealEndpoint, ServiceKey
 from appnet.node import NodeConfig
 from appnet.realnet import ControlClient, RealNodeRuntime, connect_shim
@@ -73,15 +73,19 @@ def cluster(tmp_path):
 
 
 def _serve_echo(shim, port):
+    """Accept one connection and echo it; thread.accept_ended says how the accept ended."""
     listener = shim.socket(HandleKind.STREAM)
     shim.bind(listener, (IPv4Address("0.0.0.0"), port))
     shim.listen(listener)
+    ended = []  # "accepted", or the class of the error that answered the accept
 
     def accept_and_echo():
         try:
             conn_handle, _peer, transport = shim.accept(listener)
-        except (ConnectionError, OSError):
-            return  # daemon went away during teardown
+        except (AppNetError, ConnectionError, OSError) as exc:
+            ended.append(type(exc))
+            return  # the app was removed, or the daemon went away during teardown
+        ended.append("accepted")
         with transport:
             while True:
                 chunk = transport.recv(65536)
@@ -90,6 +94,7 @@ def _serve_echo(shim, port):
                 transport.sendall(chunk)
 
     thread = threading.Thread(target=accept_and_echo, daemon=True)
+    thread.accept_ended = ended
     thread.start()
     return listener, thread
 
@@ -240,9 +245,10 @@ def test_control_channel_list_and_remove(cluster, tmp_path):
     a, _b = cluster
     info = a.add_app(["--ip", "10.50.0.7", "--name", "listed"])
     shim = connect_shim(info["trap"])
-    _serve_echo(shim, 4005)
+    listener, echo_thread = _serve_echo(shim, 4005)
     key = ServiceKey(IPv4Address("10.50.0.7"), 4005)
     assert _wait_for(lambda: a.node.table.lookup(key))
+    assert _wait_for(lambda: (info["app_id"], listener) in a.node.switch._waits)
     control = ControlClient(str(tmp_path / "a"))
     assert control.call({"op": "ping"})["ok"]
     dump = control.call({"op": "list"})["dump"]
@@ -250,6 +256,49 @@ def test_control_channel_list_and_remove(cluster, tmp_path):
     removed = control.call({"op": "remove", "app_id": info["app_id"]})
     assert removed["ok"] and removed["tombstoned"] == 1
     assert a.node.table.lookup(key) == []
+    # The accept blocked in the removed app is answered, not left hanging.
+    echo_thread.join(timeout=5)
+    assert echo_thread.accept_ended == [BadHandle]
+    assert not a.node.switch._waits
+
+
+def test_parked_recvfrom_wakes_only_for_its_connected_peer(cluster):
+    a, _b = cluster
+    shims = {}
+    for label, ip, port in (("peer", "10.50.0.20", 5000), ("client", "10.50.0.21", 5001),
+                            ("stranger", "10.50.0.22", 5002)):
+        info = a.add_app(["--ip", ip])
+        shim = connect_shim(info["trap"])
+        handle = shim.socket(HandleKind.DATAGRAM)
+        shim.bind(handle, (IPv4Address("0.0.0.0"), port))
+        shims[label] = (info["app_id"], shim, handle)
+    client_id, client, client_handle = shims["client"]
+    client.connect(client_handle, (IPv4Address("10.50.0.20"), 5000))
+    received = []
+    thread = threading.Thread(
+        target=lambda: received.append(client.recvfrom(client_handle)), daemon=True
+    )
+    thread.start()
+    parked = (client_id, client_handle)
+    assert _wait_for(lambda: parked in a.node.switch._waits)
+
+    # A datagram from a source the handle is not connected to is filtered
+    # out, and the call goes back to waiting.
+    counters = a.node.switch.counters
+    before = counters["dgrams_dropped_filtered"]
+    _, stranger, stranger_handle = shims["stranger"]
+    stranger.sendto(stranger_handle, (IPv4Address("10.50.0.21"), 5001), b"not for you")
+    assert _wait_for(lambda: counters["dgrams_dropped_filtered"] == before + 1)
+    assert _wait_for(lambda: parked in a.node.switch._waits)
+    assert not received
+
+    _, peer, peer_handle = shims["peer"]
+    peer.sendto(peer_handle, (IPv4Address("10.50.0.21"), 5001), b"for you")
+    thread.join(timeout=5)
+    assert received == [((IPv4Address("10.50.0.20"), 5000), b"for you")]
+    assert parked not in a.node.switch._waits
+    for _, shim, _ in shims.values():
+        shim.channel.close()
 
 
 def _threads_of(*runtimes):

@@ -16,7 +16,7 @@ from appnet.simharness import (
     run_script_with_cluster,
 )
 from appnet.simnet import NetProfile
-from appnet.trap import HandleKind
+from appnet.trap import STATUS_OK, HandleKind, status_for_error
 
 SCENARIOS = Path(__file__).parent / "scenarios"
 
@@ -298,3 +298,62 @@ def test_eager_writer_bytes_survive_accept_handoff():
     cluster.run_until(cluster.clock + 1)      # server accepts, sink flushes
     echoed = transport.read()
     assert echoed == b"early bird " * 1000
+
+
+# --- waiting for connections ---
+
+def _accept_events(cluster, app_label):
+    return [
+        e for e in cluster.trace.of_type("trap")
+        if e["app"] == app_label and e["op"] == "accept"
+    ]
+
+
+def test_idle_serving_handle_makes_no_accept_calls():
+    cluster = _start_cluster(1, seed=23)
+    cluster.run_until(3, [
+        ScriptEvent(1, "add", ["n0", "srv", "--name", "idle"]),
+        ScriptEvent(1, "add", ["n0", "cli"]),
+        ScriptEvent(2, "serve", ["srv", "4300"]),
+    ])
+    # The first step after serving finds nothing and waits on the handle.
+    first = cluster.clock
+    assert [e["tick"] for e in _accept_events(cluster, "srv")] == [first]
+    cluster.run_until(first + 20)
+    assert [e["tick"] for e in _accept_events(cluster, "srv")] == [first]
+
+    vip = cluster.nodes["n0"].node.table.lookup_name("idle")
+    assert cluster.connect("cli", (vip, 4300))["status"] == "ok"
+    cluster.run_until(cluster.clock + 1)
+    # One accept succeeds; the drain's next accept would block and waits again.
+    stepped = [e for e in _accept_events(cluster, "srv") if e["tick"] == cluster.clock]
+    assert [e["status"] for e in stepped] == [STATUS_OK, status_for_error(WouldBlock(""))]
+    assert len(cluster.apps["srv"].accepted) == 1
+
+
+def test_waits_do_not_outlive_their_handles():
+    cluster = _start_cluster(1, seed=24)
+    cluster.run_until(3, [
+        ScriptEvent(1, "add", ["n0", "srv", "--name", "restarted"]),
+        ScriptEvent(1, "add", ["n0", "gone", "--name", "removed"]),
+        ScriptEvent(2, "serve", ["srv", "4400"]),
+        ScriptEvent(2, "serve", ["gone", "4401"]),
+    ])
+    switch = cluster.nodes["n0"].node.switch
+    app = cluster.apps["srv"]
+    for _ in range(100):
+        # A service restart as cluster_churn does it: close, re-bind, serve.
+        old = app.serving[0]
+        app.serving.remove(old)
+        app.shim.close(old)
+        handle = app.shim.socket(HandleKind.STREAM)
+        app.shim.bind(handle, (IPv4Address("0.0.0.0"), 4400))
+        app.shim.listen(handle)
+        app.serving.append(handle)
+        cluster.run_until(cluster.clock + 1)
+    assert ("gone", cluster.apps["gone"].serving[0]) in switch._waits
+    cluster.remove_app("gone")
+    cluster.run_until(cluster.clock + 1)
+    live = {(label, h) for label, a in cluster.apps.items() for h in a.serving}
+    assert set(switch._waits) <= live
+    assert ("srv", app.serving[0]) in switch._waits
