@@ -1,15 +1,16 @@
 """Membership and dissemination over unreliable datagrams.
 
 Failure detection follows the familiar probe / indirect-probe / suspicion /
-refutation cycle, one protocol period per tick. Service-table records ride
-the same envelopes as bounded piggyback, each retransmitted a logarithmic
-number of times; periodic anti-entropy digests close any gaps the rumor
-budget leaves. An envelope carries up to PIGGYBACK_LIMIT queued records, those
-with the highest remaining budget first and, among equals, the oldest; they
-come off a heap, so picking them costs work in proportion to the envelope, not
-to the queue. Everything is driven by the owning node's loop: tick() and
-handle_envelope() mutate state and return the envelopes to send, and never
-touch a socket themselves.
+refutation cycle, one protocol period per tick. Member rumors and
+service-table records ride the same envelopes as bounded piggyback under one
+queue rule: each is retransmitted a logarithmic number of times, and an
+envelope carries up to PIGGYBACK_LIMIT of each, those with the highest
+remaining budget first and, among equals, the oldest. Both queues are heaps,
+so picking costs work in proportion to the envelope, not to the queue.
+Periodic anti-entropy digests close any gaps the rumor budget leaves.
+Everything is driven by the owning node's loop: tick() and handle_envelope()
+mutate state and return the envelopes to send, and never touch a socket
+themselves.
 
 Envelope wire format: version byte 0x01, kind byte, 16-byte sender id, then
 three u32-length sections (membership rumors, table deltas, sync digest),
@@ -174,13 +175,58 @@ def decode_envelope(data: bytes) -> GossipEnvelope:
     )
 
 
-@dataclass
-class GossipParams:
-    piggyback_limit: int = PIGGYBACK_LIMIT
-    k_indirect: int = K_INDIRECT
-    suspect_timeout: int = SUSPECT_TIMEOUT
-    anti_entropy_period: int = ANTI_ENTROPY_PERIOD
-    retransmit_factor: int = RETRANSMIT_FACTOR
+class _Piggyback:
+    """Items waiting to ride envelopes, each for a budget of retransmissions.
+
+    take() picks the highest remaining budget first and, among equals, the
+    oldest push; items come off a heap, so picking costs work in proportion
+    to what is taken, not to the queue.
+    """
+
+    def __init__(self) -> None:
+        self.slots: dict = {}  # key -> [value, budget, seq]
+        # (-budget, seq, key) per queued item; items whose seq no longer
+        # matches their slot (re-queued or spent) are skipped when popped.
+        self._heap: list[tuple] = []
+        self._seq = 0
+
+    def push(self, key, value, budget: int) -> None:
+        self._seq += 1
+        self.slots[key] = [value, budget, self._seq]
+        heapq.heappush(self._heap, (-budget, self._seq, key))
+        self._drop_stale()
+
+    def take(self, limit: int, skip=None) -> list:
+        """Up to `limit` values, each spending one unit of budget; `skip` keeps its place."""
+        heap, slots = self._heap, self.slots
+        out = []
+        back = []
+        while heap and len(out) < limit:
+            item = heapq.heappop(heap)
+            _, seq, key = item
+            slot = slots.get(key)
+            if slot is None or slot[2] != seq:
+                continue
+            if key == skip:
+                back.append(item)
+                continue
+            out.append(slot[0])
+            slot[1] -= 1
+            if slot[1] > 0:
+                back.append((-slot[1], seq, key))
+            else:
+                del slots[key]
+        # Pushed back only now, so no item rides one envelope twice.
+        for item in back:
+            heapq.heappush(heap, item)
+        self._drop_stale()
+        return out
+
+    def _drop_stale(self) -> None:
+        """Rebuild the heap from the slots once stale items outnumber live ones."""
+        if len(self._heap) > 2 * len(self.slots):
+            self._heap = [(-budget, seq, key) for key, (_, budget, seq) in self.slots.items()]
+            heapq.heapify(self._heap)
 
 
 @dataclass
@@ -196,25 +242,13 @@ Outbound = tuple[RealEndpoint, GossipEnvelope]
 class Gossip:
     """Single-owner protocol state machine for one node."""
 
-    def __init__(
-        self,
-        local: MemberRecord,
-        table: ServiceTable,
-        rng,
-        params: GossipParams | None = None,
-    ) -> None:
-        self.params = params or GossipParams()
+    def __init__(self, local: MemberRecord, table: ServiceTable, rng) -> None:
         self.local_host = local.host
         self.table = table
         self.rng = rng
         self.members: dict[HostId, MemberRecord] = {local.host: local}
-        self._rumor_budget: dict[HostId, int] = {}
-        self._rumor_seq: dict[HostId, int] = {}
-        self._delta_queue: dict[bytes, list] = {}  # id -> [record, budget, seq]
-        # (-budget, seq, id) per queued record; items whose seq no longer
-        # matches the queue (re-queued or spent) are skipped when popped.
-        self._delta_heap: list[tuple[int, int, bytes]] = []
-        self._seq = 0
+        self._rumors = _Piggyback()  # host -> host
+        self._deltas = _Piggyback()  # record id -> record
         self._outstanding: dict[HostId, _PingState] = {}
         self._proxy: dict[tuple[HostId, HostId], tuple[RealEndpoint, int]] = {}
         self._ping_cycle: list[HostId] = []
@@ -224,7 +258,7 @@ class Gossip:
         self._join_peer: Optional[RealEndpoint] = None
         self._next_join = 0
         self._join_backoff = 1
-        self.counters = {"decode_errors": 0, "stale_rumors": 0}
+        self.counters = {"stale_rumors": 0}
         # Announce ourselves so the first contacts learn who we are.
         self._queue_rumor(local.host)
 
@@ -256,88 +290,37 @@ class Gossip:
 
     def _budget(self) -> int:
         n = len(self.members)
-        return max(1, math.ceil(self.params.retransmit_factor * math.log2(n + 1)))
+        return max(1, math.ceil(RETRANSMIT_FACTOR * math.log2(n + 1)))
 
     def _queue_rumor(self, host: HostId) -> None:
-        self._seq += 1
-        self._rumor_budget[host] = self._budget()
-        self._rumor_seq[host] = self._seq
+        self._rumors.push(host, host, self._budget())
 
     def queue_delta(self, record: TableRecord) -> None:
-        self._seq += 1
-        budget = self._budget()
-        self._delta_queue[record.record_id] = [record, budget, self._seq]
-        heapq.heappush(self._delta_heap, (-budget, self._seq, record.record_id))
-        self._drop_stale_deltas()
-
-    def _drop_stale_deltas(self) -> None:
-        """Rebuild the heap from the queue once stale items outnumber live ones."""
-        if len(self._delta_heap) > 2 * len(self._delta_queue):
-            self._delta_heap = [
-                (-budget, seq, id_bytes)
-                for id_bytes, (_, budget, seq) in self._delta_queue.items()
-            ]
-            heapq.heapify(self._delta_heap)
+        self._deltas.push(record.record_id, record, self._budget())
 
     # --- piggyback composition ---
 
     def _take_rumors(self, first: Optional[MemberRecord], refresh: bool) -> list[MemberRecord]:
-        limit = self.params.piggyback_limit
         out: list[MemberRecord] = []
-        seen: set[HostId] = set()
+        skip = None
         if first is not None:
             out.append(first)
-            seen.add(first.host)
-        queued = sorted(
-            (h for h in self._rumor_budget if h in self.members),
-            key=lambda h: (-self._rumor_budget[h], self._rumor_seq[h]),
-        )
-        for host in queued:
-            if len(out) >= limit:
-                break
-            if host in seen:
-                continue
+            skip = first.host
+        for host in self._rumors.take(PIGGYBACK_LIMIT - len(out), skip):
             out.append(replace(self.members[host]))
-            seen.add(host)
-            self._rumor_budget[host] -= 1
-            if self._rumor_budget[host] <= 0:
-                del self._rumor_budget[host]
-                del self._rumor_seq[host]
-        if refresh and len(out) < limit:
+        if refresh and len(out) < PIGGYBACK_LIMIT:
             # Rotate through the full membership so ring partners eventually
             # see every record even after its rumor budget is spent.
+            seen = {m.host for m in out}
             ordered = sorted(self.members)
             for _ in range(len(ordered)):
-                if len(out) >= limit:
+                if len(out) >= PIGGYBACK_LIMIT:
                     break
                 host = ordered[self._refresh_idx % len(ordered)]
                 self._refresh_idx += 1
                 if host not in seen:
                     out.append(replace(self.members[host]))
                     seen.add(host)
-        return out
-
-    def _take_deltas(self) -> list[TableRecord]:
-        """Up to piggyback_limit queued records: highest remaining budget first, then oldest."""
-        limit = self.params.piggyback_limit
-        heap, queue = self._delta_heap, self._delta_queue
-        out: list[TableRecord] = []
-        survivors = []
-        while heap and len(out) < limit:
-            _, seq, id_bytes = heapq.heappop(heap)
-            slot = queue.get(id_bytes)
-            if slot is None or slot[2] != seq:
-                continue
-            out.append(slot[0])
-            slot[1] -= 1
-            if slot[1] > 0:
-                survivors.append((-slot[1], seq, id_bytes))
-            else:
-                del queue[id_bytes]
-        # Pushed back only now, so no record rides one envelope twice.
-        for item in survivors:
-            heapq.heappush(heap, item)
-        self._drop_stale_deltas()
         return out
 
     def _envelope(
@@ -352,7 +335,7 @@ class Gossip:
             kind=kind,
             sender=self.local_host,
             membership_rumors=self._take_rumors(first_rumor, refresh),
-            table_deltas=self._take_deltas() if deltas is None else deltas,
+            table_deltas=self._deltas.take(PIGGYBACK_LIMIT) if deltas is None else deltas,
             sync_digest=digest,
         )
 
@@ -401,7 +384,7 @@ class Gossip:
         for member in list(self.members.values()):
             if (
                 member.status is MemberStatus.SUSPECT
-                and now - member.last_change >= self.params.suspect_timeout
+                and now - member.last_change >= SUSPECT_TIMEOUT
             ):
                 self.members[member.host] = replace(
                     member, status=MemberStatus.DEAD, last_change=now
@@ -436,11 +419,7 @@ class Gossip:
                 _PingState(direct_deadline=now + 1, final_deadline=now + 2),
             )
             out.append((target.addr, self._envelope(EnvelopeKind.PING)))
-        if (
-            self.params.anti_entropy_period
-            and now > 0
-            and now % self.params.anti_entropy_period == 0
-        ):
+        if now > 0 and now % ANTI_ENTROPY_PERIOD == 0:
             peer = self._ring_successor()
             if peer is not None:
                 out.append((peer.addr, self.anti_entropy()))
@@ -474,7 +453,7 @@ class Gossip:
         if now < self._next_join:
             return []
         self._next_join = now + self._join_backoff
-        self._join_backoff = min(self._join_backoff * 2, self.params.anti_entropy_period)
+        self._join_backoff = min(self._join_backoff * 2, ANTI_ENTROPY_PERIOD)
         return [(self._join_peer, self.anti_entropy())]
 
     def _probe_deadlines(self, now: int) -> list[Outbound]:
@@ -503,7 +482,7 @@ class Gossip:
             if m.host != target
         ]
         self.rng.shuffle(candidates)
-        return candidates[: self.params.k_indirect]
+        return candidates[:K_INDIRECT]
 
     def _next_ping_target(self) -> Optional[MemberRecord]:
         peers = [

@@ -48,10 +48,6 @@ class HostId:
     def generate(cls, rng) -> "HostId":
         return cls(rng.getrandbits(128).to_bytes(16, "big"))
 
-    @classmethod
-    def from_hex(cls, text: str) -> "HostId":
-        return cls(bytes.fromhex(text))
-
     @property
     def hex(self) -> str:
         return self.raw.hex()

@@ -97,13 +97,16 @@ def _decode_qname(data: bytes, pos: int) -> tuple[str, int]:
             raise DecodeError("compression or oversized label in question")
         if pos + length > len(data):
             raise DecodeError("truncated label")
-        labels.append(data[pos : pos + length].decode("ascii", errors="strict"))
+        try:
+            labels.append(data[pos : pos + length].decode("ascii"))
+        except UnicodeDecodeError as exc:
+            raise DecodeError("non-ASCII label in question") from exc
         pos += length
     return ".".join(labels), pos
 
 
-def parse_query(data: bytes) -> tuple[int, str, int, int]:
-    """Decode a single-question query into (id, name, qtype, qclass)."""
+def parse_query(data: bytes) -> tuple[int, str, int, int, bytes]:
+    """Decode a single-question query into (id, name, qtype, qclass, question bytes)."""
     if len(data) < 12:
         raise DecodeError("query shorter than a DNS header")
     qid, flags, qdcount, ancount, nscount, arcount = struct.unpack(">HHHHHH", data[:12])
@@ -115,7 +118,7 @@ def parse_query(data: bytes) -> tuple[int, str, int, int]:
     if pos + 4 > len(data):
         raise DecodeError("truncated question")
     qtype, qclass = struct.unpack(">HH", data[pos : pos + 4])
-    return qid, name, qtype, qclass
+    return qid, name, qtype, qclass, data[12 : pos + 4]
 
 
 def build_response(
@@ -149,10 +152,9 @@ def dns_answer(data: bytes, resolve: Callable[[str], Optional[IPv4Address]]) -> 
         raise DecodeError("not a DNS message")
     qid = struct.unpack(">H", data[:2])[0]
     try:
-        qid, name, qtype, qclass = parse_query(data)
+        qid, name, qtype, qclass, question = parse_query(data)
     except DecodeError:
         return build_response(qid, b"\x00" + struct.pack(">HH", QTYPE_A, QCLASS_IN), RCODE_FORMERR)
-    question = _encode_qname(name) + struct.pack(">HH", qtype, qclass)
     if qtype != QTYPE_A or qclass != QCLASS_IN:
         return build_response(qid, question, RCODE_NOTIMP)
     try:

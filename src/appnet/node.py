@@ -25,7 +25,6 @@ from appnet.errors import (
 from appnet.gateway import choose_gateway, pick_external_port, synthetic_client_tags
 from appnet.gossip import (
     Gossip,
-    GossipParams,
     MemberRecord,
     MemberStatus,
     Outbound,
@@ -81,7 +80,6 @@ class Node:
         host_id: HostId,
         rng,
         fabric,
-        gossip_params: GossipParams | None = None,
         trace_sink: Optional[TraceSink] = None,
     ) -> None:
         self.config = config
@@ -98,7 +96,7 @@ class Node:
             incarnation=1,
             is_gateway=config.gateway,
         )
-        self.gossip = Gossip(local, self.table, rng, gossip_params)
+        self.gossip = Gossip(local, self.table, rng)
         self.table.on_local_update = self.gossip.queue_delta
         self.switch = Switch(
             local_host=host_id,

@@ -41,8 +41,6 @@ class SimStream:
         self.closed = False
         self.broken = False
         self.peer_closed = False
-        self.bytes_written = 0
-        self.bytes_read = 0
 
     @classmethod
     def pair(cls, label: str = "") -> tuple["SimStream", "SimStream"]:
@@ -53,7 +51,6 @@ class SimStream:
     def write(self, data: bytes) -> int:
         if self.closed or self.broken or self.peer is None or self.peer.closed:
             raise BrokenPipeError(f"stream {self.label} is not writable")
-        self.bytes_written += len(data)
         self.peer._deliver(bytes(data))
         return len(data)
 
@@ -61,7 +58,6 @@ class SimStream:
         if self.closed:
             return
         if self._sink is not None:
-            self.bytes_read += len(data)
             self._sink(data)
         else:
             self._buffer += data
@@ -74,7 +70,6 @@ class SimStream:
         else:
             data = bytes(self._buffer[:max_bytes])
             del self._buffer[:max_bytes]
-        self.bytes_read += len(data)
         return data
 
     def set_sink(
@@ -88,14 +83,9 @@ class SimStream:
         if self._buffer:
             pending = bytes(self._buffer)
             self._buffer.clear()
-            self.bytes_read += len(pending)
             on_data(pending)
         if (self.peer_closed or self.broken) and on_eof is not None:
             on_eof()
-
-    @property
-    def at_eof(self) -> bool:
-        return not self._buffer and (self.peer_closed or self.broken)
 
     def close(self) -> None:
         if self.closed:

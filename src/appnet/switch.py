@@ -153,19 +153,6 @@ def selection_order(
     return ordered
 
 
-def select_endpoint(
-    client_app_id: str,
-    key: ServiceKey,
-    candidates: list[ServiceEntry],
-    strategy: SelectionStrategy,
-    rr_counter: int = 0,
-) -> ServiceEntry:
-    order = selection_order(client_app_id, key, candidates, strategy, rr_counter)
-    if not order:
-        raise NoSuchService(f"no live instance for {key}")
-    return order[0]
-
-
 class Fabric(Protocol):
     """Transport primitives a backend supplies to its node's switch."""
 

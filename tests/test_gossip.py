@@ -4,14 +4,13 @@ from ipaddress import IPv4Address
 
 import pytest
 
-from appnet import wire
+from appnet import gossip, wire
 from appnet.errors import DecodeError
 from appnet.gossip import (
     ENVELOPE_VERSION,
     EnvelopeKind,
     Gossip,
     GossipEnvelope,
-    GossipParams,
     MemberRecord,
     MemberStatus,
     decode_envelope,
@@ -50,14 +49,9 @@ def sample_entry(host=H2, incarnation=1):
     )
 
 
-def make_gossip(host=H1, n=1, gateway=False, **params):
+def make_gossip(host=H1, n=1, gateway=False):
     table = ServiceTable(host)
-    g = Gossip(
-        member(host, n, gateway=gateway),
-        table,
-        random.Random(f"g{n}"),
-        GossipParams(**params) if params else None,
-    )
+    g = Gossip(member(host, n, gateway=gateway), table, random.Random(f"g{n}"))
     table.on_local_update = g.queue_delta
     return g
 
@@ -212,8 +206,9 @@ def test_delta_heap_picks_what_a_full_sort_picks():
             seq += 1
             model[record.record_id] = [record, g._budget(), seq]
         else:
-            assert g._take_deltas() == _sorted_take(model, g.params.piggyback_limit)
-        assert {k: v[:2] for k, v in g._delta_queue.items()} == {
+            limit = gossip.PIGGYBACK_LIMIT
+            assert g._deltas.take(limit) == _sorted_take(model, limit)
+        assert {k: v[:2] for k, v in g._deltas.slots.items()} == {
             k: v[:2] for k, v in model.items()
         }
     assert len(g.members) > 20  # budgets did change along the way
@@ -225,9 +220,73 @@ def test_delta_heap_stays_bounded_under_requeues():
     for i in range(10_000):
         g.queue_delta(replace(hot[i % 3], incarnation=i))
         if i % 100 == 99:
-            g._take_deltas()
-        assert len(g._delta_heap) <= 2 * len(g._delta_queue) + g.params.piggyback_limit
-    assert len(g._delta_queue) == 3
+            g._deltas.take(gossip.PIGGYBACK_LIMIT)
+        assert len(g._deltas._heap) <= 2 * len(g._deltas.slots) + gossip.PIGGYBACK_LIMIT
+    assert len(g._deltas.slots) == 3
+
+
+def _sorted_take_rumors(g, model: dict, first, limit: int) -> list:
+    """Rumor selection by a full sort of {host: [budget, seq]}, as before the heap."""
+    out = [] if first is None else [first]
+    seen = {m.host for m in out}
+    for host in sorted(model, key=lambda h: (-model[h][0], model[h][1])):
+        if len(out) >= limit:
+            break
+        if host in seen:
+            continue
+        out.append(replace(g.members[host]))
+        seen.add(host)
+        model[host][0] -= 1
+        if model[host][0] <= 0:
+            del model[host]
+    return out
+
+
+def test_rumor_heap_picks_what_a_full_sort_picks():
+    g = make_gossip(H1, 1)
+    rng = random.Random(11)
+    model = {H1: [g._budget(), 0]}
+    seq = 0
+    queue_rumor = g._queue_rumor
+
+    def queue_and_model(host):
+        nonlocal seq
+        queue_rumor(host)
+        seq += 1
+        model[host] = [g._budget(), seq]
+
+    g._queue_rumor = queue_and_model
+    hosts = [H2]
+    g._merge_member(member(H2, 2), 0)
+    skipped = 0
+    for step in range(1, 4001):
+        roll = rng.random()
+        if roll < 0.05:  # a new member raises the budget of later rumors
+            host = HostId(step.to_bytes(16, "big"))
+            hosts.append(host)
+            g._merge_member(member(host, 5), step)
+        elif roll < 0.2:  # a fresher rumor: alive, suspect or dead
+            old = g.members[rng.choice(hosts)]
+            status = rng.choice(list(MemberStatus))
+            g._merge_member(replace(old, status=status, incarnation=old.incarnation + 1), step)
+        elif roll < 0.28:
+            g._suspect(rng.choice(hosts), step)
+        elif roll < 0.32:
+            g.refute(g.local_record.incarnation, step)
+        else:
+            first = None
+            if rng.random() < 0.5:
+                first = replace(g.members[rng.choice(list(model) or hosts)])
+            kept = list(g._rumors.slots.get(first.host, ())) if first else []
+            expected = _sorted_take_rumors(g, model, first, gossip.PIGGYBACK_LIMIT)
+            assert g._take_rumors(first, refresh=False) == expected
+            if kept:  # the explicit first rumor's queued copy keeps its budget and place
+                assert g._rumors.slots[first.host] == kept
+                skipped += 1
+        assert {h: slot[1] for h, slot in g._rumors.slots.items()} == {
+            h: budget for h, (budget, _) in model.items()
+        }
+    assert len(g.members) > 100 and skipped > 500
 
 
 def test_single_node_emits_nothing():
@@ -269,8 +328,9 @@ def test_ping_gets_ack_with_self_attestation():
     assert [env.kind for _, env in out2] == [EnvelopeKind.PING]
 
 
-def test_unanswered_probe_leads_to_ping_req_then_suspect_then_dead():
-    g = make_gossip(H1, 1, suspect_timeout=4)
+def test_unanswered_probe_leads_to_ping_req_then_suspect_then_dead(monkeypatch):
+    monkeypatch.setattr(gossip, "SUSPECT_TIMEOUT", 4)
+    g = make_gossip(H1, 1)
     for h, n in [(H2, 2), (H3, 3), (H4, 4)]:
         g._merge_member(member(h, n), 0)
     g.tick(1)  # ping someone
@@ -335,8 +395,9 @@ def test_dead_is_terminal_until_higher_incarnation():
     assert g.members[H2].status is MemberStatus.ALIVE
 
 
-def test_host_death_tombstones_its_entries():
-    g = make_gossip(H1, 1, suspect_timeout=1)
+def test_host_death_tombstones_its_entries(monkeypatch):
+    monkeypatch.setattr(gossip, "SUSPECT_TIMEOUT", 1)
+    g = make_gossip(H1, 1)
     g.table.merge_record(sample_entry(host=H2), 0)
     g._merge_member(member(H2, 2), 0)
     g._merge_member(member(H2, 2, MemberStatus.SUSPECT, incarnation=1), 1)
@@ -351,8 +412,8 @@ def test_sync_reply_returns_missing_records_and_reverse_syncs():
         replace(sample_entry(host=H1), real=RealEndpoint(IPv4Address("10.0.0.1"), 5)), 0
     )
     # Rumor budgets long spent: only the digests can close the gap now.
-    a._delta_queue.clear()
-    b._delta_queue.clear()
+    a._deltas.slots.clear()
+    b._deltas.slots.clear()
     out = b.handle_envelope(a.anti_entropy(), 1, addr(1))
     kinds = [env.kind for _, env in out]
     assert EnvelopeKind.SYNC_REPLY in kinds
@@ -371,18 +432,23 @@ def test_applied_deltas_are_requeued_for_spreading():
         kind=EnvelopeKind.PING, sender=H2, table_deltas=[sample_entry(host=H2)]
     )
     g.handle_envelope(env, 1, addr(2))
-    assert g._delta_queue  # learned news is infective
+    assert g._deltas.slots  # learned news is infective
     g.handle_envelope(env, 2, addr(2))  # replay does not reset budgets
-    (slot,) = g._delta_queue.values()
+    (slot,) = g._deltas.slots.values()
     assert slot[0].host == H2
 
 
-def test_rumor_budget_bounds_piggyback():
-    g = make_gossip(H1, 1, piggyback_limit=3)
+def test_rumor_budget_bounds_piggyback(monkeypatch):
+    monkeypatch.setattr(gossip, "PIGGYBACK_LIMIT", 3)
+    g = make_gossip(H1, 1)
     for i in range(2, 9):
         g._merge_member(member(HostId(bytes([i]) * 16), i), 0)
     (dest, ping), = [o for o in g.tick(1) if o[1].kind is EnvelopeKind.PING]
-    assert len(ping.membership_rumors) <= 3
+    # Budgets grow with the membership: n8 was queued with 10, n6 and n7
+    # with 9 each (n6 first), everyone else with less.
+    assert [m.host for m in ping.membership_rumors] == [
+        HostId(bytes([i]) * 16) for i in (8, 6, 7)
+    ]
     assert len(encode_envelope(ping)) < 60000
 
 

@@ -117,6 +117,15 @@ def test_dns_malformed_query_formerr():
     assert rcode == names.RCODE_FORMERR
 
 
+def test_dns_bad_labels_get_an_answer():
+    header = names.build_query(5, "web")[:12]
+    question_tail = b"\x00\x01\x00\x01"
+    non_ascii = names.dns_answer(header + b"\x03w\xe9b\x00" + question_tail, _resolver({}))
+    assert names.parse_answer(non_ascii)[:2] == (5, names.RCODE_FORMERR)
+    dot = names.dns_answer(header + b"\x01.\x00" + question_tail, _resolver({}))
+    assert names.parse_answer(dot)[:2] in {(5, names.RCODE_FORMERR), (5, names.RCODE_NXDOMAIN)}
+
+
 def test_dns_garbage_rejected():
     with pytest.raises(DecodeError):
         names.dns_answer(b"\x01\x02", _resolver({}))

@@ -6,6 +6,7 @@ from ipaddress import IPv4Address
 
 import pytest
 
+from appnet import gossip
 from appnet.errors import AppNetError, BadHandle, Unidentified
 from appnet.model import RealEndpoint, ServiceKey
 from appnet.node import NodeConfig
@@ -205,6 +206,25 @@ def test_dns_resolution_over_real_channel(cluster):
     assert str(vip_box["vip"]).startswith("240.")
 
 
+def test_malformed_dns_question_leaves_the_app_in_place(cluster):
+    a, _b = cluster
+    info = a.add_app(["--name", "asker"])
+    app = connect_shim(info["trap"])
+    listener = app.socket(HandleKind.STREAM)
+    app.bind(listener, (IPv4Address("0.0.0.0"), 4008))
+    app.listen(listener)
+    from appnet import names
+
+    resolver = app.socket(HandleKind.DATAGRAM)
+    query = names.build_query(4, "web")[:12] + b"\x01.\x00\x00\x01\x00\x01"
+    app.sendto(resolver, (IPv4Address("127.0.0.1"), 53), query)
+    _, response = app.recvfrom(resolver)
+    assert names.parse_answer(response)[0] == 4
+    assert a.in_loop(a.node.app_ids) == [info["app_id"]]
+    assert a.in_loop(lambda: a.node.table.entries_for_app(a.node.host, info["app_id"]))
+    assert a.counters["loop_errors"] == 0
+
+
 def test_gateway_proxies_external_tcp(cluster):
     a, b = cluster
     server_info = b.add_app(
@@ -379,7 +399,7 @@ def test_threads_stay_bounded_over_connects_and_anti_entropy(cluster):
         handle = client.socket(HandleKind.STREAM)
         _close_abortively(client.connect(handle, (key.vip, key.port)))
         client.close(handle)
-    periods = 5 * a.node.gossip.params.anti_entropy_period
+    periods = 5 * gossip.ANTI_ENTROPY_PERIOD
     assert _wait_for(lambda: min(a._tick, b._tick) >= first_tick + periods)
 
     _hang_up(client)

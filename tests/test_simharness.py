@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from appnet import gossip
 from appnet.errors import AssertionFailed, ScriptError, WouldBlock
 from appnet.model import ServiceKey
 from appnet.simharness import (
@@ -121,10 +122,9 @@ def _flood_oracle_rounds(n_nodes: int) -> int:
     return rounds
 
 
-def test_sixteen_node_convergence_within_ten_ticks():
+def test_sixteen_node_convergence_within_ten_ticks(monkeypatch):
     cluster = _start_cluster(16, seed=2)
-    for rt in cluster.nodes.values():
-        rt.node.gossip.params.piggyback_limit = 3  # tighter fanout still converges
+    monkeypatch.setattr(gossip, "PIGGYBACK_LIMIT", 3)  # tighter fanout still converges
     cluster.run_until(20)
     assert all(len(rt.node.gossip.members) == 16 for rt in cluster.nodes.values())
     cluster.run_until(21, [ScriptEvent(21, "add", ["n0", "svc", "--ip", "10.7.0.1"])])

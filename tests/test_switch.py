@@ -10,7 +10,6 @@ from appnet.switch import (
     decode_preamble,
     encode_preamble,
     policy_allows,
-    select_endpoint,
     selection_order,
 )
 
@@ -61,13 +60,13 @@ class TestPolicy:
 class TestSelection:
     def test_single_candidate(self):
         only = [candidate(1)]
-        assert select_endpoint("c", KEY, only, SelectionStrategy()) == only[0]
+        assert selection_order("c", KEY, only, SelectionStrategy())[0] == only[0]
 
     def test_round_robin_alternates_exactly(self):
         cands = [candidate(1), candidate(2)]
         strategy = SelectionStrategy(mode=StrategyMode.ROUND_ROBIN)
         picks = [
-            select_endpoint("c", KEY, cands, strategy, rr_counter=i).app_id
+            selection_order("c", KEY, cands, strategy, rr_counter=i)[0].app_id
             for i in range(4)
         ]
         assert picks == ["a1", "a2", "a1", "a2"]
@@ -75,18 +74,18 @@ class TestSelection:
     def test_rendezvous_deterministic(self):
         cands = [candidate(1), candidate(2), candidate(3)]
         s = SelectionStrategy()
-        a = select_endpoint("client-x", KEY, cands, s)
-        b = select_endpoint("client-x", KEY, list(reversed(cands)), s)
+        a = selection_order("client-x", KEY, cands, s)[0]
+        b = selection_order("client-x", KEY, list(reversed(cands)), s)[0]
         assert a == b
 
     def test_rendezvous_stable_under_removal_of_non_chosen(self):
         cands = [candidate(1), candidate(2), candidate(3)]
         s = SelectionStrategy()
         for client in (f"c{i}" for i in range(50)):
-            chosen = select_endpoint(client, KEY, cands, s)
+            chosen = selection_order(client, KEY, cands, s)[0]
             remaining = [c for c in cands if c != chosen]
             survivors = [chosen] + remaining[:1]
-            assert select_endpoint(client, KEY, survivors, s) == chosen
+            assert selection_order(client, KEY, survivors, s)[0] == chosen
 
     def test_rendezvous_spread_across_3000_clients(self):
         # Brute-force recomputation of the selection hash for every client,
@@ -103,7 +102,7 @@ class TestSelection:
                 for c in cands
             }
             oracle_pick = max(weights, key=lambda k: weights[k])
-            chosen = select_endpoint(client, KEY, cands, s)
+            chosen = selection_order(client, KEY, cands, s)[0]
             assert chosen.app_id == oracle_pick
             counts[chosen.app_id] += 1
         for n in counts.values():
