@@ -8,6 +8,9 @@ envelope carries up to PIGGYBACK_LIMIT of each, those with the highest
 remaining budget first and, among equals, the oldest. Both queues are heaps,
 so picking costs work in proportion to the envelope, not to the queue.
 Periodic anti-entropy digests close any gaps the rumor budget leaves.
+decode_envelope leaves table deltas as wire bytes; the node resolves them all
+with ServiceTable.decode, which reuses a record the table already holds in
+those exact bytes, before handle_envelope merges anything.
 Everything is driven by the owning node's loop: tick() and handle_envelope()
 mutate state and return the envelopes to send, and never touch a socket
 themselves.
@@ -35,7 +38,6 @@ from appnet.service_table import (
     ServiceTable,
     TableRecord,
     Version,
-    decode_record,
 )
 
 ENVELOPE_VERSION = 0x01
@@ -99,6 +101,8 @@ class GossipEnvelope:
     kind: EnvelopeKind
     sender: HostId
     membership_rumors: list[MemberRecord] = field(default_factory=list)
+    # Records to send; decode_envelope leaves each as its wire bytes, for the
+    # receiver's ServiceTable.decode.
     table_deltas: list[TableRecord] = field(default_factory=list)
     sync_digest: Optional[list[tuple[bytes, Version]]] = None
 
@@ -155,7 +159,7 @@ def decode_envelope(data: bytes) -> GossipEnvelope:
         raise DecodeError("unknown envelope kind") from exc
     sender = HostId(r.raw(16))
     rumors = [_decode_member(item) for item in r.section()]
-    deltas = [decode_record(item) for item in r.section()]
+    deltas = r.section()
     digest_section = r.section()
     r.expect_end()
     digest: Optional[list[tuple[bytes, Version]]] = None
@@ -253,6 +257,8 @@ class Gossip:
         self._proxy: dict[tuple[HostId, HostId], tuple[RealEndpoint, int]] = {}
         self._ping_cycle: list[HostId] = []
         self._ping_idx = 0
+        # Set by a death, cleared once the probe cycle is checked against it.
+        self._death_unchecked = False
         self._refresh_idx = 0
         self._ghost_idx = 0
         self._join_peer: Optional[RealEndpoint] = None
@@ -364,6 +370,7 @@ class Gossip:
 
     def _declare_dead(self, host: HostId, now: int) -> None:
         self._outstanding.pop(host, None)
+        self._death_unchecked = True
         self.table.tombstone_host(host, now)
 
     def refute(self, observed_incarnation: int, now: int) -> MemberRecord:
@@ -485,25 +492,26 @@ class Gossip:
         return candidates[:K_INDIRECT]
 
     def _next_ping_target(self) -> Optional[MemberRecord]:
-        peers = [
-            m.host
-            for m in self.members.values()
-            if m.host != self.local_host and m.status is not MemberStatus.DEAD
-        ]
-        if not peers:
-            return None
-        if self._ping_idx >= len(self._ping_cycle) or not set(
-            self._ping_cycle
-        ).issubset(peers):
-            self._ping_cycle = sorted(peers)
-            self.rng.shuffle(self._ping_cycle)
-            self._ping_idx = 0
+        # The cycle is built from peers that are not dead, and members are
+        # never dropped, so only a death can leave a dead host in it.
+        if self._ping_idx >= len(self._ping_cycle) or self._death_unchecked:
+            peers = [
+                m.host
+                for m in self.members.values()
+                if m.host != self.local_host and m.status is not MemberStatus.DEAD
+            ]
+            if not peers:
+                return None
+            if self._ping_idx >= len(self._ping_cycle) or not set(
+                self._ping_cycle
+            ).issubset(peers):
+                self._ping_cycle = sorted(peers)
+                self.rng.shuffle(self._ping_cycle)
+                self._ping_idx = 0
+            self._death_unchecked = False
         host = self._ping_cycle[self._ping_idx]
         self._ping_idx += 1
-        member = self.members.get(host)
-        if member is None or member.status is MemberStatus.DEAD:
-            return self._next_ping_target()
-        return member
+        return self.members[host]
 
     def _ring_successor(self) -> Optional[MemberRecord]:
         alive = self.alive_members(include_self=False)

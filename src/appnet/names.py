@@ -184,15 +184,21 @@ def parse_answer(data: bytes) -> tuple[int, int, Optional[IPv4Address], Optional
     for _ in range(qdcount):
         _, pos = _decode_qname(data, pos)
         pos += 4
+    if pos > len(data):
+        raise DecodeError("truncated question")
     if ancount == 0:
         return qid, rcode, None, None
+    if pos == len(data):
+        raise DecodeError("truncated answer")
     # Answer name is either a compression pointer or labels.
     if data[pos] & 0xC0 == 0xC0:
         pos += 2
     else:
         _, pos = _decode_qname(data, pos)
-    rtype, rclass, ttl, rdlength = struct.unpack(">HHIH", data[pos : pos + 10])
-    pos += 10
+    # Type, class, ttl and rdlength, then an A record's 4 address bytes.
+    if pos + 14 > len(data):
+        raise DecodeError("truncated answer")
+    rtype, rclass, ttl, rdlength = struct.unpack_from(">HHIH", data, pos)
     if rtype != QTYPE_A or rdlength != 4:
         raise DecodeError(f"unexpected answer type {rtype}")
-    return qid, rcode, IPv4Address(data[pos : pos + 4]), ttl
+    return qid, rcode, IPv4Address(data[pos + 10 : pos + 14]), ttl

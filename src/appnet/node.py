@@ -128,6 +128,9 @@ class Node:
         self.now = now
         try:
             env = decode_envelope(data)
+            # Every delta is resolved before anything merges, so a bad one
+            # leaves this node as it was.
+            env.table_deltas = [self.table.decode(item) for item in env.table_deltas]
         except DecodeError:
             self.counters["envelope_decode_errors"] += 1
             return []

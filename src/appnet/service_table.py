@@ -9,6 +9,14 @@ state the larger fingerprint wins, so rival writes resolve alike everywhere.
 Retiring writes a tombstone at the next incarnation; tombstones are kept for
 TOMBSTONE_TTL ticks, long enough to outlive in-flight rumors.
 
+A delta arrives as wire bytes, and decode() resolves it before it merges.
+The record id sits at fixed offsets in those bytes, so one store lookup
+finds the resident record; when the bytes equal its encoding, the resident
+object is the answer and nothing is decoded. Most deltas repeat what the
+receiver holds, and merge finds them stale. Any other bytes, an older
+version of the same record included, go through the full decoder and its
+checks.
+
 Only an entry's id names its sole writer, so two owner clauses apply to
 entries of the local host only: a foreign tombstone of a live one is refuted
 by re-writing it above the tombstone, and a ghost of one this node no longer
@@ -50,48 +58,45 @@ EntryId = tuple[ServiceKey, HostId, str]
 Version = tuple[int, int, int]  # (incarnation, state, crc32 of the encoding)
 
 
-class _once:
-    """A property computed on first use and kept in the slot "_" + its name.
-    Kept as extra instance attributes instead, it made table scans 2x slower."""
-
-    def __init__(self, compute: Callable) -> None:
-        self.compute, self.slot = compute, "_" + compute.__name__
-
-    def __get__(self, record, owner=None):
-        if record is None:
-            return self
-        try:
-            return getattr(record, self.slot)
-        except AttributeError:
-            value = self.compute(record)
-            object.__setattr__(record, self.slot, value)
-            return value
-
-
 class _Record:
     """What the table needs of either record class.
 
-    Records are frozen, so each object computes its id, encoding and version
-    once, on first use. The stamp is the local tick of the last write: it is
-    not on the wire and takes no part in comparisons.
+    Records are frozen. A record's id, wire encoding and version are plain
+    slots, set once when it is built: a record built in memory is encoded
+    then; a decoded one keeps the bytes its writer sent, so its version is
+    the crc32 of those; a stamped copy shares its source's. The stamp is the
+    local tick of the last write: it is not on the wire and takes no part in
+    comparisons.
     """
 
-    __slots__ = ("_record_id", "_encoded", "_version")
+    __slots__ = ("record_id", "encoded", "version")
 
-    @_once
-    def encoded(self) -> bytes:
-        return encode_record(self)
+    def __post_init__(self) -> None:
+        self._seal(encode_record(self))
 
-    @_once
-    def version(self) -> Version:
-        return (self.incarnation, self.state.value, zlib.crc32(self.encoded))
+    def _seal(self, encoded: bytes):
+        object.__setattr__(self, "encoded", encoded)
+        object.__setattr__(self, "record_id", record_id_of(encoded))
+        version = (self.incarnation, self.state.value, zlib.crc32(encoded))
+        object.__setattr__(self, "version", version)
+        return self
 
     def stamped(self, now: int):
-        """This record stamped `now`, keeping its computed id, encoding and version."""
-        out = replace(self, stamp=now)
-        for name in ("record_id", "encoded", "version"):
-            object.__setattr__(out, "_" + name, getattr(self, name))
+        """This record stamped `now`, sharing its id, encoding and version."""
+        out = object.__new__(type(self))
+        for name in (*type(self).__slots__, *_Record.__slots__):
+            object.__setattr__(out, name, getattr(self, name))
+        object.__setattr__(out, "stamp", now)
         return out
+
+
+def _decoded(cls, encoded: bytes, *values):
+    """A `cls` record with these field values, in field order, sealed with the
+    bytes it was decoded from instead of being encoded again."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(record, name, value)
+    return record._seal(encoded)
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,10 +119,6 @@ class ServiceEntry(_Record):
     def entry_id(self) -> EntryId:
         return (self.key, self.host, self.app_id)
 
-    @_once
-    def record_id(self) -> bytes:
-        return entry_record_id(self.entry_id)
-
 
 @dataclass(frozen=True, slots=True)
 class GatewayBinding(_Record):
@@ -139,10 +140,6 @@ class GatewayBinding(_Record):
     def binding_id(self) -> tuple[HostId, int]:
         return (self.gateway, self.external_port)
 
-    @_once
-    def record_id(self) -> bytes:
-        return _binding_record_id(self.gateway, self.external_port)
-
 
 TableRecord = Union[ServiceEntry, GatewayBinding]
 
@@ -151,7 +148,6 @@ TableRecord = Union[ServiceEntry, GatewayBinding]
 _KIND_ENTRY = 0
 _KIND_BINDING = 1
 _ENTRY_KIND_BYTE = bytes([_KIND_ENTRY])
-_BINDING_KIND_BYTE = bytes([_KIND_BINDING])
 
 # An entry's body: vip, port, real ip, real port, host id, app id length;
 # the app id; state, incarnation, name length; the name; the tags.
@@ -170,8 +166,14 @@ def entry_record_id(entry_id: EntryId) -> bytes:
     return w.raw(host.raw).lp16(app_id.encode()).getvalue()
 
 
-def _binding_record_id(gateway: HostId, external_port: int) -> bytes:
-    return wire.Writer().u8(_KIND_BINDING).raw(gateway.raw).u16(external_port).getvalue()
+def record_id_of(data: bytes) -> bytes:
+    """The record id inside a record's wire bytes, sliced where it sits: the
+    kind, then an entry's key, host and lp16 app id, or a binding's gateway
+    and external port. Bytes too short for one give a short id; this never
+    raises."""
+    if data[:1] == _ENTRY_KIND_BYTE:
+        return data[:7] + data[13 : 31 + int.from_bytes(data[29:31], "big")]
+    return data[:1] + data[7:25]
 
 
 def _write_tags(w: wire.Writer, tags: TagSet) -> None:
@@ -200,8 +202,9 @@ def _check_end(data: bytes, pos: int, what: str) -> None:
         raise DecodeError(f"{what} ends at byte {pos} of {len(data)}")
 
 
-def encode_entry(e: ServiceEntry) -> bytes:
+def _encode_entry(e: ServiceEntry) -> bytes:
     w = wire.Writer()
+    w.u8(_KIND_ENTRY)
     w.ip4(e.key.vip).u16(e.key.port)
     w.ip4(e.real.host_ip).u16(e.real.port)
     w.raw(e.host.raw)
@@ -213,38 +216,36 @@ def encode_entry(e: ServiceEntry) -> bytes:
     return w.getvalue()
 
 
-def decode_entry(data: bytes, pos: int = 0) -> ServiceEntry:
-    """The entry whose body starts at `pos` and runs to the end of `data`."""
-    start = pos
+def _decode_entry(data: bytes) -> ServiceEntry:
     try:
-        vip, port, real_ip, real_port, host, app_len = _ENTRY_HEAD.unpack_from(data, pos)
-        app_end = pos + _ENTRY_HEAD.size + app_len
+        vip, port, real_ip, real_port, host, app_len = _ENTRY_HEAD.unpack_from(data, 1)
+        app_end = 1 + _ENTRY_HEAD.size + app_len
         app_id = data[app_end - app_len : app_end].decode()
         state, incarnation, name_len = _ENTRY_TAIL.unpack_from(data, app_end)
         pos = app_end + _ENTRY_TAIL.size + name_len
         name = data[pos - name_len : pos].decode() or None
         tags, pos = _read_tags(data, pos)
         _check_end(data, pos, "table entry")
-        entry = ServiceEntry(
-            key=ServiceKey(IPv4Address(vip), port),
-            real=RealEndpoint(IPv4Address(real_ip), real_port),
-            host=HostId(host),
-            app_id=app_id,
-            tags=tags,
-            name=name,
-            incarnation=incarnation,
-            state=EntryState(state),
+        return _decoded(
+            ServiceEntry,
+            data,
+            ServiceKey(IPv4Address(vip), port),
+            RealEndpoint(IPv4Address(real_ip), real_port),
+            HostId(host),
+            app_id,
+            tags,
+            name,
+            incarnation,
+            EntryState(state),
+            0,
         )
     except (struct.error, ValueError, InvalidTag) as exc:
         raise DecodeError(f"bad table entry: {exc}") from exc
-    # The id is the kind, then the key, host and app id as they sit here.
-    record_id = _ENTRY_KIND_BYTE + data[start : start + 6] + data[start + 12 : app_end]
-    object.__setattr__(entry, "_record_id", record_id)
-    return entry
 
 
-def encode_binding(b: GatewayBinding) -> bytes:
+def _encode_binding(b: GatewayBinding) -> bytes:
     w = wire.Writer()
+    w.u8(_KIND_BINDING)
     w.ip4(b.key.vip).u16(b.key.port)
     w.raw(b.gateway.raw)
     w.u16(b.external_port)
@@ -254,50 +255,43 @@ def encode_binding(b: GatewayBinding) -> bytes:
     return w.getvalue()
 
 
-def decode_binding(data: bytes, pos: int = 0) -> GatewayBinding:
-    """The binding whose body starts at `pos` and runs to the end of `data`."""
-    start = pos
+def _decode_binding(data: bytes) -> GatewayBinding:
     try:
         vip, port, gateway, external_port, state, incarnation = _BINDING_HEAD.unpack_from(
-            data, pos
+            data, 1
         )
-        admit, pos = _read_tags(data, pos + _BINDING_HEAD.size)
+        admit, pos = _read_tags(data, 1 + _BINDING_HEAD.size)
         _check_end(data, pos, "gateway binding")
-        binding = GatewayBinding(
-            key=ServiceKey(IPv4Address(vip), port),
-            gateway=HostId(gateway),
-            external_port=external_port,
-            state=EntryState(state),
-            incarnation=incarnation,
-            admit=admit,
+        return _decoded(
+            GatewayBinding,
+            data,
+            ServiceKey(IPv4Address(vip), port),
+            HostId(gateway),
+            external_port,
+            EntryState(state),
+            incarnation,
+            admit,
+            0,
         )
     except (struct.error, ValueError, InvalidTag) as exc:
         raise DecodeError(f"bad gateway binding: {exc}") from exc
-    # The id is the kind, then the gateway and external port as they sit here.
-    object.__setattr__(binding, "_record_id", _BINDING_KIND_BYTE + data[start + 6 : start + 24])
-    return binding
 
 
-_ENCODERS = {
-    ServiceEntry: (_KIND_ENTRY, encode_entry),
-    GatewayBinding: (_KIND_BINDING, encode_binding),
-}
-_DECODERS = {_KIND_ENTRY: decode_entry, _KIND_BINDING: decode_binding}
+_ENCODERS = {ServiceEntry: _encode_entry, GatewayBinding: _encode_binding}
+_DECODERS = {_KIND_ENTRY: _decode_entry, _KIND_BINDING: _decode_binding}
 
 
 def encode_record(record: TableRecord) -> bytes:
-    kind, encode = _ENCODERS[type(record)]
-    return bytes([kind]) + encode(record)
+    return _ENCODERS[type(record)](record)
 
 
 def decode_record(data: bytes) -> TableRecord:
+    """The record that wire bytes `data` encode, built afresh; a malformed
+    record raises DecodeError."""
     decode = _DECODERS.get(data[0]) if data else None
     if decode is None:
         raise DecodeError(f"bad table record kind {data[:1]!r}")
-    record = decode(data, 1)
-    # Decoding and encoding are inverse, so these bytes are its encoding.
-    object.__setattr__(record, "_encoded", data)
-    return record
+    return decode(data)
 
 
 class ServiceTable:
@@ -356,12 +350,15 @@ class ServiceTable:
 
     # --- local writes ---
 
-    def _write_local(self, record: TableRecord, now: int, above: int = 0) -> TableRecord:
-        """Store `record` at this node's next incarnation for it, and announce it."""
+    def _write_local(
+        self, record: TableRecord, now: int, above: int = 0, **changes
+    ) -> TableRecord:
+        """Store `record`, with `changes`, at this node's next incarnation for
+        it, and announce it."""
         store = self._stores[type(record)]
         prior = store.get(record.record_id)
         incarnation = max(prior.incarnation if prior else 0, above) + 1
-        stored = replace(record, incarnation=incarnation, stamp=now)
+        stored = replace(record, incarnation=incarnation, stamp=now, **changes)
         self._put(store, record.record_id, stored)
         if self.on_local_update is not None:
             self.on_local_update(stored)
@@ -388,7 +385,7 @@ class ServiceTable:
         resident = self._resident(record_id)
         if resident is None or resident.state is not EntryState.ALIVE:
             return False
-        self._write_local(replace(resident, state=EntryState.TOMBSTONE), now)
+        self._write_local(resident, now, state=EntryState.TOMBSTONE)
         return True
 
     def tombstone_host(self, host: HostId, now: int) -> int:
@@ -412,6 +409,16 @@ class ServiceTable:
         return len(expired)
 
     # --- replication ---
+
+    def decode(self, data: bytes) -> TableRecord:
+        """The record that the wire bytes of a delta encode. Bytes equal to the
+        encoding of the record held under their id are that record itself:
+        they are known to be well formed, so nothing is built. Any other
+        bytes go through decode_record and its checks."""
+        resident = self._resident(record_id_of(data))
+        if resident is not None and resident.encoded == data:
+            return resident
+        return decode_record(data)
 
     def merge_record(self, record: TableRecord, now: int) -> MergeOutcome:
         store = self._stores[type(record)]

@@ -320,6 +320,13 @@ def test_criterion_8_gateway_byte_conservation(tmp_path):
             assert bytes(received) == payload
             external.close()
             session = gateway.node.gateway_sessions[0]
+            # A pump counts a chunk after sending it on, so the client can
+            # hold the last byte first. Once both pumps have ended, which
+            # closing the client brings about, their counts are final.
+            deadline = time.monotonic() + 10
+            while not session.closed and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert session.closed
             assert session.ext_to_int == len(payload)
             assert session.int_to_ext == len(payload)
         finally:

@@ -5,7 +5,7 @@ import pytest
 from appnet.errors import NoGateway, NoSuchService, PortUnavailable
 from appnet.gateway import choose_gateway, pick_external_port, synthetic_client_tags
 from appnet.model import HostId, ServiceKey, TagSet
-from appnet.service_table import EntryState, GatewayBinding, decode_binding, encode_binding
+from appnet.service_table import EntryState, GatewayBinding, decode_record, encode_record
 from appnet.simharness import ScriptEvent, SimCluster
 
 HA = HostId(b"\x0a" * 16)
@@ -35,7 +35,7 @@ def test_binding_codec_round_trip():
         incarnation=4,
         admit=TagSet.from_pairs(["grp=5"]),
     )
-    assert decode_binding(encode_binding(binding)) == binding
+    assert decode_record(encode_record(binding)) == binding
 
 
 def test_synthetic_client_always_carries_external_group():

@@ -56,6 +56,14 @@ def make_gossip(host=H1, n=1, gateway=False):
     return g
 
 
+def receive(data: bytes, table: ServiceTable | None = None) -> GossipEnvelope:
+    """Decode an envelope as a node does: the envelope, then each delta."""
+    env = decode_envelope(data)
+    table = table or ServiceTable(H4)
+    env.table_deltas = [table.decode(item) for item in env.table_deltas]
+    return env
+
+
 def test_envelope_round_trip():
     env = GossipEnvelope(
         kind=EnvelopeKind.PING,
@@ -64,7 +72,7 @@ def test_envelope_round_trip():
         table_deltas=[sample_entry()],
     )
     data = encode_envelope(env)
-    decoded = decode_envelope(data)
+    decoded = receive(data)
     assert decoded.kind is EnvelopeKind.PING
     assert decoded.sender == H1
     assert [m.host for m in decoded.membership_rumors] == [H2, H3]
@@ -159,20 +167,20 @@ def _length_prefixes(data: bytes) -> list[tuple[int, int]]:
 
 def test_malformed_envelopes_raise_only_decode_error():
     data = _full_envelope()
-    decoded = decode_envelope(data)
+    decoded = receive(data)
     assert len(decoded.table_deltas) == 2 and len(decoded.sync_digest) == 2
     for cut in range(len(data)):
         with pytest.raises(DecodeError):
-            decode_envelope(data[:cut])
+            receive(data[:cut])
     with pytest.raises(DecodeError):
-        decode_envelope(data + b"\x00")
+        receive(data + b"\x00")
     prefixes = _length_prefixes(data)
     # 3 sections; 2 rumors; 2 records; app id, name, tag count and tag of
     # the entry; tag count and tag of the binding; 2 digest items and ids.
     assert len(prefixes) == 3 + 2 + 2 + 4 + 2 + 2 + 2
     for offset, width in prefixes:
         with pytest.raises(DecodeError):
-            decode_envelope(data[:offset] + (0xFFFF).to_bytes(width, "big") + data[offset + width :])
+            receive(data[:offset] + (0xFFFF).to_bytes(width, "big") + data[offset + width :])
 
 
 def _sorted_take(queue: dict, limit: int) -> list:
@@ -287,6 +295,60 @@ def test_rumor_heap_picks_what_a_full_sort_picks():
             h: budget for h, (budget, _) in model.items()
         }
     assert len(g.members) > 100 and skipped > 500
+
+
+def _rebuilding_ping_target(g):
+    """Probe choice that rebuilds the peer list and checks the cycle against
+    it on every probe, as before deaths were tracked."""
+    peers = [
+        m.host
+        for m in g.members.values()
+        if m.host != g.local_host and m.status is not MemberStatus.DEAD
+    ]
+    if not peers:
+        return None
+    if g._ping_idx >= len(g._ping_cycle) or not set(g._ping_cycle).issubset(peers):
+        g._ping_cycle = sorted(peers)
+        g.rng.shuffle(g._ping_cycle)
+        g._ping_idx = 0
+    host = g._ping_cycle[g._ping_idx]
+    g._ping_idx += 1
+    return g.members[host]
+
+
+def test_probe_cycle_picks_what_a_per_probe_rebuild_picks():
+    fast, slow = make_gossip(H1, 1), make_gossip(H1, 1)
+    rng = random.Random(12)
+    hosts: list[HostId] = []
+    deaths = picks = 0
+    for step in range(3000):
+        roll = rng.random()
+        if roll < 0.6:
+            target = fast._next_ping_target()
+            expected = _rebuilding_ping_target(slow)
+            assert (target and target.host) == (expected and expected.host)
+            picks += target is not None
+            continue
+        before = sum(m.status is MemberStatus.DEAD for m in fast.members.values())
+        joins = roll < 0.65 or not hosts
+        if joins:
+            hosts.append(HostId((step + 16).to_bytes(16, "big")))
+        host = hosts[-1] if joins else hosts[rng.randrange(len(hosts))]
+        status = rng.choice(list(MemberStatus))
+        for g in (fast, slow):
+            if joins:
+                g._merge_member(member(host, 5), step)
+            elif roll < 0.8:  # a fresher rumor: a death, a revival or a suspicion
+                old = g.members[host]
+                g._merge_member(replace(old, status=status, incarnation=old.incarnation + 1), step)
+            elif roll < 0.9:
+                g._suspect(host, step)
+            else:
+                g.suspect_timeout_sweep(step)
+        after = sum(m.status is MemberStatus.DEAD for m in fast.members.values())
+        deaths += max(0, after - before)
+    assert fast.rng.getstate() == slow.rng.getstate()
+    assert picks > 1500 and deaths > 50
 
 
 def test_single_node_emits_nothing():

@@ -86,6 +86,15 @@ def test_dns_a_query_answered():
     assert len(response) <= 512
 
 
+def test_truncated_answer_raises_only_decode_error():
+    vip = IPv4Address("240.1.2.3")
+    response = names.dns_answer(names.build_query(7, "web"), _resolver({"web": vip}))
+    assert len(response) == 37
+    for cut in range(len(response)):
+        with pytest.raises(DecodeError):
+            names.parse_answer(response[:cut])
+
+
 def test_dns_unknown_name_nxdomain():
     response = names.dns_answer(names.build_query(9, "nosuch"), _resolver({}))
     _, rcode, answer, _ = names.parse_answer(response)

@@ -1,8 +1,10 @@
+from dataclasses import replace
 from ipaddress import IPv4Address
 
 import pytest
 
 from appnet import names
+from appnet import node as node_module
 from appnet.errors import (
     AddrInUse,
     AmbiguousName,
@@ -11,7 +13,13 @@ from appnet.errors import (
     UnknownApp,
     WouldBlock,
 )
-from appnet.gossip import EnvelopeKind, GossipEnvelope, encode_envelope
+from appnet.gossip import (
+    EnvelopeKind,
+    GossipEnvelope,
+    MemberRecord,
+    MemberStatus,
+    encode_envelope,
+)
 from appnet.model import (
     AUTO_POOL,
     LINK_LOCAL_POOL,
@@ -21,7 +29,7 @@ from appnet.model import (
     TagSet,
     parse_app_spec,
 )
-from appnet.service_table import EntryState, GatewayBinding, ServiceEntry
+from appnet.service_table import EntryState, GatewayBinding, ServiceEntry, record_id_of
 from appnet.simharness import ScriptEvent, SimCluster
 from appnet.trap import HandleKind
 
@@ -259,3 +267,76 @@ def test_malformed_table_record_is_counted_and_survived(record, corrupt):
     assert record.record_id in {r.record_id for r in node.table.records()}
     cluster.run_until(3)
     assert node.counters["envelope_decode_errors"] == 1
+
+
+@pytest.mark.parametrize(
+    "record, corrupt",
+    [
+        (PEER_ENTRY, lambda r: _with_state(r, 1 + 28 + 2 + len(r.app_id))),
+        (PEER_ENTRY, lambda r: r.encoded.replace(b"grp=1", b"grp:1")),
+        (PEER_ENTRY, lambda r: r.encoded.replace(b"web", b"w\xffb")),
+        (PEER_BINDING, lambda r: _with_state(r, 1 + 24)),
+        (PEER_BINDING, lambda r: r.encoded.replace(b"grp=1", b"grp=\xff")),
+    ],
+    ids=["entry-state-7", "entry-tag-without-eq", "entry-name-not-utf8",
+         "binding-state-7", "binding-tag-not-utf8"],
+)
+def test_bad_copy_of_a_held_record_is_counted_and_nothing_merges(record, corrupt):
+    cluster, node = one_node_cluster()
+    node.on_envelope(
+        encode_envelope(GossipEnvelope(kind=EnvelopeKind.PING, sender=PEER, table_deltas=[record])),
+        PEER_ADDR,
+        1,
+    )
+    held = node.table.dump()
+    members = dict(node.gossip.members)
+    bad_record = corrupt(record)
+    # Same id as the held record, other bytes: it must be decoded, and fail.
+    assert record_id_of(bad_record) == record.record_id and bad_record != record.encoded
+    fresh = replace(PEER_ENTRY, app_id="a2")
+    stranger = MemberRecord(
+        host=HostId(b"\x03" * 16),
+        addr=RealEndpoint(IPv4Address("10.0.0.3"), 7946),
+        status=MemberStatus.ALIVE,
+        incarnation=1,
+    )
+    good = encode_envelope(GossipEnvelope(
+        kind=EnvelopeKind.PING,
+        sender=PEER,
+        membership_rumors=[stranger],
+        table_deltas=[fresh, record],
+    ))
+    bad = good.replace(record.encoded, bad_record)
+    assert bad != good
+    assert node.on_envelope(bad, PEER_ADDR, 2) == []
+    assert node.counters["envelope_decode_errors"] == 1
+    # Nothing of the envelope merged: not the fresh delta, not the rumor.
+    assert node.table.dump() == held
+    assert node.gossip.members == members
+    (reply,) = node.on_envelope(good, PEER_ADDR, 2)
+    assert reply[1].kind is EnvelopeKind.ACK
+    assert fresh.record_id in {r.record_id for r in node.table.records()}
+    assert stranger.host in node.gossip.members
+
+
+def test_deltas_flow_through_a_one_argument_decode_envelope_wrapper(monkeypatch):
+    # Tracers replace appnet.node.decode_envelope with `lambda data: ...`.
+    decode = node_module.decode_envelope
+    seen = []
+    monkeypatch.setattr(
+        node_module, "decode_envelope", lambda data: seen.append(len(data)) or decode(data)
+    )
+    cluster = SimCluster(seed=21)
+    cluster.run_until(8, [
+        ScriptEvent(0, "start", ["a"]),
+        ScriptEvent(0, "start", ["b", "join=a"]),
+        ScriptEvent(0, "start", ["c", "join=a"]),
+        ScriptEvent(1, "add", ["a", "w", "--name", "web"]),
+        ScriptEvent(2, "serve", ["w", "80"]),
+    ])
+    cluster.run_until(30)
+    assert len(seen) > 50
+    nodes = [rt.node for rt in cluster.nodes.values()]
+    assert all(n.counters["envelope_decode_errors"] == 0 for n in nodes)
+    assert len({n.dump() for n in nodes}) == 1
+    assert all(n.table.lookup_name("web") is not None for n in nodes)

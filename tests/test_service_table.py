@@ -4,7 +4,7 @@ from ipaddress import IPv4Address
 
 import pytest
 
-from appnet.errors import AmbiguousName, DuplicateAppBinding
+from appnet.errors import AmbiguousName, DecodeError, DuplicateAppBinding
 from appnet.model import HostId, RealEndpoint, ServiceKey, TagSet
 from appnet.service_table import (
     EntryState,
@@ -12,9 +12,7 @@ from appnet.service_table import (
     MergeOutcome,
     ServiceEntry,
     ServiceTable,
-    decode_entry,
     decode_record,
-    encode_entry,
     encode_record,
     entry_record_id,
 )
@@ -171,7 +169,7 @@ def test_tombstones_excluded_from_name_lookup():
 
 def test_entry_codec_round_trip():
     e = entry(name="web", tags=("grp=1", "grp=2", "env=prod"), incarnation=9)
-    assert decode_entry(encode_entry(e)) == replace(e, stamp=0)
+    assert decode_record(encode_record(e)) == replace(e, stamp=0)
 
 
 def test_decoded_records_keep_the_ids_they_were_encoded_with():
@@ -190,8 +188,47 @@ def test_decoded_records_keep_the_ids_they_were_encoded_with():
     for record in records:
         decoded = decode_record(encode_record(record))
         assert decoded == record
-        assert decoded.record_id == type(record).record_id.compute(record)
+        assert decoded.record_id == _id_from_fields(record)
     assert records[1].record_id == entry_record_id(records[1].entry_id)
+
+
+def _id_from_fields(record) -> bytes:
+    """A record id built from the record's fields, not sliced from its bytes."""
+    if isinstance(record, ServiceEntry):
+        return entry_record_id(record.entry_id)
+    return b"\x01" + record.gateway.raw + record.external_port.to_bytes(2, "big")
+
+
+def test_decode_reuses_a_held_record_only_for_its_exact_bytes():
+    table = ServiceTable(H1)
+    newer = entry(host=H2, incarnation=5, tags=("grp=1",))
+    assert table.merge_record(decode_record(newer.encoded), 0) is MergeOutcome.APPLIED
+    (held,) = table.records()
+    # The same bytes are the held object itself: nothing is built.
+    assert table.decode(newer.encoded) is held
+    assert table.merge_record(table.decode(newer.encoded), 1) is MergeOutcome.STALE
+    # An older version shares the id but not the bytes: it is decoded afresh.
+    older = replace(newer, incarnation=4)
+    assert older.record_id == held.record_id
+    resolved = table.decode(older.encoded)
+    assert resolved is not held and resolved == older
+    assert resolved.encoded == older.encoded and resolved.version == older.version
+    assert table.merge_record(resolved, 2) is MergeOutcome.STALE
+    # Bytes of no held record are decoded too, and checked.
+    other = entry(host=H3, incarnation=2)
+    assert table.decode(other.encoded) == other
+    with pytest.raises(DecodeError):
+        table.decode(other.encoded[:-1])
+    with pytest.raises(DecodeError):
+        table.decode(b"")
+
+
+def test_stamped_copy_shares_id_encoding_and_version():
+    record = entry(name="web", tags=("grp=1",))
+    copy = record.stamped(7)
+    assert copy == record and copy.stamp == 7 and record.stamp == 0
+    assert copy.encoded is record.encoded
+    assert copy.record_id is record.record_id and copy.version is record.version
 
 
 def test_dump_format_is_stable():
