@@ -27,7 +27,7 @@ from ipaddress import IPv4Address
 from appnet import names
 from appnet.model import RealEndpoint
 from appnet.node import NodeConfig
-from appnet.realnet import RealNodeRuntime, connect_shim
+from appnet.realnet import RealNodeRuntime, connect_shim, free_port
 from appnet.trap import HandleKind
 
 BENCH_SERVICE_PORT = 5001
@@ -105,12 +105,6 @@ def _hairpin_rate(client: socket.socket, size: int, seconds: float) -> float:
     return counted["bytes"] / max(elapsed, 1e-9)
 
 
-def _free_port() -> int:
-    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
-
-
 def _fast_path_pair(runtime: RealNodeRuntime) -> tuple[socket.socket, socket.socket]:
     """Establish one local connection the way a real deployment would:
     named tagged server, same-group anonymous client, resolve by name."""
@@ -154,7 +148,7 @@ def measure_local(size: int, seconds: float) -> float:
     for _ in range(ROUNDS):
         run_dir = tempfile.mkdtemp(prefix="appnet-bench-")
         config = NodeConfig(
-            bind=RealEndpoint(IPv4Address("127.0.0.1"), _free_port()),
+            bind=RealEndpoint(IPv4Address("127.0.0.1"), free_port()),
             run_dir=run_dir,
         )
         runtime = RealNodeRuntime(config, period_ms=100).start()

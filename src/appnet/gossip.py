@@ -8,9 +8,12 @@ envelope carries up to PIGGYBACK_LIMIT of each, those with the highest
 remaining budget first and, among equals, the oldest. Both queues are heaps,
 so picking costs work in proportion to the envelope, not to the queue.
 Periodic anti-entropy digests close any gaps the rumor budget leaves.
-decode_envelope leaves table deltas as wire bytes; the node resolves them all
+decode_envelope leaves table deltas and sync digest items as wire bytes, and
+the node resolves them before handle_envelope merges anything: each delta
 with ServiceTable.decode, which reuses a record the table already holds in
-those exact bytes, before handle_envelope merges anything.
+those exact bytes, and the digest with ServiceTable.read_digest, which
+compares items as bytes against the ones the table holds and parses only
+those that differ. A digest item travels as the bytes its record built once.
 Everything is driven by the owning node's loop: tick() and handle_envelope()
 mutate state and return the envelopes to send, and never touch a socket
 themselves.
@@ -28,17 +31,12 @@ import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from ipaddress import IPv4Address
-from typing import Optional
+from typing import Optional, Union
 
 from appnet import wire
 from appnet.errors import DecodeError
 from appnet.model import HostId, RealEndpoint
-from appnet.service_table import (
-    MergeOutcome,
-    ServiceTable,
-    TableRecord,
-    Version,
-)
+from appnet.service_table import MergeOutcome, PeerDigest, ServiceTable, TableRecord
 
 ENVELOPE_VERSION = 0x01
 MAX_ENVELOPE = 60000
@@ -57,10 +55,6 @@ _GATEWAY_FLAG = 0x80
 # A member rumor: host id, gossip address and port, status byte (with the
 # gateway flag), incarnation.
 _MEMBER = struct.Struct(">16sIHBQ")
-
-# A sync digest item is an lp16 record id, then the record's version:
-# incarnation, state and the crc32 of its encoding.
-_DIGEST_VERSION = struct.Struct(">QBI")
 
 
 class MemberStatus(Enum):
@@ -104,7 +98,9 @@ class GossipEnvelope:
     # Records to send; decode_envelope leaves each as its wire bytes, for the
     # receiver's ServiceTable.decode.
     table_deltas: list[TableRecord] = field(default_factory=list)
-    sync_digest: Optional[list[tuple[bytes, Version]]] = None
+    # Digest items to send; decode_envelope leaves them as wire bytes, which
+    # the receiver's ServiceTable.read_digest turns into a PeerDigest.
+    sync_digest: Optional[Union[list[bytes], PeerDigest]] = None
 
 
 def _encode_member(m: MemberRecord) -> bytes:
@@ -136,12 +132,7 @@ def encode_envelope(env: GossipEnvelope) -> bytes:
     w.raw(env.sender.raw)
     w.section([_encode_member(m) for m in env.membership_rumors])
     w.section([d.encoded for d in env.table_deltas])
-    w.section(
-        [
-            len(id_bytes).to_bytes(2, "big") + id_bytes + _DIGEST_VERSION.pack(*version)
-            for id_bytes, version in env.sync_digest or ()
-        ]
-    )
+    w.section(env.sync_digest or ())
     data = w.getvalue()
     if len(data) > MAX_ENVELOPE:
         raise ValueError(f"envelope of {len(data)} bytes exceeds {MAX_ENVELOPE}")
@@ -160,22 +151,14 @@ def decode_envelope(data: bytes) -> GossipEnvelope:
     sender = HostId(r.raw(16))
     rumors = [_decode_member(item) for item in r.section()]
     deltas = r.section()
-    digest_section = r.section()
+    digest = r.section()
     r.expect_end()
-    digest: Optional[list[tuple[bytes, Version]]] = None
-    if kind is EnvelopeKind.SYNC or digest_section:
-        digest = []
-        for item in digest_section:
-            id_end = len(item) - _DIGEST_VERSION.size
-            if id_end < 2 or int.from_bytes(item[:2], "big") != id_end - 2:
-                raise DecodeError(f"sync digest item of {len(item)} bytes is malformed")
-            digest.append((item[2:id_end], _DIGEST_VERSION.unpack_from(item, id_end)))
     return GossipEnvelope(
         kind=kind,
         sender=sender,
         membership_rumors=rumors,
         table_deltas=deltas,
-        sync_digest=digest,
+        sync_digest=digest if kind is EnvelopeKind.SYNC or digest else None,
     )
 
 
@@ -334,7 +317,7 @@ class Gossip:
         kind: EnvelopeKind,
         first_rumor: Optional[MemberRecord] = None,
         deltas: Optional[list[TableRecord]] = None,
-        digest: Optional[list[tuple[bytes, Version]]] = None,
+        digest: Optional[list[bytes]] = None,
     ) -> GossipEnvelope:
         refresh = kind in RELIABLE_KINDS
         return GossipEnvelope(
@@ -595,7 +578,7 @@ class Gossip:
     def _handle_sync(
         self, env: GossipEnvelope, now: int, source: RealEndpoint
     ) -> list[Outbound]:
-        digest = env.sync_digest or []
+        digest = env.sync_digest
         out: list[Outbound] = []
         records = self.table.records_newer_than(digest)
         for chunk in _chunk_records(records):

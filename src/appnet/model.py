@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import total_ordering
 from ipaddress import AddressValueError, IPv4Address, IPv4Network
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
@@ -34,15 +35,34 @@ class PoolClass(Enum):
     LINK_LOCAL = "link-local"
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
+@dataclass(frozen=True, slots=True)
 class HostId:
-    """Opaque 16-byte node identifier, rendered as lowercase hex."""
+    """Opaque 16-byte node identifier, rendered as lowercase hex.
+
+    Host ids key the hot membership and table dicts, so hashing, equality
+    and order work on `raw` directly, not on a field tuple; they order and
+    compare exactly as the generated methods did.
+    """
 
     raw: bytes
 
     def __post_init__(self) -> None:
         if len(self.raw) != 16:
             raise ValueError(f"host id must be 16 bytes, got {len(self.raw)}")
+
+    def __hash__(self) -> int:
+        return hash(self.raw)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is HostId:
+            return self.raw == other.raw
+        return NotImplemented
+
+    def __lt__(self, other) -> bool:
+        if other.__class__ is HostId:
+            return self.raw < other.raw
+        return NotImplemented
 
     @classmethod
     def generate(cls, rng) -> "HostId":

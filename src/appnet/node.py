@@ -128,9 +128,11 @@ class Node:
         self.now = now
         try:
             env = decode_envelope(data)
-            # Every delta is resolved before anything merges, so a bad one
-            # leaves this node as it was.
+            # Every delta and digest item is resolved before anything merges,
+            # so a bad one leaves this node as it was.
             env.table_deltas = [self.table.decode(item) for item in env.table_deltas]
+            if env.sync_digest is not None:
+                env.sync_digest = self.table.read_digest(env.sync_digest)
         except DecodeError:
             self.counters["envelope_decode_errors"] += 1
             return []

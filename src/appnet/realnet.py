@@ -60,6 +60,23 @@ class RuntimeStopped(RuntimeError):
     """The runtime shut down while a caller was waiting on its loop."""
 
 
+def free_port() -> int:
+    """A loopback port that binds for TCP and UDP both, as a daemon needs.
+    The TCP probe also skips ports that closed client connections still hold
+    in TIME_WAIT, which a UDP probe cannot see."""
+    for _ in range(100):
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as tcp:
+            tcp.bind(("127.0.0.1", 0))
+            port = tcp.getsockname()[1]
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
+                try:
+                    udp.bind(("127.0.0.1", port))
+                except OSError:
+                    continue
+                return port
+    raise RuntimeError("no loopback port free for both TCP and UDP")
+
+
 def _recv_exactly(sock: socket.socket, n: int) -> bytes:
     buf = bytearray()
     while len(buf) < n:

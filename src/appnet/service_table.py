@@ -17,6 +17,14 @@ receiver holds, and merge finds them stale. Any other bytes, an older
 version of the same record included, go through the full decoder and its
 checks.
 
+A sync digest lists one item per held record: the lp16 record id, then the
+version packed as (u64 incarnation, u8 state, u32 crc32). Each record builds
+its item once, and the table indexes held records by item, so a peer's
+digest is read by comparing bytes: an item equal to a held one says the
+peer holds exactly that record, and is skipped unparsed. Only the few items
+that differ are checked and parsed, and records_newer_than and
+digest_has_news work from those, in O(difference) Python work.
+
 Only an entry's id names its sole writer, so two owner clauses apply to
 entries of the local host only: a foreign tombstone of a live one is refuted
 by re-writing it above the tombstone, and a ghost of one this node no longer
@@ -31,7 +39,8 @@ import zlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from ipaddress import IPv4Address
-from typing import Callable, Iterable, Optional, Union
+from operator import attrgetter
+from typing import AbstractSet, Callable, NamedTuple, Optional, Union
 
 from appnet import wire
 from appnet.errors import AmbiguousName, DecodeError, DuplicateAppBinding, InvalidTag
@@ -61,15 +70,15 @@ Version = tuple[int, int, int]  # (incarnation, state, crc32 of the encoding)
 class _Record:
     """What the table needs of either record class.
 
-    Records are frozen. A record's id, wire encoding and version are plain
-    slots, set once when it is built: a record built in memory is encoded
-    then; a decoded one keeps the bytes its writer sent, so its version is
-    the crc32 of those; a stamped copy shares its source's. The stamp is the
-    local tick of the last write: it is not on the wire and takes no part in
-    comparisons.
+    Records are frozen. A record's id, wire encoding, version and sync digest
+    item are plain slots, set once when it is built: a record built in memory
+    is encoded then; a decoded one keeps the bytes its writer sent, so its
+    version is the crc32 of those; a stamped copy shares its source's. The
+    stamp is the local tick of the last write: it is not on the wire and
+    takes no part in comparisons.
     """
 
-    __slots__ = ("record_id", "encoded", "version")
+    __slots__ = ("record_id", "encoded", "version", "digest_item")
 
     def __post_init__(self) -> None:
         self._seal(encode_record(self))
@@ -79,6 +88,8 @@ class _Record:
         object.__setattr__(self, "record_id", record_id_of(encoded))
         version = (self.incarnation, self.state.value, zlib.crc32(encoded))
         object.__setattr__(self, "version", version)
+        item = _U16.pack(len(self.record_id)) + self.record_id + _DIGEST_VERSION.pack(*version)
+        object.__setattr__(self, "digest_item", item)
         return self
 
     def stamped(self, now: int):
@@ -157,6 +168,8 @@ _ENTRY_TAIL = struct.Struct(">BQH")
 # incarnation; the admit tags.
 _BINDING_HEAD = struct.Struct(">IH16sHBQ")
 _U16 = struct.Struct(">H")
+# A sync digest item's version, after its lp16 record id.
+_DIGEST_VERSION = struct.Struct(">QBI")
 
 
 def entry_record_id(entry_id: EntryId) -> bytes:
@@ -294,6 +307,16 @@ def decode_record(data: bytes) -> TableRecord:
     return decode(data)
 
 
+_BY_RECORD_ID = attrgetter("record_id")
+
+
+class PeerDigest(NamedTuple):
+    """A peer's sync digest as ServiceTable.read_digest read it."""
+
+    items: AbstractSet[bytes]  # every item, as its wire bytes
+    versions: dict[bytes, Version]  # by record id, each item not held here
+
+
 class ServiceTable:
     """One node's view of the cluster's registrations.
 
@@ -314,6 +337,8 @@ class ServiceTable:
         self._by_key: dict[ServiceKey, dict[bytes, ServiceEntry]] = {}
         self._by_name: dict[str, dict[bytes, ServiceEntry]] = {}
         self._tombstones: dict[int, dict[bytes, TableRecord]] = {}
+        # Every held record by its sync digest item, also kept by _put alone.
+        self._by_digest: dict[bytes, TableRecord] = {}
         # Called with each record this node originates or re-owns, so the
         # gossip layer can queue it for dissemination.
         self.on_local_update: Optional[Callable[[TableRecord], None]] = None
@@ -327,6 +352,7 @@ class ServiceTable:
         replaced record keeps its place in the store's order."""
         prior = store.get(record_id)
         if prior is not None:
+            del self._by_digest[prior.digest_item]
             for index, bucket in self._buckets(prior):
                 del index[bucket][record_id]
                 if not index[bucket]:
@@ -335,6 +361,7 @@ class ServiceTable:
             del store[record_id]
             return
         store[record_id] = record
+        self._by_digest[record.digest_item] = record
         for index, bucket in self._buckets(record):
             index.setdefault(bucket, {})[record_id] = record
 
@@ -511,23 +538,50 @@ class ServiceTable:
     def records(self) -> list[TableRecord]:
         return [*self._entries.values(), *self._bindings.values()]
 
-    def digest(self) -> list[tuple[bytes, Version]]:
-        return sorted((r.record_id, r.version) for r in self.records())
+    def digest(self) -> list[bytes]:
+        """The digest item of every held record, in record-id order."""
+        return [r.digest_item for r in sorted(self.records(), key=_BY_RECORD_ID)]
 
-    def records_newer_than(self, digest: Iterable[tuple[bytes, Version]]) -> list[TableRecord]:
-        """Records a peer with the given digest is missing or has older."""
-        theirs = dict(digest)
+    def read_digest(self, items: list[bytes]) -> PeerDigest:
+        """A peer's digest items, read against the digest index. An item equal
+        to a held one is well formed, and is skipped; every other item is
+        checked and parsed, in wire order. A malformed item, or a record id
+        listed twice, raises DecodeError: a digest lists each record once."""
+        theirs = set(items)
+        if len(theirs) != len(items):
+            raise DecodeError("sync digest lists an item twice")
+        unmatched = theirs - self._by_digest.keys()
+        versions: dict[bytes, Version] = {}
+        for item in filter(unmatched.__contains__, items):
+            id_end = len(item) - _DIGEST_VERSION.size
+            if id_end < 2 or _U16.unpack_from(item)[0] != id_end - 2:
+                raise DecodeError(f"sync digest item of {len(item)} bytes is malformed")
+            record_id = item[2:id_end]
+            held = self._resident(record_id)
+            if record_id in versions or (held is not None and held.digest_item in theirs):
+                raise DecodeError(f"sync digest lists record {record_id.hex()} twice")
+            versions[record_id] = _DIGEST_VERSION.unpack_from(item, id_end)
+        return PeerDigest(theirs, versions)
+
+    def records_newer_than(self, digest: PeerDigest) -> list[TableRecord]:
+        """Records a peer with the given digest is missing or has older. A
+        record that this envelope's deltas replaced after the digest was read
+        is newer than the item that matched it, so it is sent."""
+        index, versions = self._by_digest, digest.versions
         out = []
-        for record in self.records():
-            known = theirs.get(record.record_id)
+        for item in index.keys() - digest.items:
+            record = index[item]
+            known = versions.get(record.record_id)
             if known is None or known < record.version:
                 out.append(record)
-        out.sort(key=lambda r: r.record_id)
+        out.sort(key=_BY_RECORD_ID)
         return out
 
-    def digest_has_news(self, digest: Iterable[tuple[bytes, Version]]) -> bool:
-        """True when the digest shows records we lack or have older."""
-        for record_id, version in digest:
+    def digest_has_news(self, digest: PeerDigest) -> bool:
+        """True when the digest shows records we lack or have older. An item
+        that matched a held record shows nothing new, even if that record has
+        been replaced since, for a replacement is newer."""
+        for record_id, version in digest.versions.items():
             mine = self._resident(record_id)
             if mine is None or mine.version < version:
                 return True

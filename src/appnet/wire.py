@@ -7,6 +7,8 @@ from ipaddress import IPv4Address
 
 from appnet.errors import DecodeError
 
+_U16 = struct.Struct(">H")
+
 
 class Writer:
     def __init__(self) -> None:
@@ -46,12 +48,12 @@ class Writer:
 
     def section(self, items: list[bytes]) -> "Writer":
         """A u32 byte-length section of lp16-prefixed entries."""
-        body = bytearray()
-        for item in items:
-            if len(item) > 0xFFFF:
-                raise ValueError(f"section entry too large: {len(item)}")
-            body += struct.pack(">H", len(item))
-            body += item
+        pack = _U16.pack
+        try:
+            body = b"".join([pack(len(item)) + item for item in items])
+        except struct.error:
+            too_large = max(map(len, items))
+            raise ValueError(f"section entry too large: {too_large}") from None
         self.u32(len(body))
         self._buf += body
         return self
@@ -90,10 +92,14 @@ class Reader:
         if end > len(data):
             raise DecodeError(f"truncated section: {length} bytes claimed")
         items: list[bytes] = []
-        while pos < end:
-            start = pos + 2
-            pos = start + int.from_bytes(data[pos:start], "big")
-            items.append(data[start:pos])
+        append, unpack = items.append, _U16.unpack_from
+        try:
+            while pos < end:
+                start = pos + 2
+                pos = start + unpack(data, pos)[0]
+                append(data[start:pos])
+        except struct.error as exc:  # a length prefix cut off by the end of the data
+            raise DecodeError("section entries overran the section length") from exc
         if pos != end:
             raise DecodeError("section entries overran the section length")
         self._pos = end

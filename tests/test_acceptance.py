@@ -252,12 +252,7 @@ def test_criterion_7_control_data_separation():
 def test_criterion_8_gateway_byte_conservation(tmp_path):
     with criterion(8, "external TCP client echoes 1 MiB through a gateway, byte-conserving"):
         from appnet.node import NodeConfig
-        from appnet.realnet import RealNodeRuntime, connect_shim
-
-        def free_port():
-            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
-                probe.bind(("127.0.0.1", 0))
-                return probe.getsockname()[1]
+        from appnet.realnet import RealNodeRuntime, connect_shim, free_port
 
         port_a, port_b = free_port(), free_port()
         gateway = RealNodeRuntime(

@@ -1,6 +1,5 @@
 import os
 import signal
-import socket
 import subprocess
 import sys
 import time
@@ -9,14 +8,9 @@ from pathlib import Path
 import pytest
 
 from appnet.cli import EXIT_NO_DAEMON, EXIT_SPEC, main
+from appnet.realnet import free_port
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def _free_port() -> int:
-    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
 
 
 def _appnet(args, run_dir, timeout=30, **kwargs):
@@ -35,7 +29,7 @@ def _appnet(args, run_dir, timeout=30, **kwargs):
 
 @pytest.fixture
 def daemon(tmp_path):
-    port = _free_port()
+    port = free_port()
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(

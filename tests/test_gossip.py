@@ -57,11 +57,20 @@ def make_gossip(host=H1, n=1, gateway=False):
 
 
 def receive(data: bytes, table: ServiceTable | None = None) -> GossipEnvelope:
-    """Decode an envelope as a node does: the envelope, then each delta."""
+    """Decode an envelope as a node does: the envelope, then each delta and
+    the digest."""
     env = decode_envelope(data)
     table = table or ServiceTable(H4)
     env.table_deltas = [table.decode(item) for item in env.table_deltas]
+    if env.sync_digest is not None:
+        env.sync_digest = table.read_digest(env.sync_digest)
     return env
+
+
+def digest_item(record_id: bytes, version: tuple[int, int, int]) -> bytes:
+    """A sync digest item, written field by field."""
+    incarnation, state, crc = version
+    return wire.Writer().lp16(record_id).u64(incarnation).u8(state).u32(crc).getvalue()
 
 
 def test_envelope_round_trip():
@@ -88,10 +97,12 @@ def test_sync_envelope_carries_digest():
     env = GossipEnvelope(
         kind=EnvelopeKind.SYNC,
         sender=H1,
-        sync_digest=[(b"id-1", (3, 0, 7)), (b"id-2", (9, 1, 0xFFFFFFFF))],
+        sync_digest=[digest_item(b"id-1", (3, 0, 7)), digest_item(b"id-2", (9, 1, 0xFFFFFFFF))],
     )
-    decoded = decode_envelope(encode_envelope(env))
-    assert decoded.sync_digest == [(b"id-1", (3, 0, 7)), (b"id-2", (9, 1, 0xFFFFFFFF))]
+    decoded = receive(encode_envelope(env))
+    assert list(decoded.sync_digest.versions.items()) == [
+        (b"id-1", (3, 0, 7)), (b"id-2", (9, 1, 0xFFFFFFFF))
+    ]
 
 
 def test_digest_item_without_full_version_rejected():
@@ -99,7 +110,27 @@ def test_digest_item_without_full_version_rejected():
     w = wire.Writer().u8(ENVELOPE_VERSION).u8(EnvelopeKind.SYNC.value).raw(H1.raw)
     data = w.section([]).section([]).section([old_item]).getvalue()
     with pytest.raises(DecodeError):
-        decode_envelope(data)
+        receive(data)
+
+
+def test_section_bytes_and_limits():
+    items = [b"", b"a", bytes(range(256)) * 3, bytes(0xFFFF)]
+    body = b"".join(len(item).to_bytes(2, "big") + item for item in items)
+    data = wire.Writer().section(items).getvalue()
+    assert data == len(body).to_bytes(4, "big") + body
+    r = wire.Reader(data)
+    assert r.section() == items
+    r.expect_end()
+    with pytest.raises(ValueError):
+        wire.Writer().section([b"x", bytes(0x10000)])
+    for bad in (
+        b"\x00\x00\x00\x01\x00",  # a length prefix cut by the end of the data
+        b"\x00\x00\x00\x01\x00\x00",  # a prefix that runs past the section
+        b"\x00\x00\x00\x03\x00\x05abc",  # an entry that runs past the section
+        b"\x00\x00\x00\x09\x00\x01a",  # a section that runs past the data
+    ):
+        with pytest.raises(DecodeError):
+            wire.Reader(bad).section()
 
 
 def test_truncated_envelope_rejected():
@@ -127,7 +158,7 @@ def _full_envelope() -> bytes:
         sender=H1,
         membership_rumors=[member(H2, 2), member(H3, 3, MemberStatus.SUSPECT, 4, True)],
         table_deltas=records,
-        sync_digest=[(r.record_id, r.version) for r in records],
+        sync_digest=[r.digest_item for r in records],
     ))
 
 
@@ -168,7 +199,7 @@ def _length_prefixes(data: bytes) -> list[tuple[int, int]]:
 def test_malformed_envelopes_raise_only_decode_error():
     data = _full_envelope()
     decoded = receive(data)
-    assert len(decoded.table_deltas) == 2 and len(decoded.sync_digest) == 2
+    assert len(decoded.table_deltas) == 2 and len(decoded.sync_digest.versions) == 2
     for cut in range(len(data)):
         with pytest.raises(DecodeError):
             receive(data[:cut])
@@ -359,8 +390,8 @@ def test_single_node_emits_nothing():
 def test_two_nodes_ping_each_other_with_alive_records():
     a, b = make_gossip(H1, 1), make_gossip(H2, 2)
     # Introduce them as a join would.
-    a.handle_envelope(b.anti_entropy(), 0, addr(2))
-    b.handle_envelope(a.anti_entropy(), 0, addr(1))
+    a.handle_envelope(receive(encode_envelope(b.anti_entropy()), a.table), 0, addr(2))
+    b.handle_envelope(receive(encode_envelope(a.anti_entropy()), b.table), 0, addr(1))
     out_a = a.tick(1)
     out_b = b.tick(1)
     assert len(out_a) == 1 and len(out_b) == 1
@@ -375,7 +406,7 @@ def test_two_nodes_ping_each_other_with_alive_records():
 
 def test_ping_gets_ack_with_self_attestation():
     a, b = make_gossip(H1, 1), make_gossip(H2, 2)
-    a.handle_envelope(b.anti_entropy(), 0, addr(2))
+    a.handle_envelope(receive(encode_envelope(b.anti_entropy()), a.table), 0, addr(2))
     (dest, ping), = a.tick(1)
     replies = b.handle_envelope(ping, 1, addr(1))
     acks = [env for _, env in replies if env.kind is EnvelopeKind.ACK]
@@ -476,7 +507,7 @@ def test_sync_reply_returns_missing_records_and_reverse_syncs():
     # Rumor budgets long spent: only the digests can close the gap now.
     a._deltas.slots.clear()
     b._deltas.slots.clear()
-    out = b.handle_envelope(a.anti_entropy(), 1, addr(1))
+    out = b.handle_envelope(receive(encode_envelope(a.anti_entropy()), b.table), 1, addr(1))
     kinds = [env.kind for _, env in out]
     assert EnvelopeKind.SYNC_REPLY in kinds
     assert EnvelopeKind.SYNC in kinds  # b wants what a has

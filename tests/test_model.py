@@ -1,3 +1,4 @@
+import random
 from ipaddress import IPv4Address
 
 import pytest
@@ -145,3 +146,23 @@ def test_host_id_rendering_and_order():
     assert a < b
     with pytest.raises(ValueError):
         model.HostId(b"short")
+
+
+def test_host_id_compares_and_hashes_as_its_raw_bytes():
+    rng = random.Random(3)
+    ids = [model.HostId(bytes(rng.choice([0, 1, 255]) for _ in range(16))) for _ in range(200)]
+    for a, b in zip(ids, reversed(ids)):
+        assert (a == b, a != b) == (a.raw == b.raw, a.raw != b.raw)
+        assert (a < b, a <= b, a > b, a >= b) == (
+            a.raw < b.raw, a.raw <= b.raw, a.raw > b.raw, a.raw >= b.raw
+        )
+        assert (hash(a) == hash(model.HostId(a.raw))) and a == model.HostId(a.raw)
+    assert sorted(ids) == sorted(ids, key=lambda h: h.raw)
+    assert len(set(ids)) == len({h.raw for h in ids})
+    # Not equal to, nor ordered against, its bare bytes or another type.
+    assert ids[0] != ids[0].raw and ids[0] != None  # noqa: E711
+    with pytest.raises(TypeError):
+        ids[0] < ids[0].raw
+    with pytest.raises(AttributeError):
+        ids[0].raw = bytes(16)
+    assert not hasattr(ids[0], "__dict__")

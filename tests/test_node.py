@@ -319,6 +319,77 @@ def test_bad_copy_of_a_held_record_is_counted_and_nothing_merges(record, corrupt
     assert stranger.host in node.gossip.members
 
 
+def _item(record_id: bytes, version: tuple[int, int, int], id_length=None) -> bytes:
+    """A sync digest item: an lp16 record id, then incarnation, state, crc32."""
+    length = len(record_id) if id_length is None else id_length
+    incarnation, state, crc = version
+    return (
+        length.to_bytes(2, "big") + record_id + incarnation.to_bytes(8, "big")
+        + bytes([state]) + crc.to_bytes(4, "big")
+    )
+
+
+_UNHELD_ID = replace(PEER_ENTRY, app_id="a9").record_id
+
+
+@pytest.mark.parametrize(
+    "bad_items",
+    [
+        [_item(_UNHELD_ID, (1, 0, 5), id_length=len(_UNHELD_ID) + 1)],
+        [_item(_UNHELD_ID, (1, 0, 5), id_length=len(_UNHELD_ID) - 1)],
+        [_item(_UNHELD_ID, (1, 0, 5))[:-5]],
+        [b"\x00"],
+        # A held record's id again, at another version than the held item.
+        [_item(PEER_ENTRY.record_id, (2, 0, 5))],
+        # An id not held, twice, at two versions.
+        [_item(_UNHELD_ID, (1, 0, 5)), _item(_UNHELD_ID, (2, 0, 5))],
+        # One item twice.
+        [_item(_UNHELD_ID, (1, 0, 5))] * 2,
+        [PEER_ENTRY.digest_item],
+    ],
+    ids=["id-length-over", "id-length-under", "short-version", "one-byte",
+         "held-id-twice", "unheld-id-twice", "same-item-twice", "held-item-twice"],
+)
+def test_bad_digest_item_is_counted_and_nothing_merges(bad_items):
+    cluster, node = one_node_cluster()
+    node.on_envelope(
+        encode_envelope(GossipEnvelope(kind=EnvelopeKind.PING, sender=PEER, table_deltas=[PEER_ENTRY])),
+        PEER_ADDR,
+        1,
+    )
+    held = node.table.dump()
+    members = dict(node.gossip.members)
+    errors = node.counters["envelope_decode_errors"]
+    fresh = replace(PEER_ENTRY, app_id="a2")
+    stranger = MemberRecord(
+        host=HostId(b"\x03" * 16),
+        addr=RealEndpoint(IPv4Address("10.0.0.3"), 7946),
+        status=MemberStatus.ALIVE,
+        incarnation=1,
+    )
+
+    def sync(digest):
+        return encode_envelope(GossipEnvelope(
+            kind=EnvelopeKind.SYNC,
+            sender=PEER,
+            membership_rumors=[stranger],
+            table_deltas=[fresh],
+            sync_digest=digest,
+        ))
+
+    # The held item matches, unparsed; the bad ones do not.
+    assert node.on_envelope(sync([PEER_ENTRY.digest_item, *bad_items]), PEER_ADDR, 2) == []
+    assert node.counters["envelope_decode_errors"] == errors + 1
+    # Nothing of the envelope merged: not the fresh delta, not the rumor.
+    assert node.table.dump() == held
+    assert node.gossip.members == members
+    replies = node.on_envelope(sync([PEER_ENTRY.digest_item]), PEER_ADDR, 2)
+    assert EnvelopeKind.SYNC_REPLY in [env.kind for _, env in replies]
+    assert fresh.record_id in {r.record_id for r in node.table.records()}
+    assert stranger.host in node.gossip.members
+    assert node.counters["envelope_decode_errors"] == errors + 1
+
+
 def test_deltas_flow_through_a_one_argument_decode_envelope_wrapper(monkeypatch):
     # Tracers replace appnet.node.decode_envelope with `lambda data: ...`.
     decode = node_module.decode_envelope

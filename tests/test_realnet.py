@@ -10,24 +10,9 @@ from appnet import gossip
 from appnet.errors import AppNetError, BadHandle, Unidentified
 from appnet.model import RealEndpoint, ServiceKey
 from appnet.node import NodeConfig
-from appnet.realnet import ControlClient, RealNodeRuntime, connect_shim
+from appnet.realnet import ControlClient, RealNodeRuntime, connect_shim, free_port
 from appnet.switch import ChannelKind
 from appnet.trap import HandleKind
-
-
-def _free_port() -> int:
-    """A loopback port that binds for TCP and UDP both, as a daemon needs."""
-    for _ in range(100):
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as tcp:
-            tcp.bind(("127.0.0.1", 0))
-            port = tcp.getsockname()[1]
-            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
-                try:
-                    udp.bind(("127.0.0.1", port))
-                except OSError:
-                    continue
-                return port
-    raise RuntimeError("no loopback port free for both TCP and UDP")
 
 
 def _wait_for(predicate, timeout=10.0, interval=0.02):
@@ -43,7 +28,7 @@ def _wait_for(predicate, timeout=10.0, interval=0.02):
 def cluster(tmp_path):
     """Two real daemons on loopback; the second joins the first."""
     runtimes = []
-    port_a, port_b = _free_port(), _free_port()
+    port_a, port_b = free_port(), free_port()
     a = RealNodeRuntime(
         NodeConfig(
             bind=RealEndpoint(IPv4Address("127.0.0.1"), port_a),

@@ -229,6 +229,7 @@ def test_stamped_copy_shares_id_encoding_and_version():
     assert copy == record and copy.stamp == 7 and record.stamp == 0
     assert copy.encoded is record.encoded
     assert copy.record_id is record.record_id and copy.version is record.version
+    assert copy.digest_item is record.digest_item
 
 
 def test_dump_format_is_stable():
@@ -449,6 +450,9 @@ def _assert_indexes_hold_exactly_the_current_records(table):
         for bucket, records in index.items():
             for record_id, record in records.items():
                 assert record is expected[bucket][record_id]
+    assert len(table._by_digest) == len(table.records())
+    for record in table.records():
+        assert table._by_digest[record.digest_item] is record
 
 
 def _random_entry(rng, host):
@@ -519,3 +523,126 @@ def test_indexes_match_brute_force_scans():
     # Every path was taken.
     assert all(outcomes.values()), outcomes
     assert duplicates and collected and ambiguous
+
+
+# --- sync digests ---
+
+def _field_item(record) -> bytes:
+    """A digest item written field by field: lp16 record id, then the version."""
+    incarnation, state, crc = record.version
+    return (
+        len(record.record_id).to_bytes(2, "big") + record.record_id
+        + incarnation.to_bytes(8, "big") + bytes([state]) + crc.to_bytes(4, "big")
+    )
+
+
+def _tuple_digest(table):
+    """The digest as (record id, version) pairs, as sent before items were bytes."""
+    return sorted((r.record_id, r.version) for r in table.records())
+
+
+def _tuple_records_newer_than(table, digest):
+    """records_newer_than over (record id, version) pairs, as it was."""
+    theirs = dict(digest)
+    out = []
+    for record in table.records():
+        known = theirs.get(record.record_id)
+        if known is None or known < record.version:
+            out.append(record)
+    out.sort(key=lambda r: r.record_id)
+    return out
+
+
+def _tuple_digest_has_news(table, digest):
+    """digest_has_news over (record id, version) pairs, as it was."""
+    for record_id, version in digest:
+        mine = table._resident(record_id)
+        if mine is None or mine.version < version:
+            return True
+    return False
+
+
+_DIGEST_HOSTS = [H1, H2, H3]
+
+
+def _digest_pool(rng):
+    """Versions of a few entries and bindings: each base record at
+    incarnations 1-3, alive or tombstoned, with two rival encodings each."""
+    bases = [
+        entry(host=host, app_id=app, name=rng.choice([None, "web"]), tags=("grp=1",))
+        for host in _DIGEST_HOSTS for app in ("a1", "a22")
+    ] + [
+        GatewayBinding(
+            key=_KEYS[0], gateway=host, external_port=port, state=EntryState.ALIVE,
+            incarnation=1, admit=TagSet.from_pairs(["grp=1"]),
+        )
+        for host in _DIGEST_HOSTS[:2] for port in (30000, 30001)
+    ]
+    pool = {}
+    for base in bases:
+        rivals = [base, replace(base, key=_KEYS[1])] if isinstance(base, GatewayBinding) else [
+            base, replace(base, real=RealEndpoint(base.real.host_ip, base.real.port + 1))
+        ]
+        pool[base.record_id] = [
+            replace(rival, incarnation=incarnation, state=state)
+            for rival in rivals
+            for incarnation in (1, 2, 3)
+            for state in EntryState
+        ]
+    return pool
+
+
+def test_digest_items_are_the_field_by_field_bytes():
+    rng = random.Random(1)
+    table = ServiceTable(HostId(b"\x09" * 16))
+    for versions in _digest_pool(rng).values():
+        table.merge_record(rng.choice(versions), 0)
+    assert len(table.records()) == 10
+    for record in table.records():
+        assert record.digest_item == _field_item(record)
+        assert decode_record(record.encoded).digest_item == record.digest_item
+    # Record-id order, as the pairs were sorted.
+    assert table.digest() == [
+        _field_item(table._resident(record_id)) for record_id, _ in _tuple_digest(table)
+    ]
+
+
+def test_byte_digests_give_the_answers_of_tuple_digests():
+    rng = random.Random(2024)
+    pool = _digest_pool(rng)
+    local = HostId(b"\x09" * 16)
+    seen = {"equal": 0, "older": 0, "newer": 0, "ours only": 0, "theirs only": 0,
+            "news": 0, "no news": 0, "matched then replaced": 0, "tombstones": 0}
+    for _ in range(2500):
+        ours, theirs = ServiceTable(local), ServiceTable(HostId(b"\x0a" * 16))
+        for record_id, versions in pool.items():
+            mine, peer = rng.choice(versions), rng.choice(versions)
+            case = rng.choice(["equal", "ours only", "theirs only", "two", "neither"])
+            if case in ("equal", "ours only", "two"):
+                ours.merge_record(mine, 0)
+            if case == "equal":
+                theirs.merge_record(mine, 0)
+            elif case in ("theirs only", "two"):
+                theirs.merge_record(peer, 0)
+            if case == "two":
+                seen["equal" if mine.version == peer.version else
+                     "older" if mine.version < peer.version else "newer"] += 1
+            elif case != "neither":
+                seen[case] += 1
+        seen["tombstones"] += any(r.state is EntryState.TOMBSTONE for r in ours.records())
+        items, pairs = theirs.digest(), _tuple_digest(theirs)
+        assert items == [_field_item(theirs._resident(record_id)) for record_id, _ in pairs]
+        digest = ours.read_digest(items)
+        matched = {ours._by_digest[item].record_id for item in items if item in ours._by_digest}
+        assert set(digest.versions) == {record_id for record_id, _ in pairs} - matched
+        # Deltas of the same envelope merge after the digest was read; some
+        # replace a record whose item had matched.
+        for _ in range(rng.choice([0, 0, 1, 2, 3])):
+            record = rng.choice(rng.choice(list(pool.values())))
+            if ours.merge_record(record, 1) is MergeOutcome.APPLIED:
+                seen["matched then replaced"] += record.record_id in matched
+        assert ours.records_newer_than(digest) == _tuple_records_newer_than(ours, pairs)
+        news = ours.digest_has_news(digest)
+        assert news == _tuple_digest_has_news(ours, pairs)
+        seen["news" if news else "no news"] += 1
+    assert min(seen.values()) >= 50, seen

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from ipaddress import IPv4Address
 from pathlib import Path
@@ -69,6 +70,29 @@ def test_replay_determinism(name):
     first = run_script(load(name)).jsonl()
     second = run_script(load(name)).jsonl()
     assert first == second
+
+
+# sha256 prefixes of each scenario's Trace JSONL. Any change to envelope
+# bytes, gossip choices or trap replies moves them; a change that does so on
+# purpose updates the hash here and says why.
+TRACE_SHA256 = {
+    "dns.script": "8ecce108584f9d68",
+    "failover.script": "6abe178166883309",
+    "gateway.script": "f1a9c7761d5918a0",
+    "local.script": "15feae531df18e3c",
+    "partition.script": "94ccdb6dbfec3c08",
+    "three_tier.script": "b34885672b0096e2",
+}
+
+
+def test_every_scenario_has_a_pinned_trace_hash():
+    assert sorted(TRACE_SHA256) == all_scenarios()
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_SHA256))
+def test_scenario_trace_matches_pinned_hash(name):
+    jsonl = run_script(load(name)).jsonl()
+    assert hashlib.sha256(jsonl.encode()).hexdigest()[:16] == TRACE_SHA256[name]
 
 
 @pytest.mark.parametrize("name", all_scenarios())
