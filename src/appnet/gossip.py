@@ -18,9 +18,12 @@ Everything is driven by the owning node's loop: tick() and handle_envelope()
 mutate state and return the envelopes to send, and never touch a socket
 themselves.
 
-Envelope wire format: version byte 0x01, kind byte, 16-byte sender id, then
-three u32-length sections (membership rumors, table deltas, sync digest),
-each entry u16-length-prefixed, all integers big-endian.
+Envelope wire format, all integers big-endian: a header of version byte
+0x01, kind byte and 16-byte sender id, then three sections (membership
+rumors, table deltas, sync digest). This module owns the section format, a
+u32 byte length and then each item with a u16 length prefix: section()
+writes one and read_section() reads one. The header and the member rumor
+are each one struct.Struct, used both to encode and to decode.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from enum import Enum
 from ipaddress import IPv4Address
 from typing import Optional, Union
 
-from appnet import wire
 from appnet.errors import DecodeError
 from appnet.model import HostId, RealEndpoint
 from appnet.service_table import MergeOutcome, PeerDigest, ServiceTable, TableRecord
@@ -52,9 +54,14 @@ ANTI_ENTROPY_PERIOD = 10
 
 _GATEWAY_FLAG = 0x80
 
+# The envelope header: version, kind, sender id.
+_HEADER = struct.Struct(">BB16s")
 # A member rumor: host id, gossip address and port, status byte (with the
 # gateway flag), incarnation.
 _MEMBER = struct.Struct(">16sIHBQ")
+# Section lengths and the length prefix of each item in a section.
+_U32 = struct.Struct(">I")
+_U16 = struct.Struct(">H")
 
 
 class MemberStatus(Enum):
@@ -76,7 +83,7 @@ class EnvelopeKind(Enum):
 RELIABLE_KINDS = frozenset({EnvelopeKind.SYNC, EnvelopeKind.SYNC_REPLY})
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class MemberRecord:
     host: HostId
     addr: RealEndpoint
@@ -125,38 +132,70 @@ def _decode_member(data: bytes) -> MemberRecord:
     )
 
 
+def section(items) -> bytes:
+    """A u32 byte length, then each item with a u16 length prefix."""
+    pack = _U16.pack
+    try:
+        body = b"".join([pack(len(item)) + item for item in items])
+    except struct.error:
+        raise ValueError(f"section item too large: {max(map(len, items))}") from None
+    return _U32.pack(len(body)) + body
+
+
+def read_section(data: bytes, pos: int) -> tuple[list[bytes], int]:
+    """The items of the section at `pos`, and the offset after it."""
+    if pos + _U32.size > len(data):
+        raise DecodeError(f"truncated envelope: no section length at byte {pos}")
+    (length,) = _U32.unpack_from(data, pos)
+    pos += _U32.size
+    end = pos + length
+    if end > len(data):
+        raise DecodeError(f"truncated section: {length} bytes claimed")
+    items: list[bytes] = []
+    append, unpack = items.append, _U16.unpack_from
+    try:
+        while pos < end:
+            start = pos + 2
+            pos = start + unpack(data, pos)[0]
+            append(data[start:pos])
+    except struct.error as exc:  # a length prefix cut off by the end of the data
+        raise DecodeError("section items overran the section length") from exc
+    if pos != end:
+        raise DecodeError("section items overran the section length")
+    return items, end
+
+
 def encode_envelope(env: GossipEnvelope) -> bytes:
-    w = wire.Writer()
-    w.u8(ENVELOPE_VERSION)
-    w.u8(env.kind.value)
-    w.raw(env.sender.raw)
-    w.section([_encode_member(m) for m in env.membership_rumors])
-    w.section([d.encoded for d in env.table_deltas])
-    w.section(env.sync_digest or ())
-    data = w.getvalue()
+    data = b"".join((
+        _HEADER.pack(ENVELOPE_VERSION, env.kind.value, env.sender.raw),
+        section([_encode_member(m) for m in env.membership_rumors]),
+        section([d.encoded for d in env.table_deltas]),
+        section(env.sync_digest or ()),
+    ))
     if len(data) > MAX_ENVELOPE:
         raise ValueError(f"envelope of {len(data)} bytes exceeds {MAX_ENVELOPE}")
     return data
 
 
 def decode_envelope(data: bytes) -> GossipEnvelope:
-    r = wire.Reader(data)
-    version = r.u8()
+    if len(data) < _HEADER.size:
+        raise DecodeError(f"truncated envelope header: {len(data)} bytes")
+    version, kind, sender = _HEADER.unpack_from(data)
     if version != ENVELOPE_VERSION:
         raise DecodeError(f"unsupported envelope version {version}")
     try:
-        kind = EnvelopeKind(r.u8())
+        kind = EnvelopeKind(kind)
     except ValueError as exc:
         raise DecodeError("unknown envelope kind") from exc
-    sender = HostId(r.raw(16))
-    rumors = [_decode_member(item) for item in r.section()]
-    deltas = r.section()
-    digest = r.section()
-    r.expect_end()
+    rumors, pos = read_section(data, _HEADER.size)
+    deltas, pos = read_section(data, pos)
+    digest, pos = read_section(data, pos)
+    if pos != len(data):
+        raise DecodeError(f"{len(data) - pos} trailing bytes")
     return GossipEnvelope(
         kind=kind,
-        sender=sender,
-        membership_rumors=rumors,
+        sender=HostId(sender),
+        membership_rumors=[_decode_member(item) for item in rumors],
         table_deltas=deltas,
         sync_digest=digest if kind is EnvelopeKind.SYNC or digest else None,
     )
@@ -296,7 +335,7 @@ class Gossip:
             out.append(first)
             skip = first.host
         for host in self._rumors.take(PIGGYBACK_LIMIT - len(out), skip):
-            out.append(replace(self.members[host]))
+            out.append(self.members[host])
         if refresh and len(out) < PIGGYBACK_LIMIT:
             # Rotate through the full membership so ring partners eventually
             # see every record even after its rumor budget is spent.
@@ -308,7 +347,7 @@ class Gossip:
                 host = ordered[self._refresh_idx % len(ordered)]
                 self._refresh_idx += 1
                 if host not in seen:
-                    out.append(replace(self.members[host]))
+                    out.append(self.members[host])
                     seen.add(host)
         return out
 
@@ -456,9 +495,7 @@ class Gossip:
             if not state.indirect_sent and now >= state.direct_deadline:
                 state.indirect_sent = True
                 for helper in self._pick_helpers(host):
-                    env = self._envelope(
-                        EnvelopeKind.PING_REQ, first_rumor=replace(member)
-                    )
+                    env = self._envelope(EnvelopeKind.PING_REQ, first_rumor=member)
                     out.append((helper.addr, env))
             if now >= state.final_deadline:
                 del self._outstanding[host]
@@ -531,7 +568,7 @@ class Gossip:
                 self.queue_delta(record)
 
         if env.kind is EnvelopeKind.PING:
-            ack = self._envelope(EnvelopeKind.ACK, first_rumor=replace(self.local_record))
+            ack = self._envelope(EnvelopeKind.ACK, first_rumor=self.local_record)
             out.append((source, ack))
         elif env.kind is EnvelopeKind.PING_REQ:
             out.extend(self._handle_ping_req(env, now, source))
@@ -550,7 +587,7 @@ class Gossip:
         target = env.membership_rumors[0]
         if target.host == self.local_host:
             # We are the subject; answer directly.
-            return [(source, self._envelope(EnvelopeKind.ACK, first_rumor=replace(self.local_record)))]
+            return [(source, self._envelope(EnvelopeKind.ACK, first_rumor=self.local_record))]
         self._proxy[(env.sender, target.host)] = (source, now + 2)
         member = self.members.get(target.host, target)
         return [(member.addr, self._envelope(EnvelopeKind.PING))]
@@ -569,9 +606,7 @@ class Gossip:
                 del self._proxy[(origin, target)]
                 attested = self.members.get(target)
                 if attested is not None:
-                    relay = self._envelope(
-                        EnvelopeKind.ACK, first_rumor=replace(attested)
-                    )
+                    relay = self._envelope(EnvelopeKind.ACK, first_rumor=attested)
                     out.append((origin_addr, relay))
         return out
 

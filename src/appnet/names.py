@@ -48,11 +48,9 @@ def allocate_internal_ip(
     return _probe(name, taken or {}, int(AUTO_POOL.network_address), 24)
 
 
-def allocate_link_local(
-    app_id: str, taken: Mapping[IPv4Address, str] | None = None
-) -> IPv4Address:
+def allocate_link_local(app_id: str) -> IPv4Address:
     """Deterministic 169.254.x.y identity for an anonymous client."""
-    return _probe(app_id, taken or {}, int(LINK_LOCAL_POOL.network_address), 16)
+    return _probe(app_id, {}, int(LINK_LOCAL_POOL.network_address), 16)
 
 
 def _probe(key: str, taken: Mapping[IPv4Address, str], base: int, bits: int) -> IPv4Address:
@@ -70,6 +68,17 @@ def _probe(key: str, taken: Mapping[IPv4Address, str], base: int, bits: int) -> 
 
 
 # --- DNS wire format (A questions, IN class, no EDNS) ---
+
+# The header: id, flags, then the question, answer, authority and
+# additional counts.
+_HEADER = struct.Struct(">HHHHHH")
+# What follows a question's name: its type and class.
+_QTAIL = struct.Struct(">HH")
+# What follows an answer's name: type, class, ttl and data length; then the
+# data, an A record's 4 address bytes. The name the responder writes is a
+# compression pointer to the question's, right after the header.
+_ANSWER = struct.Struct(">HHIH")
+_QUESTION_POINTER = (0xC000 | _HEADER.size).to_bytes(2, "big")
 
 
 def _encode_qname(name: str) -> bytes:
@@ -107,18 +116,19 @@ def _decode_qname(data: bytes, pos: int) -> tuple[str, int]:
 
 def parse_query(data: bytes) -> tuple[int, str, int, int, bytes]:
     """Decode a single-question query into (id, name, qtype, qclass, question bytes)."""
-    if len(data) < 12:
+    if len(data) < _HEADER.size:
         raise DecodeError("query shorter than a DNS header")
-    qid, flags, qdcount, ancount, nscount, arcount = struct.unpack(">HHHHHH", data[:12])
+    qid, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data)
     if flags & 0x8000:
         raise DecodeError("not a query")
     if qdcount != 1 or ancount or nscount or arcount:
         raise DecodeError("expected exactly one question and nothing else")
-    name, pos = _decode_qname(data, 12)
-    if pos + 4 > len(data):
+    name, pos = _decode_qname(data, _HEADER.size)
+    end = pos + _QTAIL.size
+    if end > len(data):
         raise DecodeError("truncated question")
-    qtype, qclass = struct.unpack(">HH", data[pos : pos + 4])
-    return qid, name, qtype, qclass, data[12 : pos + 4]
+    qtype, qclass = _QTAIL.unpack_from(data, pos)
+    return qid, name, qtype, qclass, data[_HEADER.size : end]
 
 
 def build_response(
@@ -130,10 +140,10 @@ def build_response(
 ) -> bytes:
     ancount = 1 if answer_vip is not None else 0
     flags = 0x8400 | (rcode & 0xF)  # response, authoritative
-    out = bytearray(struct.pack(">HHHHHH", qid, flags, 1, ancount, 0, 0))
+    out = bytearray(_HEADER.pack(qid, flags, 1, ancount, 0, 0))
     out += question
     if answer_vip is not None:
-        out += struct.pack(">HHHIH", 0xC00C, QTYPE_A, QCLASS_IN, ttl, 4)
+        out += _QUESTION_POINTER + _ANSWER.pack(QTYPE_A, QCLASS_IN, ttl, 4)
         out += answer_vip.packed
     if len(out) > MAX_DNS_RESPONSE:
         raise ValueError("response exceeds 512 bytes")
@@ -148,13 +158,13 @@ def dns_answer(data: bytes, resolve: Callable[[str], Optional[IPv4Address]]) -> 
     recognizably malformed questions get FormErr. Raises DecodeError only
     when no coherent response can be formed (caller drops).
     """
-    if len(data) < 12:
+    if len(data) < _HEADER.size:
         raise DecodeError("not a DNS message")
-    qid = struct.unpack(">H", data[:2])[0]
+    qid = _HEADER.unpack_from(data)[0]
     try:
         qid, name, qtype, qclass, question = parse_query(data)
     except DecodeError:
-        return build_response(qid, b"\x00" + struct.pack(">HH", QTYPE_A, QCLASS_IN), RCODE_FORMERR)
+        return build_response(qid, b"\x00" + _QTAIL.pack(QTYPE_A, QCLASS_IN), RCODE_FORMERR)
     if qtype != QTYPE_A or qclass != QCLASS_IN:
         return build_response(qid, question, RCODE_NOTIMP)
     try:
@@ -168,22 +178,22 @@ def dns_answer(data: bytes, resolve: Callable[[str], Optional[IPv4Address]]) -> 
 
 def build_query(qid: int, name: str, qtype: int = QTYPE_A) -> bytes:
     """Client-side single-question query, as the resolver shim sends it."""
-    header = struct.pack(">HHHHHH", qid, 0x0100, 1, 0, 0, 0)
-    return header + _encode_qname(name) + struct.pack(">HH", qtype, QCLASS_IN)
+    header = _HEADER.pack(qid, 0x0100, 1, 0, 0, 0)
+    return header + _encode_qname(name) + _QTAIL.pack(qtype, QCLASS_IN)
 
 
 def parse_answer(data: bytes) -> tuple[int, int, Optional[IPv4Address], Optional[int]]:
     """Decode a response into (id, rcode, vip or None, ttl or None)."""
-    if len(data) < 12:
+    if len(data) < _HEADER.size:
         raise DecodeError("response shorter than a DNS header")
-    qid, flags, qdcount, ancount, _, _ = struct.unpack(">HHHHHH", data[:12])
+    qid, flags, qdcount, ancount, _, _ = _HEADER.unpack_from(data)
     if not flags & 0x8000:
         raise DecodeError("not a response")
     rcode = flags & 0xF
-    pos = 12
+    pos = _HEADER.size
     for _ in range(qdcount):
         _, pos = _decode_qname(data, pos)
-        pos += 4
+        pos += _QTAIL.size
     if pos > len(data):
         raise DecodeError("truncated question")
     if ancount == 0:
@@ -195,10 +205,10 @@ def parse_answer(data: bytes) -> tuple[int, int, Optional[IPv4Address], Optional
         pos += 2
     else:
         _, pos = _decode_qname(data, pos)
-    # Type, class, ttl and rdlength, then an A record's 4 address bytes.
-    if pos + 14 > len(data):
+    end = pos + _ANSWER.size + 4
+    if end > len(data):
         raise DecodeError("truncated answer")
-    rtype, rclass, ttl, rdlength = struct.unpack_from(">HHIH", data, pos)
+    rtype, rclass, ttl, rdlength = _ANSWER.unpack_from(data, pos)
     if rtype != QTYPE_A or rdlength != 4:
         raise DecodeError(f"unexpected answer type {rtype}")
-    return qid, rcode, IPv4Address(data[pos + 10 : pos + 14]), ttl
+    return qid, rcode, IPv4Address(data[end - 4 : end]), ttl

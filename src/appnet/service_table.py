@@ -9,13 +9,17 @@ state the larger fingerprint wins, so rival writes resolve alike everywhere.
 Retiring writes a tombstone at the next incarnation; tombstones are kept for
 TOMBSTONE_TTL ticks, long enough to outlive in-flight rumors.
 
+Each record kind has one wire layout, a few struct.Structs that the encoder
+packs and the decoder unpacks: the kind byte and service key open it, then
+fixed fields and lp16 strings, then the tags.
+
 A delta arrives as wire bytes, and decode() resolves it before it merges.
-The record id sits at fixed offsets in those bytes, so one store lookup
-finds the resident record; when the bytes equal its encoding, the resident
-object is the answer and nothing is decoded. Most deltas repeat what the
-receiver holds, and merge finds them stale. Any other bytes, an older
-version of the same record included, go through the full decoder and its
-checks.
+The record id sits in those bytes at offsets named by the layout's struct
+sizes, so one store lookup finds the resident record; when the bytes equal
+its encoding, the resident object is the answer and nothing is decoded.
+Most deltas repeat what the receiver holds, and merge finds them stale. Any
+other bytes, an older version of the same record included, go through the
+full decoder and its checks.
 
 A sync digest lists one item per held record: the lp16 record id, then the
 version packed as (u64 incarnation, u8 state, u32 crc32). Each record builds
@@ -28,8 +32,10 @@ digest_has_news work from those, in O(difference) Python work.
 Only an entry's id names its sole writer, so two owner clauses apply to
 entries of the local host only: a foreign tombstone of a live one is refuted
 by re-writing it above the tombstone, and a ghost of one this node no longer
-holds is rejected. A binding is written by the exposing node and released by
-its gateway, or by any node once that gateway is dead.
+holds is rejected. merge_record and digest_has_news ask the same predicate,
+so a digest item for such a ghost is not news either. A binding is written
+by the exposing node and released by its gateway, or by any node once that
+gateway is dead.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from ipaddress import IPv4Address
 from operator import attrgetter
 from typing import AbstractSet, Callable, NamedTuple, Optional, Union
 
-from appnet import wire
 from appnet.errors import AmbiguousName, DecodeError, DuplicateAppBinding, InvalidTag
 from appnet.model import AUTO_POOL, HostId, RealEndpoint, ServiceKey, TagSet
 
@@ -81,7 +86,12 @@ class _Record:
     __slots__ = ("record_id", "encoded", "version", "digest_item")
 
     def __post_init__(self) -> None:
-        self._seal(encode_record(self))
+        # A field out of its range fails to pack: an app id, name or tag over
+        # 0xFFFF bytes, or an app id too long for its lp16 digest record id.
+        try:
+            self._seal(encode_record(self))
+        except struct.error as exc:
+            raise ValueError(f"cannot encode {type(self).__name__}: {exc}") from exc
 
     def _seal(self, encoded: bytes):
         object.__setattr__(self, "encoded", encoded)
@@ -154,19 +164,26 @@ class GatewayBinding(_Record):
 
 TableRecord = Union[ServiceEntry, GatewayBinding]
 
-# --- codec: a kind byte, then the record's body ---
+# --- codec: one layout per record kind, used to encode and to decode ---
 
 _KIND_ENTRY = 0
 _KIND_BINDING = 1
 _ENTRY_KIND_BYTE = bytes([_KIND_ENTRY])
 
-# An entry's body: vip, port, real ip, real port, host id, app id length;
-# the app id; state, incarnation, name length; the name; the tags.
-_ENTRY_HEAD = struct.Struct(">IHIH16sH")
+# Every record opens with its kind byte and service key (vip, port).
+_KEY = struct.Struct(">BIH")
+# An entry: kind, key, real ip and port, host id, app id length; the app id;
+# state, incarnation, name length; the name; the tags. Its record id is its
+# head with the real endpoint cut out, then the app id.
+_ENTRY_HEAD = struct.Struct(">BIHIH16sH")
 _ENTRY_TAIL = struct.Struct(">BQH")
-# A binding's body: vip, port, gateway id, external port, state,
-# incarnation; the admit tags.
-_BINDING_HEAD = struct.Struct(">IH16sHBQ")
+_REAL = struct.Struct(">IH")
+_ENTRY_ID = struct.Struct(">BIH16sH")
+# A binding: kind, key, gateway id, external port, state, incarnation; the
+# admit tags. Its record id is the kind, then the gateway id and port that
+# follow the key.
+_BINDING_HEAD = struct.Struct(">BIH16sHBQ")
+_BINDING_ID = struct.Struct(">16sH")
 _U16 = struct.Struct(">H")
 # A sync digest item's version, after its lp16 record id.
 _DIGEST_VERSION = struct.Struct(">QBI")
@@ -175,25 +192,24 @@ _DIGEST_VERSION = struct.Struct(">QBI")
 def entry_record_id(entry_id: EntryId) -> bytes:
     """An entry's store and digest id: its kind, key, host and app id."""
     key, host, app_id = entry_id
-    w = wire.Writer().u8(_KIND_ENTRY).ip4(key.vip).u16(key.port)
-    return w.raw(host.raw).lp16(app_id.encode()).getvalue()
+    app = app_id.encode()
+    return _ENTRY_ID.pack(_KIND_ENTRY, int(key.vip), key.port, host.raw, len(app)) + app
 
 
 def record_id_of(data: bytes) -> bytes:
-    """The record id inside a record's wire bytes, sliced where it sits: the
-    kind, then an entry's key, host and lp16 app id, or a binding's gateway
-    and external port. Bytes too short for one give a short id; this never
-    raises."""
+    """The record id inside a record's wire bytes, sliced where it sits. Bytes
+    too short for one give a short id; this never raises."""
     if data[:1] == _ENTRY_KIND_BYTE:
-        return data[:7] + data[13 : 31 + int.from_bytes(data[29:31], "big")]
-    return data[:1] + data[7:25]
+        app_at = _ENTRY_HEAD.size
+        app_end = app_at + int.from_bytes(data[app_at - _U16.size : app_at], "big")
+        return data[: _KEY.size] + data[_KEY.size + _REAL.size : app_end]
+    return data[:1] + data[_KEY.size : _KEY.size + _BINDING_ID.size]
 
 
-def _write_tags(w: wire.Writer, tags: TagSet) -> None:
-    pairs = tags.pairs()
-    w.u16(len(pairs))
-    for pair in pairs:
-        w.lp16(pair.encode())
+def _tags(tags: TagSet) -> bytes:
+    """A u16 count, then each tag pair as lp16 bytes."""
+    pairs = [pair.encode() for pair in tags.pairs()]
+    return _U16.pack(len(pairs)) + b"".join([_U16.pack(len(p)) + p for p in pairs])
 
 
 def _read_tags(data: bytes, pos: int) -> tuple[TagSet, int]:
@@ -216,23 +232,19 @@ def _check_end(data: bytes, pos: int, what: str) -> None:
 
 
 def _encode_entry(e: ServiceEntry) -> bytes:
-    w = wire.Writer()
-    w.u8(_KIND_ENTRY)
-    w.ip4(e.key.vip).u16(e.key.port)
-    w.ip4(e.real.host_ip).u16(e.real.port)
-    w.raw(e.host.raw)
-    w.lp16(e.app_id.encode())
-    w.u8(e.state.value)
-    w.u64(e.incarnation)
-    w.lp16((e.name or "").encode())
-    _write_tags(w, e.tags)
-    return w.getvalue()
+    app_id, name = e.app_id.encode(), (e.name or "").encode()
+    head = _ENTRY_HEAD.pack(
+        _KIND_ENTRY, int(e.key.vip), e.key.port, int(e.real.host_ip), e.real.port,
+        e.host.raw, len(app_id),
+    )
+    tail = _ENTRY_TAIL.pack(e.state.value, e.incarnation, len(name))
+    return b"".join((head, app_id, tail, name, _tags(e.tags)))
 
 
 def _decode_entry(data: bytes) -> ServiceEntry:
     try:
-        vip, port, real_ip, real_port, host, app_len = _ENTRY_HEAD.unpack_from(data, 1)
-        app_end = 1 + _ENTRY_HEAD.size + app_len
+        _, vip, port, real_ip, real_port, host, app_len = _ENTRY_HEAD.unpack_from(data)
+        app_end = _ENTRY_HEAD.size + app_len
         app_id = data[app_end - app_len : app_end].decode()
         state, incarnation, name_len = _ENTRY_TAIL.unpack_from(data, app_end)
         pos = app_end + _ENTRY_TAIL.size + name_len
@@ -257,23 +269,17 @@ def _decode_entry(data: bytes) -> ServiceEntry:
 
 
 def _encode_binding(b: GatewayBinding) -> bytes:
-    w = wire.Writer()
-    w.u8(_KIND_BINDING)
-    w.ip4(b.key.vip).u16(b.key.port)
-    w.raw(b.gateway.raw)
-    w.u16(b.external_port)
-    w.u8(b.state.value)
-    w.u64(b.incarnation)
-    _write_tags(w, b.admit)
-    return w.getvalue()
+    head = _BINDING_HEAD.pack(
+        _KIND_BINDING, int(b.key.vip), b.key.port, b.gateway.raw, b.external_port,
+        b.state.value, b.incarnation,
+    )
+    return head + _tags(b.admit)
 
 
 def _decode_binding(data: bytes) -> GatewayBinding:
     try:
-        vip, port, gateway, external_port, state, incarnation = _BINDING_HEAD.unpack_from(
-            data, 1
-        )
-        admit, pos = _read_tags(data, 1 + _BINDING_HEAD.size)
+        _, vip, port, gateway, external_port, state, incarnation = _BINDING_HEAD.unpack_from(data)
+        admit, pos = _read_tags(data, _BINDING_HEAD.size)
         _check_end(data, pos, "gateway binding")
         return _decoded(
             GatewayBinding,
@@ -447,13 +453,20 @@ class ServiceTable:
             return resident
         return decode_record(data)
 
+    def _owns(self, record_id: bytes) -> bool:
+        """True for the id of an entry of this host, its sole writer: the one
+        test behind merge_record's owner clauses and digest_has_news."""
+        return record_id[:1] == _ENTRY_KIND_BYTE and record_id.startswith(
+            self.local_host.raw, _KEY.size
+        )
+
     def merge_record(self, record: TableRecord, now: int) -> MergeOutcome:
         store = self._stores[type(record)]
         resident = store.get(record.record_id)
-        # Only an entry's id names its sole writer, so for our own entries we
-        # refute a foreign version (say a tombstone) that would beat a live
-        # one, and reject a ghost of one we no longer hold.
-        if store is self._entries and record.host == self.local_host:
+        # For our own entries we refute a foreign version (say a tombstone)
+        # that would beat a live one, and reject a ghost of one we no longer
+        # hold.
+        if self._owns(record.record_id):
             if resident is None:
                 return MergeOutcome.STALE
             if resident.state is EntryState.ALIVE and record.version > resident.version:
@@ -580,10 +593,14 @@ class ServiceTable:
     def digest_has_news(self, digest: PeerDigest) -> bool:
         """True when the digest shows records we lack or have older. An item
         that matched a held record shows nothing new, even if that record has
-        been replaced since, for a replacement is newer."""
+        been replaced since, for a replacement is newer; nor does a ghost of
+        an entry of ours, which merge_record would reject."""
         for record_id, version in digest.versions.items():
             mine = self._resident(record_id)
-            if mine is None or mine.version < version:
+            if mine is None:
+                if not self._owns(record_id):
+                    return True
+            elif mine.version < version:
                 return True
         return False
 

@@ -1,10 +1,11 @@
 import random
+import struct
 from dataclasses import replace
 from ipaddress import IPv4Address
 
 import pytest
 
-from appnet import gossip, wire
+from appnet import gossip
 from appnet.errors import DecodeError
 from appnet.gossip import (
     ENVELOPE_VERSION,
@@ -15,9 +16,19 @@ from appnet.gossip import (
     MemberStatus,
     decode_envelope,
     encode_envelope,
+    read_section,
+    section,
 )
 from appnet.model import HostId, RealEndpoint, ServiceKey, TagSet
-from appnet.service_table import EntryState, GatewayBinding, ServiceEntry, ServiceTable
+from appnet.service_table import (
+    EntryState,
+    GatewayBinding,
+    ServiceEntry,
+    ServiceTable,
+    decode_record,
+    entry_record_id,
+    record_id_of,
+)
 
 H1 = HostId(b"\x01" * 16)
 H2 = HostId(b"\x02" * 16)
@@ -70,7 +81,7 @@ def receive(data: bytes, table: ServiceTable | None = None) -> GossipEnvelope:
 def digest_item(record_id: bytes, version: tuple[int, int, int]) -> bytes:
     """A sync digest item, written field by field."""
     incarnation, state, crc = version
-    return wire.Writer().lp16(record_id).u64(incarnation).u8(state).u32(crc).getvalue()
+    return struct.pack(">H", len(record_id)) + record_id + struct.pack(">QBI", incarnation, state, crc)
 
 
 def test_envelope_round_trip():
@@ -106,9 +117,9 @@ def test_sync_envelope_carries_digest():
 
 
 def test_digest_item_without_full_version_rejected():
-    old_item = wire.Writer().lp16(b"id-1").u64(3).getvalue()
-    w = wire.Writer().u8(ENVELOPE_VERSION).u8(EnvelopeKind.SYNC.value).raw(H1.raw)
-    data = w.section([]).section([]).section([old_item]).getvalue()
+    old_item = struct.pack(">H", 4) + b"id-1" + struct.pack(">Q", 3)
+    header = struct.pack(">BB16s", ENVELOPE_VERSION, EnvelopeKind.SYNC.value, H1.raw)
+    data = header + section([]) + section([]) + section([old_item])
     with pytest.raises(DecodeError):
         receive(data)
 
@@ -116,21 +127,20 @@ def test_digest_item_without_full_version_rejected():
 def test_section_bytes_and_limits():
     items = [b"", b"a", bytes(range(256)) * 3, bytes(0xFFFF)]
     body = b"".join(len(item).to_bytes(2, "big") + item for item in items)
-    data = wire.Writer().section(items).getvalue()
+    data = section(items)
     assert data == len(body).to_bytes(4, "big") + body
-    r = wire.Reader(data)
-    assert r.section() == items
-    r.expect_end()
+    assert read_section(b"xy" + data + b"z", 2) == (items, 2 + len(data))
     with pytest.raises(ValueError):
-        wire.Writer().section([b"x", bytes(0x10000)])
+        section([b"x", bytes(0x10000)])
     for bad in (
         b"\x00\x00\x00\x01\x00",  # a length prefix cut by the end of the data
         b"\x00\x00\x00\x01\x00\x00",  # a prefix that runs past the section
         b"\x00\x00\x00\x03\x00\x05abc",  # an entry that runs past the section
         b"\x00\x00\x00\x09\x00\x01a",  # a section that runs past the data
+        b"\x00\x00\x00",  # a section length cut by the end of the data
     ):
         with pytest.raises(DecodeError):
-            wire.Reader(bad).section()
+            read_section(bad, 0)
 
 
 def test_truncated_envelope_rejected():
@@ -140,6 +150,104 @@ def test_truncated_envelope_rejected():
             decode_envelope(data[:cut])
     with pytest.raises(DecodeError):
         decode_envelope(b"\x02" + data[1:])  # wrong version
+    with pytest.raises(DecodeError):
+        decode_envelope(data[:1] + b"\x09" + data[2:])  # unknown kind
+
+
+def test_envelope_over_max_size_rejected():
+    deltas = [replace(sample_entry(), app_id="a" * 1000 + str(i)) for i in range(60)]
+    env = GossipEnvelope(kind=EnvelopeKind.SYNC_REPLY, sender=H1, table_deltas=deltas)
+    with pytest.raises(ValueError):
+        encode_envelope(env)
+    env.table_deltas = deltas[:56]
+    size = len(encode_envelope(env))
+    # One more lp16 delta would pass the limit.
+    assert size <= gossip.MAX_ENVELOPE < size + 2 + len(deltas[56].encoded)
+
+
+# Records, a SYNC envelope that carries them, and the hex the earlier
+# field-by-field Writer codec produced for them.
+_GOLDEN_ENTRY = ServiceEntry(
+    key=ServiceKey(IPv4Address("240.0.0.7"), 80),
+    real=RealEndpoint(IPv4Address("10.0.0.2"), 41001),
+    host=HostId(bytes(range(16))),
+    app_id="a1",
+    tags=TagSet.from_pairs(["grp=1", "tier=web"]),
+    name="web",
+    incarnation=3,
+    state=EntryState.ALIVE,
+)
+_GOLDEN_BINDING = GatewayBinding(
+    key=ServiceKey(IPv4Address("240.0.0.7"), 80),
+    gateway=H3,
+    external_port=30000,
+    state=EntryState.TOMBSTONE,
+    incarnation=2,
+    admit=TagSet.from_pairs(["grp=1"]),
+)
+_GOLDEN_RECORDS = [
+    (
+        _GOLDEN_ENTRY,
+        "00f000000700500a000002a029000102030405060708090a0b0c0d0e0f000261310000"
+        "000000000000030003776562000200056772703d310008746965723d776562",
+        "00f00000070050000102030405060708090a0b0c0d0e0f00026131",
+        "001b00f00000070050000102030405060708090a0b0c0d0e0f000261310000000000"
+        "000003007feee3c9",
+    ),
+    (
+        _GOLDEN_BINDING,
+        "01f00000070050030303030303030303030303030303037530010000000000000002"
+        "000100056772703d31",
+        "01030303030303030303030303030303037530",
+        "00130103030303030303030303030303030303753000000000000000020187247019",
+    ),
+]
+_GOLDEN_SYNC = (
+    "0104010101010101010101010101010101010000002100"
+    "1f030303030303030303030303030303030a0000031f0a810000000000000004"
+    "00000071"
+    "004200f000000700500a000002a029000102030405060708090a0b0c0d0e0f0002613100"
+    "00000000000000030003776562000200056772703d310008746965723d776562"
+    "002b01f00000070050030303030303030303030303030303037530010000000000000002"
+    "000100056772703d31"
+    "00000050"
+    "002a001b00f00000070050000102030405060708090a0b0c0d0e0f000261310000000000"
+    "000003007feee3c9"
+    "002200130103030303030303030303030303030303753000000000000000020187247019"
+)
+
+
+@pytest.mark.parametrize("record,encoded,record_id,item", _GOLDEN_RECORDS)
+def test_records_encode_to_golden_bytes(record, encoded, record_id, item):
+    assert record.encoded.hex() == encoded
+    assert record.record_id.hex() == record_id
+    assert record.digest_item.hex() == item
+    decoded = decode_record(bytes.fromhex(encoded))
+    assert decoded == record and decoded.encoded == record.encoded
+    assert record_id_of(bytes.fromhex(encoded)) == bytes.fromhex(record_id)
+    assert ServiceTable(H4).read_digest([bytes.fromhex(item)]).versions == {
+        record.record_id: record.version
+    }
+    if isinstance(record, ServiceEntry):
+        assert entry_record_id(record.entry_id) == record.record_id
+
+
+def test_sync_envelope_encodes_to_golden_bytes():
+    rumor = member(H3, 3, MemberStatus.SUSPECT, 4, gateway=True)
+    records = [_GOLDEN_ENTRY, _GOLDEN_BINDING]
+    data = encode_envelope(GossipEnvelope(
+        kind=EnvelopeKind.SYNC,
+        sender=H1,
+        membership_rumors=[rumor],
+        table_deltas=records,
+        sync_digest=[r.digest_item for r in records],
+    ))
+    assert data.hex() == _GOLDEN_SYNC
+    decoded = receive(bytes.fromhex(_GOLDEN_SYNC))
+    assert (decoded.kind, decoded.sender) == (EnvelopeKind.SYNC, H1)
+    assert decoded.membership_rumors == [rumor]
+    assert decoded.table_deltas == records
+    assert decoded.sync_digest.versions == {r.record_id: r.version for r in records}
 
 
 def _full_envelope() -> bytes:

@@ -223,6 +223,62 @@ def test_decode_reuses_a_held_record_only_for_its_exact_bytes():
         table.decode(b"")
 
 
+def test_ghost_of_an_own_entry_is_neither_merged_nor_news():
+    table, peer = ServiceTable(H1), ServiceTable(H3)
+    mine = entry(host=H1)
+    table.insert_local(mine, 0)
+    held = table.records()[0]
+    peer.merge_record(held, 0)
+    table.retire(held.record_id, 1)
+    table.gc_tombstones(100)
+    assert table.records() == []
+    # The peer still holds the live entry this node has collected.
+    digest = table.read_digest(peer.digest())
+    assert list(digest.versions) == [held.record_id]
+    assert not table.digest_has_news(digest)
+    assert table.merge_record(held, 101) is MergeOutcome.STALE
+    # Missing records of other hosts, entry or binding, are news.
+    for theirs in (entry(host=H2), _binding(gateway=H1)):
+        peer.merge_record(theirs, 0)
+        assert table.digest_has_news(table.read_digest(peer.digest()))
+        assert table.merge_record(theirs, 101) is MergeOutcome.APPLIED
+
+
+def _binding(gateway=H2, admit=()):
+    return GatewayBinding(
+        key=ServiceKey(IPv4Address("10.9.0.1"), 7777),
+        gateway=gateway,
+        external_port=30080,
+        state=EntryState.ALIVE,
+        incarnation=1,
+        admit=TagSet.from_pairs(list(admit)),
+    )
+
+
+def _raw_tags(value: str) -> TagSet:
+    """A tag set built without TagSet.from_pairs and its length checks."""
+    return TagSet({"grp": frozenset([value])})
+
+
+@pytest.mark.parametrize("build", [
+    lambda big: entry(app_id=big),
+    lambda big: entry(name=big),
+    lambda big: replace(entry(), tags=_raw_tags(big)),
+    lambda big: replace(_binding(), admit=_raw_tags(big)),
+])
+def test_record_fields_over_0xffff_bytes_raise_value_error(build):
+    build("a" * 0xFF00)  # near the limit still encodes
+    with pytest.raises(ValueError):
+        build("a" * 0x10000)
+
+
+def test_app_id_too_long_for_its_digest_item_raises_value_error():
+    # The app id fits its lp16 field, but the record id, which adds the
+    # kind, key, host and length prefix, does not fit the digest item's.
+    with pytest.raises(ValueError):
+        entry(app_id="a" * 0xFFF0)
+
+
 def test_stamped_copy_shares_id_encoding_and_version():
     record = entry(name="web", tags=("grp=1",))
     copy = record.stamped(7)

@@ -101,6 +101,26 @@ def test_no_real_endpoints_in_trap_replies(name):
     assert real_endpoint_leaks(trace, cluster.host_ips) == []
 
 
+def test_ghosts_of_collected_entries_do_not_sync_forever():
+    """Each side of a partition removes its apps, and after the heal each
+    peer holds a ghost of an entry the other side's owner has removed. A
+    digest item for an entry its owner no longer holds is not news to that
+    owner, which rejects it, so the SYNCs that follow end; counting it as
+    news made two such peers answer SYNC with SYNC until the pump gave up."""
+    lines = ["seed 1", "tick 0 start n0"]
+    lines += [f"tick 0 start n{i} join=n0" for i in range(1, 4)]
+    lines += [f"tick 2 add n{i} a{i} --name s{i}" for i in range(4)]
+    lines += [f"tick 3 serve a{i} 80" for i in range(4)]
+    lines += ["tick 10 partition n0,n1|n2,n3"]
+    lines += [f"tick 11 remove a{i}" for i in range(4)]
+    lines += ["tick 14 heal"]
+    script = parse_script("\n".join(lines))
+    cluster = SimCluster(seed=script.seed, profile=script.profile)
+    cluster.run_until(150, script.events)
+    dumps = {rt.node.table.dump() for rt in cluster.nodes.values()}
+    assert len(dumps) == 1
+
+
 def test_failed_assertion_reports_tick_and_diff():
     script = parse_script(
         "seed 3\ntick 0 start n1\ntick 1 add n1 a --ip 10.0.5.5\n"
@@ -181,9 +201,9 @@ def test_sixteen_node_convergence_with_loss():
 def _churn_events(seed: int) -> list[ScriptEvent]:
     """Seeded registrations and removals over nodes n0-n7, and a partition
     healed 15 ticks later. Removals start at tick 15 and the run ends at tick
-    45, before any tombstone is collected: removals past TOMBSTONE_TTL can
-    still livelock anti-entropy in a SYNC ping-pong that trips the pump
-    guard, an open defect this test is not about."""
+    45, before any tombstone is collected: past TOMBSTONE_TTL, nodes keep
+    ghosts of tombstones their owners have collected, an open defect this
+    test is not about."""
     rng = random.Random(seed)
     events, live = [], []
     for tick in range(1, 44):
