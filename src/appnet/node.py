@@ -38,7 +38,7 @@ from appnet.model import (
     ServiceKey,
     TagSet,
 )
-from appnet.service_table import EntryState, GatewayBinding, ServiceTable, entry_record_id
+from appnet.service_table import EntryState, GatewayBinding, ServiceTable
 from appnet.switch import SelectionStrategy, Switch
 from appnet.trap import InProcChannel, TrapReply, TrapRequest
 
@@ -107,7 +107,7 @@ class Node:
         )
         self._apps: dict[str, _App] = {}
         self._app_seq = 0
-        self._external_listeners: dict[tuple[HostId, int], object] = {}
+        self._external_listeners: dict[bytes, object] = {}  # by binding record id
         self.gateway_sessions: list[GatewaySession] = []
         # Backend hook: wire up byte pumping for a fresh gateway session.
         self.start_pump: Optional[Callable[[GatewaySession], None]] = None
@@ -193,11 +193,7 @@ class Node:
         if app.channel is not None:
             app.channel.detached = True
         served = self.switch.unregister_app(app_id)
-        count = 0
-        for entry_id in served:
-            if self.table.retire(entry_record_id(entry_id), self.now):
-                count += 1
-        return count
+        return sum(self.table.retire(record_id, self.now) for record_id in served)
 
     def app_ids(self) -> list[str]:
         return sorted(self._apps)
@@ -265,36 +261,34 @@ class Node:
         return member is not None and member.status is MemberStatus.ALIVE
 
     def _reconcile_gateway_listeners(self) -> None:
-        wanted: dict[tuple[HostId, int], GatewayBinding] = {}
+        wanted: dict[bytes, GatewayBinding] = {}
         for binding in self.table.active_bindings():
             if binding.gateway != self.host:
                 continue
             if not self.table.lookup(binding.key):
                 # Exposure outlived its service; withdraw it.
                 self.table.retire(binding.record_id, self.now)
-                self._close_sessions(binding.binding_id)
+                self._close_sessions(binding.record_id)
                 continue
-            wanted[binding.binding_id] = binding
-        for binding_id in list(self._external_listeners):
-            if binding_id not in wanted:
-                self.fabric.close_listener(self._external_listeners.pop(binding_id))
-                self._close_sessions(binding_id)
-        for binding_id, binding in wanted.items():
-            if binding_id not in self._external_listeners:
+            wanted[binding.record_id] = binding
+        for record_id in list(self._external_listeners):
+            if record_id not in wanted:
+                self.fabric.close_listener(self._external_listeners.pop(record_id))
+                self._close_sessions(record_id)
+        for record_id, binding in wanted.items():
+            if record_id not in self._external_listeners:
                 token = self.fabric.bind_external(
                     binding.external_port,
                     lambda transport, b=binding: self._on_external_conn(b, transport),
                 )
-                self._external_listeners[binding_id] = token
+                self._external_listeners[record_id] = token
 
-    def _close_sessions(self, binding_id: tuple[HostId, int]) -> None:
+    def _close_sessions(self, record_id: bytes) -> None:
         for session in self.gateway_sessions:
-            if session.binding.binding_id == binding_id and not session.closed:
+            if session.binding.record_id == record_id and not session.closed:
                 session.closed = True
-                for transport in (session.external, session.internal):
-                    close = getattr(transport, "close", None)
-                    if close is not None:
-                        close()
+                session.external.close()
+                session.internal.close()
 
     def _on_external_conn(self, binding: GatewayBinding, transport) -> None:
         synth_id = f"gw.{self.host.hex[:6]}.{binding.external_port}"
@@ -308,9 +302,7 @@ class Node:
             )
         except AppNetError:
             # Upstream refusal or policy denial resets the external peer.
-            close = getattr(transport, "close", None)
-            if close is not None:
-                close()
+            transport.close()
             return
         session = GatewaySession(binding=binding, external=transport, internal=internal)
         self.gateway_sessions.append(session)

@@ -43,7 +43,7 @@ from appnet.errors import (
 from appnet.gossip import PERIOD_MS, RELIABLE_KINDS, encode_envelope
 from appnet.model import HostId, RealEndpoint, parse_app_spec
 from appnet.node import GatewaySession, Node, NodeConfig
-from appnet.switch import PREAMBLE_SIZE, decode_preamble
+from appnet.switch import PREAMBLE_SIZE
 from appnet.trap import SocketShim, TrapReply, TrapRequest
 
 _SYNC_FRAME = struct.Struct(">I")
@@ -405,8 +405,8 @@ class RealNodeRuntime:
                 self,
                 conn,
                 lambda _buf: PREAMBLE_SIZE,
-                lambda stream, frame: on_inbound(stream.detach(), decode_preamble(frame)),
-                on_close=lambda stream: on_inbound(stream.sock, None),
+                lambda stream, frame: on_inbound(stream.detach(), frame),
+                on_close=lambda stream: on_inbound(stream.sock, b""),
                 idle=PREAMBLE_TIMEOUT,
             )
 
@@ -416,12 +416,7 @@ class RealNodeRuntime:
     def bind_dgram(self, on_dgram) -> tuple[RealEndpoint, object]:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.bind((str(self.config.bind.host_ip), 0))
-
-        def received(data: bytes, _addr) -> None:
-            peer = decode_preamble(data[:PREAMBLE_SIZE])
-            on_dgram(peer, data if peer is None else data[PREAMBLE_SIZE:])
-
-        self._watch(sock, lambda: sock.recvfrom(65535), received)
+        self._watch(sock, lambda: sock.recvfrom(65535), lambda data, _addr: on_dgram(data))
         return RealEndpoint(self.config.bind.host_ip, sock.getsockname()[1]), sock
 
     def close_listener(self, token: object) -> None:

@@ -13,6 +13,11 @@ Each record kind has one wire layout, a few struct.Structs that the encoder
 packs and the decoder unpacks: the kind byte and service key open it, then
 fixed fields and lp16 strings, then the tags.
 
+Every record has one name, its record id: the kind byte and key, then the
+host and app id of an entry or the gateway id and port of a binding. The
+table keeps all records in one store keyed by it; the switch and the node
+name what they serve and expose by it too.
+
 A delta arrives as wire bytes, and decode() resolves it before it merges.
 The record id sits in those bytes at offsets named by the layout's struct
 sizes, so one store lookup finds the resident record; when the bytes equal
@@ -68,7 +73,6 @@ class MergeOutcome(Enum):
     REFUTED = "refuted"
 
 
-EntryId = tuple[ServiceKey, HostId, str]
 Version = tuple[int, int, int]  # (incarnation, state, crc32 of the encoding)
 
 
@@ -136,10 +140,6 @@ class ServiceEntry(_Record):
     def owner(self) -> HostId:
         return self.host
 
-    @property
-    def entry_id(self) -> EntryId:
-        return (self.key, self.host, self.app_id)
-
 
 @dataclass(frozen=True, slots=True)
 class GatewayBinding(_Record):
@@ -156,10 +156,6 @@ class GatewayBinding(_Record):
     @property
     def owner(self) -> HostId:
         return self.gateway
-
-    @property
-    def binding_id(self) -> tuple[HostId, int]:
-        return (self.gateway, self.external_port)
 
 
 TableRecord = Union[ServiceEntry, GatewayBinding]
@@ -178,7 +174,6 @@ _KEY = struct.Struct(">BIH")
 _ENTRY_HEAD = struct.Struct(">BIHIH16sH")
 _ENTRY_TAIL = struct.Struct(">BQH")
 _REAL = struct.Struct(">IH")
-_ENTRY_ID = struct.Struct(">BIH16sH")
 # A binding: kind, key, gateway id, external port, state, incarnation; the
 # admit tags. Its record id is the kind, then the gateway id and port that
 # follow the key.
@@ -187,13 +182,6 @@ _BINDING_ID = struct.Struct(">16sH")
 _U16 = struct.Struct(">H")
 # A sync digest item's version, after its lp16 record id.
 _DIGEST_VERSION = struct.Struct(">QBI")
-
-
-def entry_record_id(entry_id: EntryId) -> bytes:
-    """An entry's store and digest id: its kind, key, host and app id."""
-    key, host, app_id = entry_id
-    app = app_id.encode()
-    return _ENTRY_ID.pack(_KIND_ENTRY, int(key.vip), key.port, host.raw, len(app)) + app
 
 
 def record_id_of(data: bytes) -> bytes:
@@ -332,12 +320,10 @@ class ServiceTable:
 
     def __init__(self, local_host: HostId) -> None:
         self.local_host = local_host
-        # One store per record class, keyed by record id, so that scans of
-        # entries never walk bindings.
-        self._entries: dict[bytes, ServiceEntry] = {}
-        self._bindings: dict[bytes, GatewayBinding] = {}
-        self._stores = {ServiceEntry: self._entries, GatewayBinding: self._bindings}
-        # Indexes over the stores, kept by _put alone: live entries by key and
+        # Every held record by record id. The kind byte opens each id, so
+        # entries and bindings never collide.
+        self._records: dict[bytes, TableRecord] = {}
+        # Indexes over the store, kept by _put alone: live entries by key and
         # by lower-cased name, and tombstones of either class by stamp. Each
         # bucket maps record id to record; an emptied bucket is dropped.
         self._by_key: dict[ServiceKey, dict[bytes, ServiceEntry]] = {}
@@ -349,14 +335,11 @@ class ServiceTable:
         # gossip layer can queue it for dissemination.
         self.on_local_update: Optional[Callable[[TableRecord], None]] = None
 
-    def _resident(self, record_id: bytes) -> Optional[TableRecord]:
-        return self._entries.get(record_id) or self._bindings.get(record_id)
-
-    def _put(self, store: dict, record_id: bytes, record: Optional[TableRecord]) -> None:
-        """The one write to a store: put `record` under `record_id`, or delete
+    def _put(self, record_id: bytes, record: Optional[TableRecord]) -> None:
+        """The one write to the store: put `record` under `record_id`, or delete
         what is there when `record` is None, keeping the indexes in step. A
         replaced record keeps its place in the store's order."""
-        prior = store.get(record_id)
+        prior = self._records.get(record_id)
         if prior is not None:
             del self._by_digest[prior.digest_item]
             for index, bucket in self._buckets(prior):
@@ -364,9 +347,9 @@ class ServiceTable:
                 if not index[bucket]:
                     del index[bucket]
         if record is None:
-            del store[record_id]
+            del self._records[record_id]
             return
-        store[record_id] = record
+        self._records[record_id] = record
         self._by_digest[record.digest_item] = record
         for index, bucket in self._buckets(record):
             index.setdefault(bucket, {})[record_id] = record
@@ -388,16 +371,16 @@ class ServiceTable:
     ) -> TableRecord:
         """Store `record`, with `changes`, at this node's next incarnation for
         it, and announce it."""
-        store = self._stores[type(record)]
-        prior = store.get(record.record_id)
+        prior = self._records.get(record.record_id)
         incarnation = max(prior.incarnation if prior else 0, above) + 1
         stored = replace(record, incarnation=incarnation, stamp=now, **changes)
-        self._put(store, record.record_id, stored)
+        self._put(record.record_id, stored)
         if self.on_local_update is not None:
             self.on_local_update(stored)
         return stored
 
-    def insert_local(self, entry: ServiceEntry, now: int) -> MergeOutcome:
+    def insert_local(self, entry: ServiceEntry, now: int) -> ServiceEntry:
+        """Register a live entry of this node; returns the entry as stored."""
         if entry.host != self.local_host:
             raise ValueError("insert_local is for entries this node owns")
         if entry.state is not EntryState.ALIVE:
@@ -407,15 +390,14 @@ class ServiceTable:
                 raise DuplicateAppBinding(
                     f"app {entry.app_id} already holds {entry.key}"
                 )
-        self._write_local(entry, now)
-        return MergeOutcome.APPLIED
+        return self._write_local(entry, now)
 
     def insert_binding(self, binding: GatewayBinding, now: int) -> GatewayBinding:
         return self._write_local(binding, now)
 
     def retire(self, record_id: bytes, now: int) -> bool:
         """Tombstone a live entry or release an active binding."""
-        resident = self._resident(record_id)
+        resident = self._records.get(record_id)
         if resident is None or resident.state is not EntryState.ALIVE:
             return False
         self._write_local(resident, now, state=EntryState.TOMBSTONE)
@@ -438,7 +420,7 @@ class ServiceTable:
             for r in bucket.values()
         ]
         for record in expired:
-            self._put(self._stores[type(record)], record.record_id, None)
+            self._put(record.record_id, None)
         return len(expired)
 
     # --- replication ---
@@ -448,7 +430,7 @@ class ServiceTable:
         encoding of the record held under their id are that record itself:
         they are known to be well formed, so nothing is built. Any other
         bytes go through decode_record and its checks."""
-        resident = self._resident(record_id_of(data))
+        resident = self._records.get(record_id_of(data))
         if resident is not None and resident.encoded == data:
             return resident
         return decode_record(data)
@@ -461,8 +443,7 @@ class ServiceTable:
         )
 
     def merge_record(self, record: TableRecord, now: int) -> MergeOutcome:
-        store = self._stores[type(record)]
-        resident = store.get(record.record_id)
+        resident = self._records.get(record.record_id)
         # For our own entries we refute a foreign version (say a tombstone)
         # that would beat a live one, and reject a ghost of one we no longer
         # hold.
@@ -474,7 +455,7 @@ class ServiceTable:
                 return MergeOutcome.REFUTED
         if resident is not None and record.version <= resident.version:
             return MergeOutcome.STALE
-        self._put(store, record.record_id, record.stamped(now))
+        self._put(record.record_id, record.stamped(now))
         return MergeOutcome.APPLIED
 
     # --- lookups ---
@@ -492,33 +473,26 @@ class ServiceTable:
             raise AmbiguousName(f"name {name!r} maps to {sorted(map(str, vips))}")
         return vips.pop()
 
+    def _held(self, cls: type) -> list:
+        """Every held record of class `cls`, live or not."""
+        return [r for r in self._records.values() if type(r) is cls]
+
+    def _live(self, index: dict[object, dict[bytes, ServiceEntry]]) -> list[ServiceEntry]:
+        """Every live entry in `index`, _by_key or _by_name."""
+        return [e for bucket in index.values() for e in bucket.values()]
+
     def alive_entries(self) -> list[ServiceEntry]:
-        return sorted(
-            (e for e in self._entries.values() if e.state is EntryState.ALIVE),
-            key=lambda e: (e.key, e.host, e.app_id),
-        )
+        return sorted(self._live(self._by_key), key=lambda e: (e.key, e.host, e.app_id))
 
     def entries_for_app(self, host: HostId, app_id: str) -> list[ServiceEntry]:
-        return [
-            e
-            for e in self._entries.values()
-            if e.host == host and e.app_id == app_id and e.state is EntryState.ALIVE
-        ]
+        return [e for e in self._live(self._by_key) if e.host == host and e.app_id == app_id]
 
     def auto_allocations(self) -> dict[IPv4Address, str]:
         """AutoPool vips currently claimed by live named entries."""
-        return {
-            e.key.vip: e.name
-            for e in self._entries.values()
-            if e.state is EntryState.ALIVE and e.name and e.key.vip in AUTO_POOL
-        }
+        return {e.key.vip: e.name for e in self._live(self._by_name) if e.key.vip in AUTO_POOL}
 
     def used_service_ports(self, vip: IPv4Address) -> set[int]:
-        return {
-            e.key.port
-            for e in self._entries.values()
-            if e.state is EntryState.ALIVE and e.key.vip == vip
-        }
+        return {key.port for key in self._by_key if key.vip == vip}
 
     def next_free_service_port(self, vip: IPv4Address) -> int:
         used = self.used_service_ports(vip)
@@ -529,7 +503,7 @@ class ServiceTable:
 
     def active_bindings(self) -> list[GatewayBinding]:
         return sorted(
-            (b for b in self._bindings.values() if b.state is EntryState.ALIVE),
+            (b for b in self._held(GatewayBinding) if b.state is EntryState.ALIVE),
             key=lambda b: (b.gateway, b.external_port),
         )
 
@@ -540,16 +514,13 @@ class ServiceTable:
         return None
 
     def external_ports_taken(self, gateway: HostId) -> set[int]:
-        return {
-            b.external_port
-            for b in self._bindings.values()
-            if b.gateway == gateway and b.state is EntryState.ALIVE
-        }
+        return {b.external_port for b in self.active_bindings() if b.gateway == gateway}
 
     # --- sync support ---
 
     def records(self) -> list[TableRecord]:
-        return [*self._entries.values(), *self._bindings.values()]
+        """Every held record, in the order first stored."""
+        return list(self._records.values())
 
     def digest(self) -> list[bytes]:
         """The digest item of every held record, in record-id order."""
@@ -570,7 +541,7 @@ class ServiceTable:
             if id_end < 2 or _U16.unpack_from(item)[0] != id_end - 2:
                 raise DecodeError(f"sync digest item of {len(item)} bytes is malformed")
             record_id = item[2:id_end]
-            held = self._resident(record_id)
+            held = self._records.get(record_id)
             if record_id in versions or (held is not None and held.digest_item in theirs):
                 raise DecodeError(f"sync digest lists record {record_id.hex()} twice")
             versions[record_id] = _DIGEST_VERSION.unpack_from(item, id_end)
@@ -596,7 +567,7 @@ class ServiceTable:
         been replaced since, for a replacement is newer; nor does a ghost of
         an entry of ours, which merge_record would reject."""
         for record_id, version in digest.versions.items():
-            mine = self._resident(record_id)
+            mine = self._records.get(record_id)
             if mine is None:
                 if not self._owns(record_id):
                     return True
@@ -607,9 +578,7 @@ class ServiceTable:
     # --- presentation ---
 
     def snapshot(self) -> list[ServiceEntry]:
-        return sorted(
-            self._entries.values(), key=lambda e: (e.key, e.host, e.app_id)
-        )
+        return sorted(self._held(ServiceEntry), key=lambda e: (e.key, e.host, e.app_id))
 
     def dump(self) -> str:
         """One line per entry, then one per binding, tab-separated, in a stable order."""
@@ -621,6 +590,6 @@ class ServiceTable:
         rows += [
             ["binding", str(b.key), f"{b.gateway.hex}:{b.external_port}",
              b.state.name.lower(), str(b.incarnation), str(b.admit)]
-            for b in sorted(self._bindings.values(), key=lambda b: b.record_id)
+            for b in sorted(self._held(GatewayBinding), key=_BY_RECORD_ID)
         ]
         return "\n".join("\t".join(row) for row in rows)

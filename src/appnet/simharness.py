@@ -425,7 +425,7 @@ class SimCluster:
             return "nosuchservice"
         real = entries[0].real
         try:
-            transport = self.network.connect_stream(rt.host_ip, real, None)
+            transport = self.network.connect_stream(rt.host_ip, real, b"")
         except ConnRefused:
             status = "refused"
         else:

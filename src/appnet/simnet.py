@@ -16,8 +16,6 @@ from typing import Callable, Optional
 
 from appnet.errors import ConnRefused
 from appnet.model import RealEndpoint
-from appnet.switch import PREAMBLE_SIZE, decode_preamble
-from appnet.trap import Addr
 
 GOSSIP_PORT = 7946
 EPHEMERAL_BASE = 40000
@@ -133,7 +131,7 @@ class SimNetwork:
             RealEndpoint, Callable[[bytes, RealEndpoint], None]
         ] = {}
         self._stream_listeners: dict[
-            RealEndpoint, Callable[[SimStream, Optional[bytes]], None]
+            RealEndpoint, Callable[[SimStream, bytes], None]
         ] = {}
         self._external_listeners: dict[RealEndpoint, Callable[[SimStream], None]] = {}
         self._queue: list[_InFlight] = []
@@ -244,7 +242,7 @@ class SimNetwork:
     def listen_stream(
         self,
         endpoint: RealEndpoint,
-        cb: Callable[[SimStream, Optional[bytes]], None],
+        cb: Callable[[SimStream, bytes], None],
     ) -> None:
         self._stream_listeners[endpoint] = cb
 
@@ -252,7 +250,7 @@ class SimNetwork:
         self._stream_listeners.pop(endpoint, None)
 
     def connect_stream(
-        self, source_ip: IPv4Address, dest: RealEndpoint, preamble: Optional[bytes]
+        self, source_ip: IPv4Address, dest: RealEndpoint, preamble: bytes
     ) -> SimStream:
         if self.blocked(source_ip, dest.host_ip):
             raise ConnRefused(f"{dest} unreachable from {source_ip}")
@@ -297,27 +295,12 @@ class SimFabric:
 
     def bind_stream(self, on_inbound) -> tuple[RealEndpoint, object]:
         endpoint = RealEndpoint(self.host_ip, self.network.allocate_port(self.host_ip))
-
-        def arrival(transport: SimStream, preamble: Optional[bytes]) -> None:
-            peer = decode_preamble(preamble) if preamble else None
-            on_inbound(transport, peer)
-
-        self.network.listen_stream(endpoint, arrival)
+        self.network.listen_stream(endpoint, on_inbound)
         return endpoint, ("stream", endpoint)
 
     def bind_dgram(self, on_dgram) -> tuple[RealEndpoint, object]:
         endpoint = RealEndpoint(self.host_ip, self.network.allocate_port(self.host_ip))
-
-        def arrival(data: bytes, _source: RealEndpoint) -> None:
-            peer: Optional[Addr] = None
-            payload = data
-            if len(data) >= PREAMBLE_SIZE:
-                peer = decode_preamble(data[:PREAMBLE_SIZE])
-                if peer is not None:
-                    payload = data[PREAMBLE_SIZE:]
-            on_dgram(peer, payload)
-
-        self.network.listen_dgram(endpoint, arrival)
+        self.network.listen_dgram(endpoint, lambda data, _source: on_dgram(data))
         return endpoint, ("dgram", endpoint)
 
     def close_listener(self, token) -> None:

@@ -34,7 +34,7 @@ from appnet.errors import (
     WouldBlock,
 )
 from appnet.model import AppIdentity, HostId, RealEndpoint, ServiceKey, TagSet
-from appnet.service_table import EntryId, EntryState, ServiceEntry, ServiceTable, entry_record_id
+from appnet.service_table import EntryState, ServiceEntry, ServiceTable
 from appnet.trap import (
     MAX_DGRAM,
     Addr,
@@ -154,14 +154,19 @@ def selection_order(
 
 
 class Fabric(Protocol):
-    """Transport primitives a backend supplies to its node's switch."""
+    """Transport primitives a backend supplies to its node's switch.
+
+    Inbound traffic reaches the switch as sent: a stream with the preamble
+    bytes read before it (fewer when the peer stopped short), a datagram
+    whole. The switch alone decodes the preamble.
+    """
 
     def bind_stream(
-        self, on_inbound: Callable[[object, Optional[Addr]], None]
+        self, on_inbound: Callable[[object, bytes], None]
     ) -> tuple[RealEndpoint, object]: ...
 
     def bind_dgram(
-        self, on_dgram: Callable[[Optional[Addr], bytes], None]
+        self, on_dgram: Callable[[bytes], None]
     ) -> tuple[RealEndpoint, object]: ...
 
     def close_listener(self, token: object) -> None: ...
@@ -177,12 +182,12 @@ class Fabric(Protocol):
 class _HandleState:
     vh: VHandle
     key: Optional[ServiceKey] = None
-    real: Optional[RealEndpoint] = None
+    record_id: Optional[bytes] = None  # of the entry this handle serves
     listener_token: Optional[object] = None
     meta: Optional[ConnMeta] = None
     accept_queue: deque = field(default_factory=deque)
     recv_queue: deque = field(default_factory=deque)
-    pins: dict[ServiceKey, EntryId] = field(default_factory=dict)
+    pins: dict[ServiceKey, bytes] = field(default_factory=dict)  # record ids
     connected_peer: Optional[Addr] = None
 
 
@@ -210,7 +215,8 @@ class Switch:
         self.strategy = strategy
         self.clock = clock
         self._apps: dict[str, _AppState] = {}
-        self._local_services: dict[EntryId, tuple[str, int]] = {}
+        # (app id, handle id) serving each local entry, by record id.
+        self._local_services: dict[bytes, tuple[str, int]] = {}
         self._rr_counters: dict[tuple[str, ServiceKey], int] = {}
         self.data_path_bytes = 0  # only the gateway proxy ever adds to this
         self.counters = {
@@ -228,19 +234,16 @@ class Switch:
             raise AddrInUse(f"app {identity.app_id} already registered")
         self._apps[identity.app_id] = _AppState(identity=identity)
 
-    def unregister_app(self, app_id: str) -> list[EntryId]:
-        """Drop an app's handles; returns the service entries it was serving."""
+    def unregister_app(self, app_id: str) -> list[bytes]:
+        """Drop an app's handles; returns the record ids of the entries it was serving."""
         state = self._apps.pop(app_id, None)
         if state is None:
             return []
         served = []
         for hs in state.handles.values():
-            if hs.listener_token is not None:
-                self.fabric.close_listener(hs.listener_token)
-            if hs.key is not None:
-                entry_id = (hs.key, self.local_host, app_id)
-                self._local_services.pop(entry_id, None)
-                served.append(entry_id)
+            self._release(hs)
+            if hs.record_id is not None:
+                served.append(hs.record_id)
             self._notify(app_id, hs.vh.id)
         return served
 
@@ -313,14 +316,14 @@ class Switch:
                 raise AddrInUse(f"{key} already bound by this app")
         if hs.vh.kind is HandleKind.STREAM:
             real, token = self.fabric.bind_stream(
-                lambda transport, peer, hid=hs.vh.id, aid=app.app_id: (
-                    self._on_inbound_stream(aid, hid, transport, peer)
+                lambda transport, preamble, hid=hs.vh.id, aid=app.app_id: (
+                    self._on_inbound_stream(aid, hid, transport, decode_preamble(preamble))
                 )
             )
         else:
             real, token = self.fabric.bind_dgram(
-                lambda peer, payload, hid=hs.vh.id, aid=app.app_id: (
-                    self._on_inbound_dgram(aid, hid, peer, payload)
+                lambda data, hid=hs.vh.id, aid=app.app_id: self._on_inbound_dgram(
+                    aid, hid, decode_preamble(data[:PREAMBLE_SIZE]), data[PREAMBLE_SIZE:]
                 )
             )
         entry = ServiceEntry(
@@ -334,18 +337,15 @@ class Switch:
             state=EntryState.ALIVE,
         )
         try:
-            self.table.insert_local(entry, self.clock())
+            stored = self.table.insert_local(entry, self.clock())
         except AppNetError:
             self.fabric.close_listener(token)
             raise
         hs.key = key
-        hs.real = real
+        hs.record_id = stored.record_id
         hs.listener_token = token
         hs.vh.role = HandleRole.BOUND
-        self._local_services[(key, self.local_host, app.app_id)] = (
-            app.app_id,
-            hs.vh.id,
-        )
+        self._local_services[stored.record_id] = (app.app_id, hs.vh.id)
         return TrapReply(addr=(key.vip, key.port)), None
 
     def _op_listen(self, hs: _HandleState) -> tuple[TrapReply, None]:
@@ -441,9 +441,9 @@ class Switch:
     def _connect_local(self, entry: ServiceEntry, client_virtual: Addr) -> object:
         # The serving handle lives in this same switch; hand it the server
         # end of a fresh local pair so the node stays off the data path.
-        owner = self._local_services.get(entry.entry_id)
+        owner = self._local_services.get(entry.record_id)
         if owner is None:
-            raise ConnRefused(f"{entry.entry_id} is not served here anymore")
+            raise ConnRefused(f"{entry.key} is not served here anymore")
         app_id, handle_id = owner
         server_state = self._apps[app_id].handles.get(handle_id)
         if server_state is None or server_state.vh.role is not HandleRole.LISTENING:
@@ -504,7 +504,7 @@ class Switch:
     ) -> tuple[TrapReply, None]:
         """Connected UDP: pin the selection and filter inbound to that peer."""
         order = self._resolve(state.identity.app_id, state.identity.spec.tags, key)
-        hs.pins[key] = order[0].entry_id
+        hs.pins[key] = order[0].record_id
         hs.connected_peer = (key.vip, key.port)
         return TrapReply(handle=hs.vh.id), None
 
@@ -527,7 +527,7 @@ class Switch:
         entry = self._pinned_entry(state, hs, key)
         source = (app.effective_vip, self._client_service_port(state))
         if entry.host == self.local_host:
-            owner = self._local_services.get(entry.entry_id)
+            owner = self._local_services.get(entry.record_id)
             if owner is None:
                 raise NoSuchService(f"{key} is not served here anymore")
             self._on_inbound_dgram(owner[0], owner[1], source, req.payload)
@@ -543,11 +543,11 @@ class Switch:
         pinned = hs.pins.get(key)
         if pinned is not None:
             for entry in self.table.lookup(key):
-                if entry.entry_id == pinned:
+                if entry.record_id == pinned:
                     return entry
             del hs.pins[key]  # pinned instance is gone; select afresh
         order = self._resolve(state.identity.app_id, state.identity.spec.tags, key)
-        hs.pins[key] = order[0].entry_id
+        hs.pins[key] = order[0].record_id
         return order[0]
 
     def _answer_dns(
@@ -582,15 +582,23 @@ class Switch:
     def _op_close(
         self, state: _AppState, hs: _HandleState
     ) -> tuple[TrapReply, None]:
-        if hs.listener_token is not None:
-            self.fabric.close_listener(hs.listener_token)
-        if hs.key is not None:
-            entry_id = (hs.key, self.local_host, state.identity.app_id)
-            self._local_services.pop(entry_id, None)
-            self.table.retire(entry_record_id(entry_id), self.clock())
+        self._release(hs)
+        if hs.record_id is not None:
+            self.table.retire(hs.record_id, self.clock())
         del state.handles[hs.vh.id]
         self._notify(state.identity.app_id, hs.vh.id)
         return TrapReply(), None
+
+    def _release(self, hs: _HandleState) -> None:
+        """Close a handle's listener and the connections queued on it, and stop
+        serving its entry here. Like a kernel closing a listen socket, this
+        resets the connections the app never accepted."""
+        if hs.listener_token is not None:
+            self.fabric.close_listener(hs.listener_token)
+        while hs.accept_queue:
+            hs.accept_queue.popleft()[0].close()
+        if hs.record_id is not None:
+            self._local_services.pop(hs.record_id, None)
 
     # --- inbound from the fabric ---
 
@@ -601,9 +609,7 @@ class Switch:
         if hs is None or hs.vh.role is not HandleRole.LISTENING or peer is None:
             # Unidentified or unexpected arrivals never reach the application.
             self.counters["streams_refused_unidentified"] += 1
-            close = getattr(transport, "close", None)
-            if close is not None:
-                close()
+            transport.close()
             return
         hs.accept_queue.append((transport, peer, ChannelKind.REMOTE))
         self._notify(app_id, handle_id)

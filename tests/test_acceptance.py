@@ -249,6 +249,17 @@ def test_criterion_7_control_data_separation():
         assert small_relay == 0 and large_relay == 0
 
 
+def _listening(runtime, port) -> bool:
+    """True once the gateway listens for its binding of external `port`: its
+    listeners are keyed by the binding's record id."""
+    node = runtime.node
+    return runtime.in_loop(lambda: any(
+        b.record_id in node._external_listeners
+        for b in node.table.active_bindings()
+        if b.gateway == node.host and b.external_port == port
+    ))
+
+
 def test_criterion_8_gateway_byte_conservation(tmp_path):
     with criterion(8, "external TCP client echoes 1 MiB through a gateway, byte-conserving"):
         from appnet.node import NodeConfig
@@ -292,7 +303,7 @@ def test_criterion_8_gateway_byte_conservation(tmp_path):
             threading.Thread(target=echo, daemon=True).start()
             deadline = time.monotonic() + 15
             while time.monotonic() < deadline:
-                if (gateway.node.host, 31500) in gateway.node._external_listeners:
+                if _listening(gateway, 31500):
                     break
                 time.sleep(0.05)
 
@@ -364,14 +375,14 @@ def _random_entry(rng) -> ServiceEntry:
 def _oracle(events):
     best = {}
     for e in events:
-        key = e.entry_id
+        key = e.record_id
         if key not in best or (e.incarnation, e.host) > (best[key].incarnation, best[key].host):
             best[key] = e
     return {k: (v.incarnation, v.state) for k, v in best.items()}
 
 
 def _view(table):
-    return {e.entry_id: (e.incarnation, e.state) for e in table.snapshot()}
+    return {e.record_id: (e.incarnation, e.state) for e in table.snapshot()}
 
 
 def test_criterion_10_merge_property_suite():

@@ -26,7 +26,6 @@ from appnet.service_table import (
     ServiceEntry,
     ServiceTable,
     decode_record,
-    entry_record_id,
     record_id_of,
 )
 
@@ -228,8 +227,6 @@ def test_records_encode_to_golden_bytes(record, encoded, record_id, item):
     assert ServiceTable(H4).read_digest([bytes.fromhex(item)]).versions == {
         record.record_id: record.version
     }
-    if isinstance(record, ServiceEntry):
-        assert entry_record_id(record.entry_id) == record.record_id
 
 
 def test_sync_envelope_encodes_to_golden_bytes():

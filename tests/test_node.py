@@ -160,6 +160,41 @@ def test_close_of_listening_handle_withdraws_service():
     assert node.table.lookup(key) == []
 
 
+@pytest.mark.parametrize("how", ["close", "remove_app"])
+def test_closing_a_listener_resets_the_connections_it_never_accepted(how):
+    cluster = SimCluster(seed=12)
+    cluster.run_until(1, [
+        ScriptEvent(0, "start", ["a"]),
+        ScriptEvent(0, "start", ["b", "join=a"]),
+        ScriptEvent(1, "add", ["a", "srv", "--ip", "10.1.1.1"]),
+        ScriptEvent(1, "add", ["a", "near", "--ip", "10.1.1.2"]),
+        ScriptEvent(1, "add", ["b", "far", "--ip", "10.1.1.3"]),
+    ])
+    # Bound outside the harness's serve, so nothing ever accepts on it.
+    server = cluster.apps["srv"].shim
+    handle = server.socket(HandleKind.STREAM)
+    server.bind(handle, (IPv4Address("0.0.0.0"), 80))
+    server.listen(handle)
+    key = ServiceKey(IPv4Address("10.1.1.1"), 80)
+    cluster.run_until(10)
+    assert cluster.nodes["b"].node.table.lookup(key)
+    clients = []
+    for label, channel in (("near", "local"), ("far", "remote")):
+        assert cluster.connect(label, (key.vip, key.port))["channel"] == channel
+        clients.append(cluster.apps[label].last_transport)
+    node = cluster.nodes["a"].node
+    assert node.switch.pending_accepts("srv", handle) == 2
+    assert not any(client.peer_closed for client in clients)
+    if how == "close":
+        server.close(handle)
+    else:
+        node.remove_app("srv")
+    for client in clients:
+        assert client.peer_closed
+        with pytest.raises(BrokenPipeError):
+            client.write(b"hello")
+
+
 def _final_entry_state(cluster, label):
     node = cluster.nodes[label].node
     return {

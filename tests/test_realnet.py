@@ -24,6 +24,17 @@ def _wait_for(predicate, timeout=10.0, interval=0.02):
     return False
 
 
+def _listening(runtime, port) -> bool:
+    """True once the gateway listens for its binding of external `port`: its
+    listeners are keyed by the binding's record id."""
+    node = runtime.node
+    return runtime.in_loop(lambda: any(
+        b.record_id in node._external_listeners
+        for b in node.table.active_bindings()
+        if b.gateway == node.host and b.external_port == port
+    ))
+
+
 @pytest.fixture
 def cluster(tmp_path):
     """Two real daemons on loopback; the second joins the first."""
@@ -219,7 +230,7 @@ def test_gateway_proxies_external_tcp(cluster):
     _serve_echo(server, 4004)
     binding_key = ServiceKey(IPv4Address("10.50.0.9"), 4004)
     assert _wait_for(lambda: a.node.table.binding_for_key(binding_key) is not None)
-    assert _wait_for(lambda: (a.node.host, 31000) in a.node._external_listeners)
+    assert _wait_for(lambda: _listening(a, 31000))
 
     payload = b"\xcd" * (1 << 20)
     external = socket.create_connection(("127.0.0.1", 31000), timeout=5)
@@ -400,7 +411,7 @@ def test_gateway_sessions_never_wait_on_a_missed_wakeup(cluster):
     info = b.add_app(["--ip", "10.50.0.11", "--name", "quick", "--expose", "31010"])
     server = connect_shim(info["trap"])
     thread = _serve_and_drop(server, 4006, reply=True)
-    assert _wait_for(lambda: (a.node.host, 31010) in a.node._external_listeners)
+    assert _wait_for(lambda: _listening(a, 31010))
 
     session_s = []
     for _ in range(100):

@@ -14,7 +14,6 @@ from appnet.service_table import (
     ServiceTable,
     decode_record,
     encode_record,
-    entry_record_id,
 )
 
 H1 = HostId(b"\x01" * 16)
@@ -47,7 +46,8 @@ def entry(
 
 def test_insert_then_lookup():
     table = ServiceTable(H1)
-    assert table.insert_local(entry(), 0) is MergeOutcome.APPLIED
+    stored = table.insert_local(entry(), 0)
+    assert table.records() == [stored] and stored.incarnation == 1
     found = table.lookup(ServiceKey(IPv4Address("10.1.1.1"), 80))
     assert len(found) == 1
     assert found[0].real.port == 41712
@@ -189,13 +189,16 @@ def test_decoded_records_keep_the_ids_they_were_encoded_with():
         decoded = decode_record(encode_record(record))
         assert decoded == record
         assert decoded.record_id == _id_from_fields(record)
-    assert records[1].record_id == entry_record_id(records[1].entry_id)
 
 
 def _id_from_fields(record) -> bytes:
     """A record id built from the record's fields, not sliced from its bytes."""
     if isinstance(record, ServiceEntry):
-        return entry_record_id(record.entry_id)
+        app = record.app_id.encode()
+        return b"".join((
+            b"\x00", record.key.vip.packed, record.key.port.to_bytes(2, "big"),
+            record.host.raw, len(app).to_bytes(2, "big"), app,
+        ))
     return b"\x01" + record.gateway.raw + record.external_port.to_bytes(2, "big")
 
 
@@ -366,7 +369,7 @@ def _random_events(rng, hosts, n_events):
 def _oracle_view(events):
     best = {}
     for e in events:
-        key = e.entry_id
+        key = e.record_id
         if key not in best or (e.incarnation, e.host) > (
             best[key].incarnation,
             best[key].host,
@@ -378,7 +381,7 @@ def _oracle_view(events):
 
 
 def _table_view(table):
-    return {e.entry_id: (e.incarnation, e.state) for e in table.snapshot()}
+    return {e.record_id: (e.incarnation, e.state) for e in table.snapshot()}
 
 
 def test_merge_convergence_matches_oracle():
@@ -537,7 +540,9 @@ def test_indexes_match_brute_force_scans():
                 with pytest.raises(DuplicateAppBinding):
                     table.insert_local(fresh, now)
             else:
-                assert table.insert_local(fresh, now) is MergeOutcome.APPLIED
+                stored = table.insert_local(fresh, now)
+                assert stored.record_id == fresh.record_id
+                assert any(e is stored for e in table.lookup(fresh.key))
         elif step < 0.4 and table.records():
             target = rng.choice(table.records())
             was_alive = target.state is EntryState.ALIVE
@@ -612,7 +617,7 @@ def _tuple_records_newer_than(table, digest):
 def _tuple_digest_has_news(table, digest):
     """digest_has_news over (record id, version) pairs, as it was."""
     for record_id, version in digest:
-        mine = table._resident(record_id)
+        mine = table._records.get(record_id)
         if mine is None or mine.version < version:
             return True
     return False
@@ -659,7 +664,7 @@ def test_digest_items_are_the_field_by_field_bytes():
         assert decode_record(record.encoded).digest_item == record.digest_item
     # Record-id order, as the pairs were sorted.
     assert table.digest() == [
-        _field_item(table._resident(record_id)) for record_id, _ in _tuple_digest(table)
+        _field_item(table._records.get(record_id)) for record_id, _ in _tuple_digest(table)
     ]
 
 
@@ -687,7 +692,7 @@ def test_byte_digests_give_the_answers_of_tuple_digests():
                 seen[case] += 1
         seen["tombstones"] += any(r.state is EntryState.TOMBSTONE for r in ours.records())
         items, pairs = theirs.digest(), _tuple_digest(theirs)
-        assert items == [_field_item(theirs._resident(record_id)) for record_id, _ in pairs]
+        assert items == [_field_item(theirs._records.get(record_id)) for record_id, _ in pairs]
         digest = ours.read_digest(items)
         matched = {ours._by_digest[item].record_id for item in items if item in ours._by_digest}
         assert set(digest.versions) == {record_id for record_id, _ in pairs} - matched
