@@ -7,13 +7,25 @@ queue rule: each is retransmitted a logarithmic number of times, and an
 envelope carries up to PIGGYBACK_LIMIT of each, those with the highest
 remaining budget first and, among equals, the oldest. Both queues are heaps,
 so picking costs work in proportion to the envelope, not to the queue.
-Periodic anti-entropy digests close any gaps the rumor budget leaves.
+Periodic anti-entropy closes any gaps the rumor budget leaves, in rounds
+that cost work and bytes in proportion to what differs, not to the table:
+  1. anti_entropy() sends a SYNC whose digest is the table's bucket hashes;
+  2. a peer whose hashes all match answers with one empty SYNC_REPLY;
+     otherwise it answers with narrow SYNCs, which list its digest items in
+     the buckets that differ;
+  3. a narrow SYNC is answered with SYNC_REPLYs carrying the records the
+     sender lacks or has older, and, if it shows records the receiver
+     lacks, with narrow SYNCs of the receiver's own items in those buckets;
+     if neither, with one empty SYNC_REPLY.
+Narrow SYNCs are split by bucket, and replies by record, to stay under
+MAX_ENVELOPE, so a joiner with an empty table syncs a table of any size
+whose buckets each hold less than CHUNK_LIMIT bytes of items (some 800
+records a bucket).
 decode_envelope leaves table deltas and sync digest items as wire bytes, and
 the node resolves them before handle_envelope merges anything: each delta
 with ServiceTable.decode, which reuses a record the table already holds in
 those exact bytes, and the digest with ServiceTable.read_digest, which
-compares items as bytes against the ones the table holds and parses only
-those that differ. A digest item travels as the bytes its record built once.
+checks either form and parses a narrow digest's few items.
 Everything is driven by the owning node's loop: tick() and handle_envelope()
 mutate state and return the envelopes to send, and never touch a socket
 themselves.
@@ -23,7 +35,9 @@ Envelope wire format, all integers big-endian: a header of version byte
 rumors, table deltas, sync digest). This module owns the section format, a
 u32 byte length and then each item with a u16 length prefix: section()
 writes one and read_section() reads one. The header and the member rumor
-are each one struct.Struct, used both to encode and to decode.
+are each one struct.Struct, used both to encode and to decode. A sync
+digest section holds one item of BUCKETS u64 bucket hashes, or a bitmap of
+buckets and then digest items; ServiceTable writes and reads both forms.
 """
 
 from __future__ import annotations
@@ -34,14 +48,24 @@ import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from ipaddress import IPv4Address
+from operator import attrgetter
 from typing import Optional, Union
 
 from appnet.errors import DecodeError
 from appnet.model import HostId, RealEndpoint
-from appnet.service_table import MergeOutcome, PeerDigest, ServiceTable, TableRecord
+from appnet.service_table import (
+    MergeOutcome,
+    PeerDigest,
+    ServiceTable,
+    TableRecord,
+    chunked,
+)
 
 ENVELOPE_VERSION = 0x01
 MAX_ENVELOPE = 60000
+# Bytes of records, or of digest items, that one SYNC_REPLY or narrow SYNC
+# lists; the rest of MAX_ENVELOPE is room for the header, rumors and deltas.
+CHUNK_LIMIT = 48000
 
 # Desk-scale protocol constants; one tick is one protocol period
 # (200 ms of wall clock when running over real sockets).
@@ -59,6 +83,8 @@ _HEADER = struct.Struct(">BB16s")
 # A member rumor: host id, gossip address and port, status byte (with the
 # gateway flag), incarnation.
 _MEMBER = struct.Struct(">16sIHBQ")
+# Host ids in their order, compared as bytes rather than through HostId.
+_RAW = attrgetter("raw")
 # Section lengths and the length prefix of each item in a section.
 _U32 = struct.Struct(">I")
 _U16 = struct.Struct(">H")
@@ -105,8 +131,9 @@ class GossipEnvelope:
     # Records to send; decode_envelope leaves each as its wire bytes, for the
     # receiver's ServiceTable.decode.
     table_deltas: list[TableRecord] = field(default_factory=list)
-    # Digest items to send; decode_envelope leaves them as wire bytes, which
-    # the receiver's ServiceTable.read_digest turns into a PeerDigest.
+    # Digest items to send, the bucket hashes or a narrow digest;
+    # decode_envelope leaves them as wire bytes, which the receiver's
+    # ServiceTable.read_digest turns into a PeerDigest.
     sync_digest: Optional[Union[list[bytes], PeerDigest]] = None
 
 
@@ -340,7 +367,7 @@ class Gossip:
             # Rotate through the full membership so ring partners eventually
             # see every record even after its rumor budget is spent.
             seen = {m.host for m in out}
-            ordered = sorted(self.members)
+            ordered = sorted(self.members, key=_RAW)
             for _ in range(len(ordered)):
                 if len(out) >= PIGGYBACK_LIMIT:
                     break
@@ -614,34 +641,29 @@ class Gossip:
         self, env: GossipEnvelope, now: int, source: RealEndpoint
     ) -> list[Outbound]:
         digest = env.sync_digest
+        if digest.hashes is not None:
+            differ = self.table.differing_buckets(digest.hashes)
+            if not differ:
+                return [(source, self._envelope(EnvelopeKind.SYNC_REPLY, deltas=[]))]
+            return [(source, sync) for sync in self._narrow_syncs(differ)]
         out: list[Outbound] = []
         records = self.table.records_newer_than(digest)
-        for chunk in _chunk_records(records):
+        for chunk in chunked(records, lambda r: len(r.encoded) + 2, CHUNK_LIMIT):
             reply = self._envelope(EnvelopeKind.SYNC_REPLY, deltas=chunk)
             out.append((source, reply))
-        if not records:
-            out.append((source, self._envelope(EnvelopeKind.SYNC_REPLY, deltas=[])))
         if self.table.digest_has_news(digest):
-            out.append((source, self.anti_entropy()))
+            out.extend((source, sync) for sync in self._narrow_syncs(digest.buckets))
+        if not out:
+            out.append((source, self._envelope(EnvelopeKind.SYNC_REPLY, deltas=[])))
         return out
 
+    def _narrow_syncs(self, buckets: list[int]) -> list[GossipEnvelope]:
+        """SYNCs that list our digest items in `buckets`."""
+        return [
+            self._envelope(EnvelopeKind.SYNC, digest=items)
+            for items in self.table.narrow_digests(buckets, CHUNK_LIMIT)
+        ]
+
     def anti_entropy(self) -> GossipEnvelope:
-        """A digest of everything we hold; the peer answers with what we lack."""
-        return self._envelope(EnvelopeKind.SYNC, digest=self.table.digest())
-
-
-def _chunk_records(records: list[TableRecord], limit: int = 48000) -> list[list[TableRecord]]:
-    chunks: list[list[TableRecord]] = []
-    current: list[TableRecord] = []
-    size = 0
-    for record in records:
-        encoded = len(record.encoded) + 2
-        if current and size + encoded > limit:
-            chunks.append(current)
-            current = []
-            size = 0
-        current.append(record)
-        size += encoded
-    if current:
-        chunks.append(current)
-    return chunks
+        """A SYNC of our bucket hashes; the peer answers with what differs."""
+        return self._envelope(EnvelopeKind.SYNC, digest=[self.table.digest()])

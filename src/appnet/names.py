@@ -45,7 +45,7 @@ def allocate_internal_ip(
     name: str, taken: Mapping[IPv4Address, str] | None = None
 ) -> IPv4Address:
     """Deterministic 240.x.y.z vip for a named application."""
-    return _probe(name, taken or {}, int(AUTO_POOL.network_address), 24)
+    return _probe(name, {} if taken is None else taken, int(AUTO_POOL.network_address), 24)
 
 
 def allocate_link_local(app_id: str) -> IPv4Address:

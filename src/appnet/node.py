@@ -128,8 +128,8 @@ class Node:
         self.now = now
         try:
             env = decode_envelope(data)
-            # Every delta and digest item is resolved before anything merges,
-            # so a bad one leaves this node as it was.
+            # Every delta and the digest, in either form, is resolved before
+            # anything merges, so a bad one leaves this node as it was.
             env.table_deltas = [self.table.decode(item) for item in env.table_deltas]
             if env.sync_digest is not None:
                 env.sync_digest = self.table.read_digest(env.sync_digest)
@@ -158,9 +158,7 @@ class Node:
         if spec.vip is not None:
             resolved = spec.vip
         elif spec.name is not None:
-            resolved = names.allocate_internal_ip(
-                spec.name, self.table.auto_allocations()
-            )
+            resolved = names.allocate_internal_ip(spec.name, self.table.names_by_vip())
         else:
             return names.allocate_link_local(app_id)
         if spec.name is not None:

@@ -459,10 +459,18 @@ class RealNodeRuntime:
         source = RealEndpoint(IPv4Address(addr[0]), addr[1])
         self._send_outbound(self.node.on_envelope(data, source, self._tick))
 
-    def _send_outbound(self, outbound) -> None:
+    def _encoded(self, outbound):
+        """(dest, kind, bytes) for each envelope of `outbound`. One over
+        MAX_ENVELOPE is counted in send_errors and skipped; the rest go on."""
         for dest, env in outbound:
-            data = encode_envelope(env)
-            if env.kind in RELIABLE_KINDS:
+            try:
+                yield dest, env.kind, encode_envelope(env)
+            except ValueError:
+                self.counters["send_errors"] += 1
+
+    def _send_outbound(self, outbound) -> None:
+        for dest, kind, data in self._encoded(outbound):
+            if kind in RELIABLE_KINDS:
                 self._open_sync(dest, _SYNC_FRAME.pack(len(data)) + data)
                 continue
             try:
@@ -487,8 +495,7 @@ class RealNodeRuntime:
 
         def on_frame(stream: _Stream, frame: bytes) -> None:
             envelope = frame[_SYNC_FRAME.size :]
-            for _, env in self.node.on_envelope(envelope, peer, self._tick):
-                out = encode_envelope(env)
+            for _, _, out in self._encoded(self.node.on_envelope(envelope, peer, self._tick)):
                 stream.send(_SYNC_FRAME.pack(len(out)) + out)
 
         return _Stream(self, sock, _sync_frame_size, on_frame, idle=CONNECT_TIMEOUT)

@@ -26,13 +26,20 @@ Most deltas repeat what the receiver holds, and merge finds them stale. Any
 other bytes, an older version of the same record included, go through the
 full decoder and its checks.
 
-A sync digest lists one item per held record: the lp16 record id, then the
-version packed as (u64 incarnation, u8 state, u32 crc32). Each record builds
-its item once, and the table indexes held records by item, so a peer's
-digest is read by comparing bytes: an item equal to a held one says the
-peer holds exactly that record, and is skipped unparsed. Only the few items
-that differ are checked and parsed, and records_newer_than and
-digest_has_news work from those, in O(difference) Python work.
+Anti-entropy compares tables by bucket. A record's digest item is its lp16
+record id, then its version packed as (u64 incarnation, u8 state, u32 crc32);
+each record builds its item and a 64-bit hash of it once. The record id alone
+picks one of BUCKETS buckets, so every version of a record falls in the same
+one, and a bucket's hash is the XOR of its items' hashes, which _put keeps up
+to date in O(1). A sync digest takes one of two forms:
+  - the bucket hashes, one BUCKETS x u64 item, which digest() packs; and
+  - a narrow digest: a bitmap naming some buckets, then the digest item of
+    every record held in them, which narrow_digests() writes.
+Two tables with equal hashes hold the same items, barring a 64-bit hash
+collision; read against a peer's hashes, differing_buckets() names the
+buckets whose items differ. A narrow digest holds only their few items, so
+read_digest, records_newer_than and digest_has_news work in proportion to
+the difference, not to the table.
 
 Only an entry's id names its sole writer, so two owner clauses apply to
 entries of the local host only: a foreign tombstone of a live one is refuted
@@ -47,14 +54,17 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from hashlib import blake2b
 from ipaddress import IPv4Address
-from operator import attrgetter
-from typing import AbstractSet, Callable, NamedTuple, Optional, Union
+from itertools import compress
+from operator import attrgetter, ne
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from appnet.errors import AmbiguousName, DecodeError, DuplicateAppBinding, InvalidTag
-from appnet.model import AUTO_POOL, HostId, RealEndpoint, ServiceKey, TagSet
+from appnet.model import HostId, RealEndpoint, ServiceKey, TagSet
 
 TOMBSTONE_TTL = 30  # gossip periods
 
@@ -79,15 +89,15 @@ Version = tuple[int, int, int]  # (incarnation, state, crc32 of the encoding)
 class _Record:
     """What the table needs of either record class.
 
-    Records are frozen. A record's id, wire encoding, version and sync digest
-    item are plain slots, set once when it is built: a record built in memory
-    is encoded then; a decoded one keeps the bytes its writer sent, so its
-    version is the crc32 of those; a stamped copy shares its source's. The
-    stamp is the local tick of the last write: it is not on the wire and
-    takes no part in comparisons.
+    Records are frozen. A record's id, wire encoding, version, sync digest
+    item and that item's hash are plain slots, set once when it is built: a
+    record built in memory is encoded then; a decoded one keeps the bytes its
+    writer sent, so its version is the crc32 of those; a stamped copy shares
+    its source's. The stamp is the local tick of the last write: it is not on
+    the wire and takes no part in comparisons.
     """
 
-    __slots__ = ("record_id", "encoded", "version", "digest_item")
+    __slots__ = ("record_id", "encoded", "version", "digest_item", "item_hash")
 
     def __post_init__(self) -> None:
         # A field out of its range fails to pack: an app id, name or tag over
@@ -104,6 +114,7 @@ class _Record:
         object.__setattr__(self, "version", version)
         item = _U16.pack(len(self.record_id)) + self.record_id + _DIGEST_VERSION.pack(*version)
         object.__setattr__(self, "digest_item", item)
+        object.__setattr__(self, "item_hash", _item_hash(item))
         return self
 
     def stamped(self, now: int):
@@ -182,6 +193,49 @@ _BINDING_ID = struct.Struct(">16sH")
 _U16 = struct.Struct(">H")
 # A sync digest item's version, after its lp16 record id.
 _DIGEST_VERSION = struct.Struct(">QBI")
+
+# The sync digest's buckets: their hashes travel as one item, and a narrow
+# digest opens with a bitmap that names some of them, bucket b being bit
+# 0x80 >> b % 8 of byte b // 8.
+BUCKETS = 256
+_HASHES = struct.Struct(f">{BUCKETS}Q")
+_BITMAP_SIZE = BUCKETS // 8
+
+
+def _item_hash(item: bytes) -> int:
+    """The 64-bit hash of a digest item that its bucket's hash XORs in."""
+    return int.from_bytes(blake2b(item, digest_size=8).digest(), "big")
+
+
+def bucket_of(record_id: bytes) -> int:
+    """The digest bucket of every version of the record named `record_id`."""
+    return zlib.crc32(record_id) % BUCKETS
+
+
+def _bitmap(buckets: list[int]) -> bytes:
+    """A narrow digest's bitmap, naming `buckets`."""
+    bitmap = bytearray(_BITMAP_SIZE)
+    for b in buckets:
+        bitmap[b // 8] |= 0x80 >> b % 8
+    return bytes(bitmap)
+
+
+def chunked(things: list, size: Callable[[object], int], limit: int) -> list[list]:
+    """`things` in order, split into runs whose sizes sum to at most `limit`;
+    a thing larger than `limit` makes a run of its own."""
+    runs: list[list] = []
+    run: list = []
+    total = 0
+    for thing in things:
+        grown = size(thing)
+        if run and total + grown > limit:
+            runs.append(run)
+            run, total = [], 0
+        run.append(thing)
+        total += grown
+    if run:
+        runs.append(run)
+    return runs
 
 
 def record_id_of(data: bytes) -> bytes:
@@ -305,10 +359,32 @@ _BY_RECORD_ID = attrgetter("record_id")
 
 
 class PeerDigest(NamedTuple):
-    """A peer's sync digest as ServiceTable.read_digest read it."""
+    """A peer's sync digest as ServiceTable.read_digest read it: either its
+    bucket hashes, or the buckets a narrow digest names and its items there."""
 
-    items: AbstractSet[bytes]  # every item, as its wire bytes
-    versions: dict[bytes, Version]  # by record id, each item not held here
+    hashes: Optional[tuple[int, ...]]  # every bucket's hash; None if narrow
+    buckets: list[int]  # the buckets named, ascending; empty for hashes
+    versions: dict[bytes, Version]  # by record id, each item listed
+
+
+class _NamesByVip(Mapping):
+    """The name of a live named entry at each vip, read through the table's
+    vip index rather than copied out of it."""
+
+    def __init__(self, by_vip: dict[IPv4Address, dict[bytes, ServiceEntry]]) -> None:
+        self._by_vip = by_vip
+
+    def __getitem__(self, vip: IPv4Address) -> str:
+        for entry in self._by_vip.get(vip, {}).values():
+            if entry.name:
+                return entry.name
+        raise KeyError(vip)
+
+    def __iter__(self) -> Iterator[IPv4Address]:
+        return (vip for vip in self._by_vip if vip in self)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 class ServiceTable:
@@ -323,46 +399,54 @@ class ServiceTable:
         # Every held record by record id. The kind byte opens each id, so
         # entries and bindings never collide.
         self._records: dict[bytes, TableRecord] = {}
-        # Indexes over the store, kept by _put alone: live entries by key and
-        # by lower-cased name, and tombstones of either class by stamp. Each
-        # bucket maps record id to record; an emptied bucket is dropped.
+        # Indexes over the store, kept by _put alone: live entries by key, by
+        # vip and by lower-cased name, and tombstones of either class by
+        # stamp. Each slot maps record id to record; an emptied one is dropped.
         self._by_key: dict[ServiceKey, dict[bytes, ServiceEntry]] = {}
+        self._by_vip: dict[IPv4Address, dict[bytes, ServiceEntry]] = {}
         self._by_name: dict[str, dict[bytes, ServiceEntry]] = {}
         self._tombstones: dict[int, dict[bytes, TableRecord]] = {}
-        # Every held record by its sync digest item, also kept by _put alone.
-        self._by_digest: dict[bytes, TableRecord] = {}
+        # Every held record by digest bucket, and each bucket's hash: the XOR
+        # of its records' item hashes. Also kept by _put alone.
+        self._in_bucket: list[dict[bytes, TableRecord]] = [{} for _ in range(BUCKETS)]
+        self._hashes = [0] * BUCKETS
         # Called with each record this node originates or re-owns, so the
         # gossip layer can queue it for dissemination.
         self.on_local_update: Optional[Callable[[TableRecord], None]] = None
 
     def _put(self, record_id: bytes, record: Optional[TableRecord]) -> None:
         """The one write to the store: put `record` under `record_id`, or delete
-        what is there when `record` is None, keeping the indexes in step. A
-        replaced record keeps its place in the store's order."""
+        what is there when `record` is None, keeping the indexes and the
+        bucket hashes in step. A replaced record keeps its place in the
+        store's order."""
+        bucket = bucket_of(record_id)
         prior = self._records.get(record_id)
         if prior is not None:
-            del self._by_digest[prior.digest_item]
-            for index, bucket in self._buckets(prior):
-                del index[bucket][record_id]
-                if not index[bucket]:
-                    del index[bucket]
+            self._hashes[bucket] ^= prior.item_hash
+            for index, slot in self._indexed_in(prior):
+                del index[slot][record_id]
+                if not index[slot]:
+                    del index[slot]
         if record is None:
             del self._records[record_id]
+            del self._in_bucket[bucket][record_id]
             return
         self._records[record_id] = record
-        self._by_digest[record.digest_item] = record
-        for index, bucket in self._buckets(record):
-            index.setdefault(bucket, {})[record_id] = record
+        self._in_bucket[bucket][record_id] = record
+        self._hashes[bucket] ^= record.item_hash
+        for index, slot in self._indexed_in(record):
+            index.setdefault(slot, {})[record_id] = record
 
-    def _buckets(self, record: TableRecord) -> list[tuple[dict, object]]:
-        """Each (index, bucket) that holds `record`."""
+    def _indexed_in(self, record: TableRecord) -> list[tuple[dict, object]]:
+        """Each (index, slot) that holds `record`."""
         if record.state is EntryState.TOMBSTONE:
             return [(self._tombstones, record.stamp)]
         if type(record) is not ServiceEntry:
             return []
+        slots = [(self._by_key, record.key), (self._by_vip, record.key.vip)]
         if record.name:
-            return [(self._by_key, record.key), (self._by_name, record.name.lower())]
-        return [(self._by_key, record.key)]
+            slots.append((self._by_name, record.name.lower()))
+        return slots
 
     # --- local writes ---
 
@@ -487,12 +571,12 @@ class ServiceTable:
     def entries_for_app(self, host: HostId, app_id: str) -> list[ServiceEntry]:
         return [e for e in self._live(self._by_key) if e.host == host and e.app_id == app_id]
 
-    def auto_allocations(self) -> dict[IPv4Address, str]:
-        """AutoPool vips currently claimed by live named entries."""
-        return {e.key.vip: e.name for e in self._live(self._by_name) if e.key.vip in AUTO_POOL}
+    def names_by_vip(self) -> Mapping[IPv4Address, str]:
+        """The vips that live named entries claim, each with one such name."""
+        return _NamesByVip(self._by_vip)
 
     def used_service_ports(self, vip: IPv4Address) -> set[int]:
-        return {key.port for key in self._by_key if key.vip == vip}
+        return {e.key.port for e in self._by_vip.get(vip, {}).values()}
 
     def next_free_service_port(self, vip: IPv4Address) -> int:
         used = self.used_service_ports(vip)
@@ -522,50 +606,73 @@ class ServiceTable:
         """Every held record, in the order first stored."""
         return list(self._records.values())
 
-    def digest(self) -> list[bytes]:
-        """The digest item of every held record, in record-id order."""
-        return [r.digest_item for r in sorted(self.records(), key=_BY_RECORD_ID)]
+    def digest(self) -> bytes:
+        """The bucket hashes, packed as one sync digest item."""
+        return _HASHES.pack(*self._hashes)
+
+    def differing_buckets(self, hashes: tuple[int, ...]) -> list[int]:
+        """The buckets whose hash differs from a peer's, ascending."""
+        return list(compress(range(BUCKETS), map(ne, self._hashes, hashes)))
+
+    def narrow_digests(self, buckets: list[int], limit: int) -> list[list[bytes]]:
+        """Narrow digests that list the items this table holds in `buckets`,
+        split by bucket so that each lists at most `limit` bytes of items
+        (unless one bucket alone holds more)."""
+        items = {b: [r.digest_item for r in self._in_bucket[b].values()] for b in buckets}
+        runs = chunked(buckets, lambda b: sum(len(item) + 2 for item in items[b]), limit)
+        return [
+            [_bitmap(run), *(item for b in run for item in items[b])]
+            for run in runs
+        ]
 
     def read_digest(self, items: list[bytes]) -> PeerDigest:
-        """A peer's digest items, read against the digest index. An item equal
-        to a held one is well formed, and is skipped; every other item is
-        checked and parsed, in wire order. A malformed item, or a record id
-        listed twice, raises DecodeError: a digest lists each record once."""
-        theirs = set(items)
-        if len(theirs) != len(items):
-            raise DecodeError("sync digest lists an item twice")
-        unmatched = theirs - self._by_digest.keys()
+        """A peer's sync digest in either form. A hash item of the wrong size,
+        a bitmap of the wrong size, or a malformed item raises DecodeError; so
+        does an item outside the buckets the bitmap names, or a record id
+        listed twice. An item equal to the held record's is not parsed."""
+        if len(items) == 1 and len(items[0]) == _HASHES.size:
+            return PeerDigest(_HASHES.unpack(items[0]), [], {})
+        if not items or len(items[0]) != _BITMAP_SIZE:
+            raise DecodeError("sync digest opens with neither bucket hashes nor a bitmap")
+        named = {
+            8 * at + bit
+            for at, byte in enumerate(items[0]) if byte
+            for bit in range(8) if byte & 0x80 >> bit
+        }
         versions: dict[bytes, Version] = {}
-        for item in filter(unmatched.__contains__, items):
+        for item in items[1:]:
             id_end = len(item) - _DIGEST_VERSION.size
             if id_end < 2 or _U16.unpack_from(item)[0] != id_end - 2:
                 raise DecodeError(f"sync digest item of {len(item)} bytes is malformed")
             record_id = item[2:id_end]
-            held = self._records.get(record_id)
-            if record_id in versions or (held is not None and held.digest_item in theirs):
+            if record_id in versions:
                 raise DecodeError(f"sync digest lists record {record_id.hex()} twice")
-            versions[record_id] = _DIGEST_VERSION.unpack_from(item, id_end)
-        return PeerDigest(theirs, versions)
+            if bucket_of(record_id) not in named:
+                raise DecodeError(f"sync digest lists record {record_id.hex()} outside its buckets")
+            held = self._records.get(record_id)
+            if held is not None and held.digest_item == item:
+                versions[record_id] = held.version
+            else:
+                versions[record_id] = _DIGEST_VERSION.unpack_from(item, id_end)
+        return PeerDigest(None, sorted(named), versions)
 
     def records_newer_than(self, digest: PeerDigest) -> list[TableRecord]:
-        """Records a peer with the given digest is missing or has older. A
-        record that this envelope's deltas replaced after the digest was read
-        is newer than the item that matched it, so it is sent."""
-        index, versions = self._by_digest, digest.versions
+        """Records in a narrow digest's buckets that the peer is missing or
+        has older, in record-id order."""
+        versions = digest.versions
         out = []
-        for item in index.keys() - digest.items:
-            record = index[item]
-            known = versions.get(record.record_id)
-            if known is None or known < record.version:
-                out.append(record)
+        for bucket in digest.buckets:
+            for record in self._in_bucket[bucket].values():
+                known = versions.get(record.record_id)
+                if known is None or known < record.version:
+                    out.append(record)
         out.sort(key=_BY_RECORD_ID)
         return out
 
     def digest_has_news(self, digest: PeerDigest) -> bool:
-        """True when the digest shows records we lack or have older. An item
-        that matched a held record shows nothing new, even if that record has
-        been replaced since, for a replacement is newer; nor does a ghost of
-        an entry of ours, which merge_record would reject."""
+        """True when a narrow digest shows records we lack or have older. A
+        ghost of an entry of ours is not news, for merge_record would reject
+        it."""
         for record_id, version in digest.versions.items():
             mine = self._records.get(record_id)
             if mine is None:

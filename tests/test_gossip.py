@@ -21,10 +21,12 @@ from appnet.gossip import (
 )
 from appnet.model import HostId, RealEndpoint, ServiceKey, TagSet
 from appnet.service_table import (
+    BUCKETS,
     EntryState,
     GatewayBinding,
     ServiceEntry,
     ServiceTable,
+    bucket_of,
     decode_record,
     record_id_of,
 )
@@ -103,11 +105,26 @@ def test_envelope_round_trip():
     assert encode_envelope(decoded) == data
 
 
+def bitmap(*record_ids: bytes) -> bytes:
+    """A narrow digest's bitmap, naming the bucket of each record id."""
+    bits = 0
+    for record_id in record_ids:
+        bits |= 1 << (BUCKETS - 1 - bucket_of(record_id))
+    return bits.to_bytes(BUCKETS // 8, "big")
+
+
+def narrow(*items: bytes) -> list[bytes]:
+    """A narrow sync digest: the bitmap naming each item's bucket, then the items."""
+    return [bitmap(*(item[2 : len(item) - 13] for item in items)), *items]
+
+
 def test_sync_envelope_carries_digest():
     env = GossipEnvelope(
         kind=EnvelopeKind.SYNC,
         sender=H1,
-        sync_digest=[digest_item(b"id-1", (3, 0, 7)), digest_item(b"id-2", (9, 1, 0xFFFFFFFF))],
+        sync_digest=narrow(
+            digest_item(b"id-1", (3, 0, 7)), digest_item(b"id-2", (9, 1, 0xFFFFFFFF))
+        ),
     )
     decoded = receive(encode_envelope(env))
     assert list(decoded.sync_digest.versions.items()) == [
@@ -118,7 +135,7 @@ def test_sync_envelope_carries_digest():
 def test_digest_item_without_full_version_rejected():
     old_item = struct.pack(">H", 4) + b"id-1" + struct.pack(">Q", 3)
     header = struct.pack(">BB16s", ENVELOPE_VERSION, EnvelopeKind.SYNC.value, H1.raw)
-    data = header + section([]) + section([]) + section([old_item])
+    data = header + section([]) + section([]) + section([bitmap(b"id-1"), old_item])
     with pytest.raises(DecodeError):
         receive(data)
 
@@ -209,7 +226,9 @@ _GOLDEN_SYNC = (
     "00000000000000030003776562000200056772703d310008746965723d776562"
     "002b01f00000070050030303030303030303030303030303037530010000000000000002"
     "000100056772703d31"
-    "00000050"
+    "00000072"
+    "0020"
+    "0000000000000000000000000000000000000000100000000000800000000000"
     "002a001b00f00000070050000102030405060708090a0b0c0d0e0f000261310000000000"
     "000003007feee3c9"
     "002200130103030303030303030303030303030303753000000000000000020187247019"
@@ -224,7 +243,7 @@ def test_records_encode_to_golden_bytes(record, encoded, record_id, item):
     decoded = decode_record(bytes.fromhex(encoded))
     assert decoded == record and decoded.encoded == record.encoded
     assert record_id_of(bytes.fromhex(encoded)) == bytes.fromhex(record_id)
-    assert ServiceTable(H4).read_digest([bytes.fromhex(item)]).versions == {
+    assert ServiceTable(H4).read_digest(narrow(bytes.fromhex(item))).versions == {
         record.record_id: record.version
     }
 
@@ -237,7 +256,7 @@ def test_sync_envelope_encodes_to_golden_bytes():
         sender=H1,
         membership_rumors=[rumor],
         table_deltas=records,
-        sync_digest=[r.digest_item for r in records],
+        sync_digest=narrow(*(r.digest_item for r in records)),
     ))
     assert data.hex() == _GOLDEN_SYNC
     decoded = receive(bytes.fromhex(_GOLDEN_SYNC))
@@ -245,6 +264,33 @@ def test_sync_envelope_encodes_to_golden_bytes():
     assert decoded.membership_rumors == [rumor]
     assert decoded.table_deltas == records
     assert decoded.sync_digest.versions == {r.record_id: r.version for r in records}
+    assert decoded.sync_digest.buckets == [163, 208]
+
+
+# The two golden records' buckets and item hashes: blake2b of the item, 8
+# bytes, in the bucket that crc32 of the record id picks.
+_GOLDEN_HASHES = {163: "fb75a3cb3ea02d58", 208: "d87c626bd54b9fe6"}
+
+
+def test_bucket_hash_sync_encodes_to_golden_bytes():
+    table = ServiceTable(H4)
+    for record in (_GOLDEN_ENTRY, _GOLDEN_BINDING):
+        table.merge_record(record, 0)
+        assert record.item_hash == int(_GOLDEN_HASHES[bucket_of(record.record_id)], 16)
+    hashes = "".join(_GOLDEN_HASHES.get(b, "00" * 8) for b in range(BUCKETS))
+    data = encode_envelope(GossipEnvelope(
+        kind=EnvelopeKind.SYNC, sender=H1, sync_digest=[table.digest()]
+    ))
+    # The digest section holds one item, 256 u64 hashes: 256 x 8 bytes, its
+    # u16 length and the section's u32 length.
+    assert data.hex() == (
+        "0104" + "01" * 16 + "00000000" + "00000000" + "00000802" + "0800" + hashes
+    )
+    decoded = receive(data)
+    assert decoded.sync_digest.hashes == tuple(
+        int(_GOLDEN_HASHES.get(b, "0"), 16) for b in range(BUCKETS)
+    )
+    assert table.differing_buckets(decoded.sync_digest.hashes) == []
 
 
 def _full_envelope() -> bytes:
@@ -263,7 +309,7 @@ def _full_envelope() -> bytes:
         sender=H1,
         membership_rumors=[member(H2, 2), member(H3, 3, MemberStatus.SUSPECT, 4, True)],
         table_deltas=records,
-        sync_digest=[r.digest_item for r in records],
+        sync_digest=narrow(*(r.digest_item for r in records)),
     ))
 
 
@@ -279,6 +325,7 @@ def _length_prefixes(data: bytes) -> list[tuple[int, int]]:
         found.append((pos, 4))
         end = pos + 4 + int.from_bytes(data[pos : pos + 4], "big")
         pos += 4
+        first = True
         while pos < end:
             found.append((pos, 2))
             item = pos + 2
@@ -289,8 +336,9 @@ def _length_prefixes(data: bytes) -> list[tuple[int, int]]:
                 inner.append(inner[-1] + 2 + _u16(data, inner[-1]))
             elif section == 1:  # binding: tags
                 inner.append(item + 34)
-            elif section == 2:  # digest item: record id
+            elif section == 2 and not first:  # digest item: record id
                 inner.append(item)
+            first = False
             if section == 1:
                 tag = inner[-1] + 2
                 for _ in range(_u16(data, inner[-1])):
@@ -312,8 +360,9 @@ def test_malformed_envelopes_raise_only_decode_error():
         receive(data + b"\x00")
     prefixes = _length_prefixes(data)
     # 3 sections; 2 rumors; 2 records; app id, name, tag count and tag of
-    # the entry; tag count and tag of the binding; 2 digest items and ids.
-    assert len(prefixes) == 3 + 2 + 2 + 4 + 2 + 2 + 2
+    # the entry; tag count and tag of the binding; the bitmap, 2 digest
+    # items and their ids.
+    assert len(prefixes) == 3 + 2 + 2 + 4 + 2 + 3 + 2
     for offset, width in prefixes:
         with pytest.raises(DecodeError):
             receive(data[:offset] + (0xFFFF).to_bytes(width, "big") + data[offset + width :])
@@ -612,7 +661,15 @@ def test_sync_reply_returns_missing_records_and_reverse_syncs():
     # Rumor budgets long spent: only the digests can close the gap now.
     a._deltas.slots.clear()
     b._deltas.slots.clear()
-    out = b.handle_envelope(receive(encode_envelope(a.anti_entropy()), b.table), 1, addr(1))
+    # a's bucket hashes differ from b's, so b lists its items in the buckets
+    # that differ, and a answers with its own.
+    (dest, narrowed), = b.handle_envelope(
+        receive(encode_envelope(a.anti_entropy()), b.table), 1, addr(1)
+    )
+    assert narrowed.kind is EnvelopeKind.SYNC and dest == addr(1)
+    back = a.handle_envelope(receive(encode_envelope(narrowed), a.table), 1, addr(2))
+    assert [env.kind for _, env in back] == [EnvelopeKind.SYNC_REPLY, EnvelopeKind.SYNC]
+    out = b.handle_envelope(receive(encode_envelope(back[1][1]), b.table), 1, addr(1))
     kinds = [env.kind for _, env in out]
     assert EnvelopeKind.SYNC_REPLY in kinds
     assert EnvelopeKind.SYNC in kinds  # b wants what a has
@@ -665,3 +722,21 @@ def test_join_retries_with_backoff_until_contact():
         env.kind is not EnvelopeKind.SYNC or 12 % 10 == 0
         for _, env in g.tick(12)
     )
+
+
+def test_equal_tables_exchange_one_sync_of_bucket_hashes_and_one_empty_reply():
+    a, b = make_gossip(H1, 1), make_gossip(H2, 2)
+    for record in (sample_entry(host=H3), sample_entry(host=H4), _GOLDEN_BINDING):
+        a.table.merge_record(record, 0)
+        b.table.merge_record(record, 0)
+    b.table.merge_record(a.table.insert_local(replace(sample_entry(H1), app_id="a2"), 0), 0)
+    assert len(b.table.records()) == 4
+    data = encode_envelope(a.anti_entropy())
+    _, pos = read_section(data, 18)
+    _, pos = read_section(data, pos)
+    # The digest section: a u32 length, one u16-prefixed item of 256 hashes.
+    assert len(data) - pos == 4 + 2 + 256 * 8
+    (dest, reply), = b.handle_envelope(receive(data, b.table), 1, addr(1))
+    assert dest == addr(1) and reply.kind is EnvelopeKind.SYNC_REPLY
+    assert reply.table_deltas == [] and reply.sync_digest is None
+    assert a.handle_envelope(receive(encode_envelope(reply), a.table), 1, addr(2)) == []

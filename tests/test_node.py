@@ -14,6 +14,8 @@ from appnet.errors import (
     WouldBlock,
 )
 from appnet.gossip import (
+    ANTI_ENTROPY_PERIOD,
+    MAX_ENVELOPE,
     EnvelopeKind,
     GossipEnvelope,
     MemberRecord,
@@ -29,7 +31,14 @@ from appnet.model import (
     TagSet,
     parse_app_spec,
 )
-from appnet.service_table import EntryState, GatewayBinding, ServiceEntry, record_id_of
+from appnet.service_table import (
+    BUCKETS,
+    EntryState,
+    GatewayBinding,
+    ServiceEntry,
+    bucket_of,
+    record_id_of,
+)
 from appnet.simharness import ScriptEvent, SimCluster
 from appnet.trap import HandleKind
 
@@ -243,6 +252,36 @@ def test_fresh_node_converges_via_single_join_sync():
     assert late.table.lookup(ServiceKey(IPv4Address("10.1.1.1"), 80))
 
 
+def test_joiner_syncs_a_table_past_the_old_digest_ceiling():
+    """A whole-table digest of 1 200 records no longer fit one envelope; the
+    bucket hashes do at any size, and narrow SYNCs split by bucket."""
+    cluster = SimCluster(seed=61)
+    cluster.run_until(0, [ScriptEvent(0, "start", ["a"])])
+    a = cluster.nodes["a"].node
+    for i in range(2000):
+        a.table.insert_local(ServiceEntry(
+            key=ServiceKey(IPv4Address(f"10.9.{i // 256}.{i % 256}"), 80),
+            real=RealEndpoint(IPv4Address("10.0.0.1"), 40000 + i),
+            host=a.host, app_id=f"app{i:05d}", tags=TagSet(), name=None,
+            incarnation=0, state=EntryState.ALIVE,
+        ), 0)
+    cluster.run_until(1, [ScriptEvent(1, "start", ["b", "join=a"])])
+    # The join sync, on the joiner's first tick.
+    cluster.run_until(2)
+    b = cluster.nodes["b"].node
+    assert b.dump() == a.dump() and len(b.table.records()) == 2000
+    # Two anti-entropy periods later the tables are still equal, and between
+    # equal tables each SYNC is answered by one empty SYNC_REPLY.
+    cluster.run_until(2 * ANTI_ENTROPY_PERIOD)
+    assert b.dump() == a.dump()
+    envelopes = cluster.trace.of_type("envelope")
+    assert max(e["size"] for e in envelopes) <= MAX_ENVELOPE
+    last = [e for e in envelopes if e["tick"] == 2 * ANTI_ENTROPY_PERIOD
+            and e["kind"] in ("sync", "sync_reply")]
+    assert sorted(e["kind"] for e in last) == ["sync", "sync", "sync_reply", "sync_reply"]
+    assert all(e["size"] < 2 * 256 * 8 for e in last)
+
+
 PEER = HostId(b"\x02" * 16)
 PEER_ADDR = RealEndpoint(IPv4Address("10.0.0.2"), 7946)
 PEER_ENTRY = ServiceEntry(
@@ -386,6 +425,54 @@ _UNHELD_ID = replace(PEER_ENTRY, app_id="a9").record_id
          "held-id-twice", "unheld-id-twice", "same-item-twice", "held-item-twice"],
 )
 def test_bad_digest_item_is_counted_and_nothing_merges(bad_items):
+    # A narrow digest naming the buckets of both ids; the held item matches,
+    # unparsed, and the bad ones do not.
+    named = _bitmap(PEER_ENTRY.record_id, _UNHELD_ID)
+    _assert_bad_sync_is_counted_and_nothing_merges(
+        [named, PEER_ENTRY.digest_item, *bad_items], [named, PEER_ENTRY.digest_item],
+        EnvelopeKind.SYNC_REPLY,
+    )
+
+
+def _bitmap(*record_ids: bytes) -> bytes:
+    """A narrow digest's bitmap, naming the bucket of each record id."""
+    bits = sum({1 << (BUCKETS - 1 - bucket_of(record_id)) for record_id in record_ids})
+    return bits.to_bytes(BUCKETS // 8, "big")
+
+
+_OTHER_BUCKET_ID = next(
+    record_id
+    for record_id in (replace(PEER_ENTRY, app_id=f"b{i}").record_id for i in range(1000))
+    if bucket_of(record_id) not in (bucket_of(PEER_ENTRY.record_id), bucket_of(_UNHELD_ID))
+)
+
+
+@pytest.mark.parametrize(
+    "bad_digest",
+    [
+        [],
+        [bytes(BUCKETS * 8 - 1)],
+        [bytes(BUCKETS * 8 + 1)],
+        [bytes(BUCKETS * 8), bytes(BUCKETS * 8)],
+        [bytes(BUCKETS * 8), PEER_ENTRY.digest_item],
+        [bytes(BUCKETS // 8 - 1), PEER_ENTRY.digest_item],
+        [bytes(BUCKETS // 8 + 1), PEER_ENTRY.digest_item],
+        [PEER_ENTRY.digest_item],
+        # An item in a bucket the bitmap does not name.
+        [_bitmap(PEER_ENTRY.record_id), PEER_ENTRY.digest_item, _item(_OTHER_BUCKET_ID, (1, 0, 5))],
+    ],
+    ids=["empty", "short-hashes", "long-hashes", "hashes-twice", "hashes-then-item",
+         "short-bitmap", "long-bitmap", "no-bitmap", "item-outside-named-buckets"],
+)
+def test_bad_digest_form_is_counted_and_nothing_merges(bad_digest):
+    # The node holds records, so its hashes differ from all-zero ones, and it
+    # answers with its items in the buckets that differ.
+    _assert_bad_sync_is_counted_and_nothing_merges(
+        bad_digest, [bytes(BUCKETS * 8)], EnvelopeKind.SYNC
+    )
+
+
+def _assert_bad_sync_is_counted_and_nothing_merges(bad_digest, good_digest, answer):
     cluster, node = one_node_cluster()
     node.on_envelope(
         encode_envelope(GossipEnvelope(kind=EnvelopeKind.PING, sender=PEER, table_deltas=[PEER_ENTRY])),
@@ -412,14 +499,13 @@ def test_bad_digest_item_is_counted_and_nothing_merges(bad_items):
             sync_digest=digest,
         ))
 
-    # The held item matches, unparsed; the bad ones do not.
-    assert node.on_envelope(sync([PEER_ENTRY.digest_item, *bad_items]), PEER_ADDR, 2) == []
+    assert node.on_envelope(sync(bad_digest), PEER_ADDR, 2) == []
     assert node.counters["envelope_decode_errors"] == errors + 1
     # Nothing of the envelope merged: not the fresh delta, not the rumor.
     assert node.table.dump() == held
     assert node.gossip.members == members
-    replies = node.on_envelope(sync([PEER_ENTRY.digest_item]), PEER_ADDR, 2)
-    assert EnvelopeKind.SYNC_REPLY in [env.kind for _, env in replies]
+    replies = node.on_envelope(sync(good_digest), PEER_ADDR, 2)
+    assert answer in [env.kind for _, env in replies]
     assert fresh.record_id in {r.record_id for r in node.table.records()}
     assert stranger.host in node.gossip.members
     assert node.counters["envelope_decode_errors"] == errors + 1

@@ -8,9 +8,11 @@ import pytest
 
 from appnet import gossip
 from appnet.errors import AppNetError, BadHandle, Unidentified
-from appnet.model import RealEndpoint, ServiceKey
+from appnet.gossip import EnvelopeKind, GossipEnvelope
+from appnet.model import RealEndpoint, ServiceKey, TagSet
 from appnet.node import NodeConfig
 from appnet.realnet import ControlClient, RealNodeRuntime, connect_shim, free_port
+from appnet.service_table import EntryState, ServiceEntry
 from appnet.switch import ChannelKind
 from appnet.trap import HandleKind
 
@@ -378,6 +380,80 @@ def test_loop_counts_a_failed_step_and_keeps_running(cluster):
     assert a.counters["loop_errors"] == 1
     assert "injected tick failure" in a.last_error
     assert a.in_loop(lambda: "still serving") == "still serving"
+
+
+def _oversize_then_small(host):
+    """An envelope over MAX_ENVELOPE, six piggyback records of 11 kB each,
+    then a small one."""
+    large = [
+        ServiceEntry(
+            key=ServiceKey(IPv4Address("10.60.0.1"), 80),
+            real=RealEndpoint(IPv4Address("127.0.0.1"), 41000),
+            host=host, app_id=f"{i}" + "x" * 11000, tags=TagSet(), name=None,
+            incarnation=1, state=EntryState.ALIVE,
+        )
+        for i in range(6)
+    ]
+    oversize = GossipEnvelope(kind=EnvelopeKind.PING, sender=host, table_deltas=large)
+    with pytest.raises(ValueError):
+        gossip.encode_envelope(oversize)
+    return oversize, GossipEnvelope(kind=EnvelopeKind.PING, sender=host)
+
+
+def test_an_oversize_envelope_is_counted_and_the_rest_still_go_out(cluster):
+    a, _b = cluster
+    catcher = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    catcher.bind(("127.0.0.1", 0))
+    catcher.settimeout(5)
+    dest = RealEndpoint(IPv4Address("127.0.0.1"), catcher.getsockname()[1])
+    oversize, follow = _oversize_then_small(a.node.host)
+    errors = dict(a.counters)
+    try:
+        a.in_loop(lambda: a._send_outbound([(dest, oversize), (dest, follow)]))
+        data, _ = catcher.recvfrom(65535)
+    finally:
+        catcher.close()
+    assert data == gossip.encode_envelope(follow)
+    assert a.counters["send_errors"] > errors["send_errors"]
+    assert a.counters["loop_errors"] == errors["loop_errors"]
+
+
+def _recv_exactly(sock: socket.socket, size: int) -> bytes:
+    """`size` bytes from `sock`, or fewer if it closes first."""
+    data = b""
+    while len(data) < size:
+        chunk = sock.recv(size - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+def test_an_oversize_sync_answer_is_counted_and_the_rest_still_go_out(cluster):
+    a, _b = cluster
+    oversize, follow = _oversize_then_small(a.node.host)
+    on_envelope = a.node.on_envelope
+
+    def answer(data, source, now):
+        if data == b"probe":
+            return [(source, oversize), (source, follow)]
+        return on_envelope(data, source, now)
+
+    ours, theirs = socket.socketpair()
+    theirs.settimeout(5)
+    errors = dict(a.counters)
+    a.node.on_envelope = answer
+    try:
+        a.in_loop(lambda: a._sync_stream(ours, ("127.0.0.1", 7946)))
+        theirs.sendall(struct.pack(">I", 5) + b"probe")
+        (length,) = struct.unpack(">I", _recv_exactly(theirs, 4))
+        data = _recv_exactly(theirs, length)
+    finally:
+        a.node.on_envelope = on_envelope
+        theirs.close()
+    assert data == gossip.encode_envelope(follow)
+    assert a.counters["send_errors"] > errors["send_errors"]
+    assert a.counters["loop_errors"] == errors["loop_errors"]
 
 
 def test_threads_stay_bounded_over_connects_and_anti_entropy(cluster):

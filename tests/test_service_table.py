@@ -1,4 +1,6 @@
+import hashlib
 import random
+import zlib
 from dataclasses import replace
 from ipaddress import IPv4Address
 
@@ -7,11 +9,13 @@ import pytest
 from appnet.errors import AmbiguousName, DecodeError, DuplicateAppBinding
 from appnet.model import HostId, RealEndpoint, ServiceKey, TagSet
 from appnet.service_table import (
+    BUCKETS,
     EntryState,
     GatewayBinding,
     MergeOutcome,
     ServiceEntry,
     ServiceTable,
+    bucket_of,
     decode_record,
     encode_record,
 )
@@ -226,6 +230,15 @@ def test_decode_reuses_a_held_record_only_for_its_exact_bytes():
         table.decode(b"")
 
 
+def _narrow(theirs, ours, limit=10**9):
+    """`ours`' reading of the narrow digest that `theirs` sends it: the items
+    of `theirs` in every bucket where the two tables' hashes differ."""
+    hashes = ours.read_digest([theirs.digest()]).hashes
+    runs = theirs.narrow_digests(ours.differing_buckets(hashes), limit)
+    assert len(runs) <= 1
+    return ours.read_digest(runs[0] if runs else [bytes(BUCKETS // 8)])
+
+
 def test_ghost_of_an_own_entry_is_neither_merged_nor_news():
     table, peer = ServiceTable(H1), ServiceTable(H3)
     mine = entry(host=H1)
@@ -236,14 +249,14 @@ def test_ghost_of_an_own_entry_is_neither_merged_nor_news():
     table.gc_tombstones(100)
     assert table.records() == []
     # The peer still holds the live entry this node has collected.
-    digest = table.read_digest(peer.digest())
+    digest = _narrow(peer, table)
     assert list(digest.versions) == [held.record_id]
     assert not table.digest_has_news(digest)
     assert table.merge_record(held, 101) is MergeOutcome.STALE
     # Missing records of other hosts, entry or binding, are news.
     for theirs in (entry(host=H2), _binding(gateway=H1)):
         peer.merge_record(theirs, 0)
-        assert table.digest_has_news(table.read_digest(peer.digest()))
+        assert table.digest_has_news(_narrow(peer, table))
         assert table.merge_record(theirs, 101) is MergeOutcome.APPLIED
 
 
@@ -493,25 +506,50 @@ def _scan_duplicate(table, key, app_id):
 
 
 def _assert_indexes_hold_exactly_the_current_records(table):
-    by_key, by_name, tombstones = {}, {}, {}
+    by_key, by_vip, by_name, tombstones = {}, {}, {}, {}
     for r in table.records():
         if r.state is EntryState.TOMBSTONE:
             tombstones.setdefault(r.stamp, {})[r.record_id] = r
         elif isinstance(r, ServiceEntry):
             by_key.setdefault(r.key, {})[r.record_id] = r
+            by_vip.setdefault(r.key.vip, {})[r.record_id] = r
             if r.name:
                 by_name.setdefault(r.name.lower(), {})[r.record_id] = r
     for index, expected in (
-        (table._by_key, by_key), (table._by_name, by_name), (table._tombstones, tombstones)
+        (table._by_key, by_key), (table._by_vip, by_vip), (table._by_name, by_name),
+        (table._tombstones, tombstones),
     ):
         assert index == expected
         # The very objects the stores hold, not equal leftovers of superseded writes.
         for bucket, records in index.items():
             for record_id, record in records.items():
                 assert record is expected[bucket][record_id]
-    assert len(table._by_digest) == len(table.records())
+    assert table._hashes == _bucket_hashes(table.records())
+    in_bucket = [{} for _ in range(BUCKETS)]
     for record in table.records():
-        assert table._by_digest[record.digest_item] is record
+        in_bucket[bucket_of(record.record_id)][record.record_id] = record
+    assert table._in_bucket == in_bucket
+    for records in table._in_bucket:
+        for record_id, record in records.items():
+            assert record is table._records[record_id]
+    # The vip index answers what the old scans of every live entry did.
+    for vip in {key.vip for key in _KEYS}:
+        named = {e.name for e in by_vip.get(vip, {}).values() if e.name}
+        assert table.names_by_vip().get(vip) in (named or {None})
+        assert table.used_service_ports(vip) == {e.key.port for e in by_vip.get(vip, {}).values()}
+    assert set(table.names_by_vip()) == {
+        vip for vip, entries in by_vip.items() if any(e.name for e in entries.values())
+    }
+
+
+def _bucket_hashes(records) -> list[int]:
+    """Each bucket's hash, recomputed from scratch: the XOR of a 64-bit
+    blake2b of every digest item in it."""
+    hashes = [0] * BUCKETS
+    for record in records:
+        digest = hashlib.blake2b(_field_item(record), digest_size=8).digest()
+        hashes[zlib.crc32(record.record_id) % BUCKETS] ^= int.from_bytes(digest, "big")
+    return hashes
 
 
 def _random_entry(rng, host):
@@ -586,6 +624,49 @@ def test_indexes_match_brute_force_scans():
     assert duplicates and collected and ambiguous
 
 
+def test_bucket_hashes_follow_every_write():
+    """After every kind of write, the bucket hashes that _put keeps equal the
+    ones recomputed from records()."""
+    rng = random.Random(77)
+    table = ServiceTable(H1)
+    writes = {"insert_local": 0, "merge_record": 0, "retire": 0, "tombstone_host": 0,
+              "gc_tombstones": 0}
+    changed = {write: 0 for write in writes}
+    now = 0
+    for _ in range(1500):
+        now += rng.randrange(2)
+        write = rng.choice(list(writes))
+        before = table.digest()
+        if write == "insert_local":
+            fresh = _random_entry(rng, H1)
+            if _scan_duplicate(table, fresh.key, fresh.app_id):
+                continue
+            table.insert_local(fresh, now)
+        elif write == "merge_record":
+            if rng.random() < 0.2:
+                base = replace(_binding(gateway=rng.choice([H1, H2, H3])),
+                               external_port=30080 + rng.randrange(3))
+            else:
+                base = _random_entry(rng, rng.choice([H1, H2, H3]))
+            table.merge_record(
+                replace(base, incarnation=rng.randrange(1, 4), state=rng.choice(list(EntryState))),
+                now,
+            )
+        elif write == "retire":
+            if not table.records():
+                continue
+            table.retire(rng.choice(table.records()).record_id, now)
+        elif write == "tombstone_host":
+            table.tombstone_host(rng.choice([H2, H3]), now)
+        else:
+            table.gc_tombstones(now, rng.randrange(4))
+        writes[write] += 1
+        changed[write] += table.digest() != before
+        _assert_indexes_hold_exactly_the_current_records(table)
+    assert min(writes.values()) > 150, writes
+    assert min(changed.values()) > 20, changed
+
+
 # --- sync digests ---
 
 def _field_item(record) -> bytes:
@@ -626,19 +707,32 @@ def _tuple_digest_has_news(table, digest):
 _DIGEST_HOSTS = [H1, H2, H3]
 
 
+def _in_bucket(make, bucket):
+    """make(i) for the first i whose record falls in `bucket`."""
+    return next(r for r in map(make, range(10_000)) if bucket_of(r.record_id) == bucket)
+
+
 def _digest_pool(rng):
     """Versions of a few entries and bindings: each base record at
-    incarnations 1-3, alive or tombstoned, with two rival encodings each."""
-    bases = [
-        entry(host=host, app_id=app, name=rng.choice([None, "web"]), tags=("grp=1",))
-        for host in _DIGEST_HOSTS for app in ("a1", "a22")
+    incarnations 1-3, alive or tombstoned, with two rival encodings each.
+    The ten base records share three buckets, so a bucket that differs
+    also holds records that match."""
+    name = rng.choice([None, "web"])
+    makers = [
+        lambda i, host=host: entry(host=host, app_id=f"a{i}", name=name, tags=("grp=1",))
+        for host in _DIGEST_HOSTS for _ in range(2)
     ] + [
-        GatewayBinding(
-            key=_KEYS[0], gateway=host, external_port=port, state=EntryState.ALIVE,
+        lambda i, host=host: GatewayBinding(
+            key=_KEYS[0], gateway=host, external_port=30000 + i, state=EntryState.ALIVE,
             incarnation=1, admit=TagSet.from_pairs(["grp=1"]),
         )
-        for host in _DIGEST_HOSTS[:2] for port in (30000, 30001)
+        for host in _DIGEST_HOSTS[:2] for _ in range(2)
     ]
+    bases = [
+        _in_bucket(lambda i, make=make, n=n: make(i + 100 * n), (7, 100, 201)[n % 3])
+        for n, make in enumerate(makers)
+    ]
+    assert len({b.record_id for b in bases}) == 10
     pool = {}
     for base in bases:
         rivals = [base, replace(base, key=_KEYS[1])] if isinstance(base, GatewayBinding) else [
@@ -653,6 +747,13 @@ def _digest_pool(rng):
     return pool
 
 
+def _item_buckets(*tables) -> list[int]:
+    """The buckets in which the tables' digest items differ."""
+    items = [{r.digest_item: r for r in table.records()} for table in tables]
+    differ = set(items[0].keys() ^ items[-1].keys())
+    return sorted({bucket_of(r.record_id) for mine in items for i, r in mine.items() if i in differ})
+
+
 def test_digest_items_are_the_field_by_field_bytes():
     rng = random.Random(1)
     table = ServiceTable(HostId(b"\x09" * 16))
@@ -662,10 +763,67 @@ def test_digest_items_are_the_field_by_field_bytes():
     for record in table.records():
         assert record.digest_item == _field_item(record)
         assert decode_record(record.encoded).digest_item == record.digest_item
-    # Record-id order, as the pairs were sorted.
-    assert table.digest() == [
-        _field_item(table._records.get(record_id)) for record_id, _ in _tuple_digest(table)
+    # The bucket hashes, big-endian, XOR each bucket's item hashes.
+    assert table.digest() == b"".join(h.to_bytes(8, "big") for h in _bucket_hashes(table.records()))
+    # A narrow digest of every bucket names them all in its bitmap, then lists
+    # every field-by-field item, bucket by bucket.
+    (narrow,) = table.narrow_digests(list(range(BUCKETS)), 10**9)
+    assert narrow[0] == b"\xff" * (BUCKETS // 8)
+    assert sorted(narrow[1:]) == sorted(_field_item(r) for r in table.records())
+    listed = [bucket_of(item[2 : len(item) - 13]) for item in narrow[1:]]
+    assert listed == sorted(listed) and set(listed) == {7, 100, 201}
+
+
+def test_narrow_digests_split_by_bucket_under_the_limit():
+    rng = random.Random(3)
+    table = ServiceTable(HostId(b"\x09" * 16))
+    for versions in _digest_pool(rng).values():
+        table.merge_record(rng.choice(versions), 0)
+    sizes = {b: sum(len(r.digest_item) + 2 for r in table.records() if bucket_of(r.record_id) == b)
+             for b in (7, 100, 201)}
+    limit = max(sizes.values())
+    runs = table.narrow_digests([7, 100, 201, 250], limit)
+    read = [table.read_digest(run) for run in runs]
+    assert [b for digest in read for b in digest.buckets] == [7, 100, 201, 250]
+    assert all(sum(len(item) + 2 for item in run[1:]) <= limit for run in runs)
+    assert sum(len(digest.versions) for digest in read) == 10
+    # A bucket over the limit still travels, in a run of its own.
+    assert [len(run) - 1 for run in table.narrow_digests([7, 100], 1)] == [
+        len(table._in_bucket[7]), len(table._in_bucket[100])
     ]
+
+
+def test_equal_bucket_hashes_mean_equal_items():
+    rng = random.Random(11)
+    pool = _digest_pool(rng)
+    outcomes = {"equal": 0, "differ": 0}
+    for _ in range(600):
+        theirs = ServiceTable(HostId(b"\x0a" * 16))
+        for versions in pool.values():
+            if rng.random() < 0.7:
+                theirs.merge_record(rng.choice(versions), 0)
+        # The same records, merged in another order and over older versions.
+        ours = ServiceTable(HostId(b"\x09" * 16))
+        held = theirs.records()
+        rng.shuffle(held)
+        for record in held:
+            older = [v for v in pool[record.record_id] if v.version < record.version]
+            if older and rng.random() < 0.5:
+                ours.merge_record(rng.choice(older), 0)
+            ours.merge_record(record, 0)
+        # Now and then one write more: a rival version, or a record removed.
+        if rng.random() < 0.5:
+            record_id, versions = rng.choice(list(pool.items()))
+            if rng.random() < 0.3 and record_id in ours._records:
+                ours._put(record_id, None)
+            else:
+                ours.merge_record(rng.choice(versions), 0)
+        equal = {r.digest_item for r in ours.records()} == {r.digest_item for r in theirs.records()}
+        assert (ours.digest() == theirs.digest()) is equal
+        hashes = ours.read_digest([theirs.digest()]).hashes
+        assert ours.differing_buckets(hashes) == _item_buckets(ours, theirs)
+        outcomes["equal" if equal else "differ"] += 1
+    assert min(outcomes.values()) >= 150, outcomes
 
 
 def test_byte_digests_give_the_answers_of_tuple_digests():
@@ -691,19 +849,34 @@ def test_byte_digests_give_the_answers_of_tuple_digests():
             elif case != "neither":
                 seen[case] += 1
         seen["tombstones"] += any(r.state is EntryState.TOMBSTONE for r in ours.records())
-        items, pairs = theirs.digest(), _tuple_digest(theirs)
-        assert items == [_field_item(theirs._records.get(record_id)) for record_id, _ in pairs]
-        digest = ours.read_digest(items)
-        matched = {ours._by_digest[item].record_id for item in items if item in ours._by_digest}
-        assert set(digest.versions) == {record_id for record_id, _ in pairs} - matched
+        pairs = _tuple_digest(theirs)
+        # The narrow digest names exactly the buckets whose items differ, and
+        # lists the peer's field-by-field items there.
+        digest = _narrow(theirs, ours)
+        assert digest.buckets == _item_buckets(ours, theirs)
+        named = set(digest.buckets)
+        listed = {record_id: version for record_id, version in pairs if bucket_of(record_id) in named}
+        assert digest.versions == listed
+        matched = {
+            record_id for record_id in listed
+            if record_id in ours._records
+            and ours._records[record_id].digest_item == theirs._records[record_id].digest_item
+        }
+        # Outside the named buckets the tables agree, so before anything else
+        # merges, the answers are those of the whole-table tuple digest.
+        assert ours.records_newer_than(digest) == _tuple_records_newer_than(ours, pairs)
+        assert ours.digest_has_news(digest) == _tuple_digest_has_news(ours, pairs)
         # Deltas of the same envelope merge after the digest was read; some
-        # replace a record whose item had matched.
+        # replace a record whose item had matched. Within the named buckets,
+        # the answers are still those of the tuple digest.
         for _ in range(rng.choice([0, 0, 1, 2, 3])):
             record = rng.choice(rng.choice(list(pool.values())))
             if ours.merge_record(record, 1) is MergeOutcome.APPLIED:
                 seen["matched then replaced"] += record.record_id in matched
-        assert ours.records_newer_than(digest) == _tuple_records_newer_than(ours, pairs)
+        assert ours.records_newer_than(digest) == [
+            r for r in _tuple_records_newer_than(ours, pairs) if bucket_of(r.record_id) in named
+        ]
         news = ours.digest_has_news(digest)
-        assert news == _tuple_digest_has_news(ours, pairs)
+        assert news == _tuple_digest_has_news(ours, listed.items())
         seen["news" if news else "no news"] += 1
     assert min(seen.values()) >= 50, seen
