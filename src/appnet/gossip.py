@@ -5,8 +5,9 @@ refutation cycle, one protocol period per tick. Member rumors and
 service-table records ride the same envelopes as bounded piggyback under one
 queue rule: each is retransmitted a logarithmic number of times, and an
 envelope carries up to PIGGYBACK_LIMIT of each, those with the highest
-remaining budget first and, among equals, the oldest. Both queues are heaps,
-so picking costs work in proportion to the envelope, not to the queue.
+remaining budget first and, among equals, the oldest. Each queue keeps one
+FIFO per remaining budget, so picking costs work in proportion to the
+envelope, not to the queue.
 Periodic anti-entropy closes any gaps the rumor budget leaves, in rounds
 that cost work and bytes in proportion to what differs, not to the table:
   1. anti_entropy() sends a SYNC whose digest is the table's bucket hashes;
@@ -21,11 +22,14 @@ Narrow SYNCs are split by bucket, and replies by record, to stay under
 MAX_ENVELOPE, so a joiner with an empty table syncs a table of any size
 whose buckets each hold less than CHUNK_LIMIT bytes of items (some 800
 records a bucket).
-decode_envelope leaves table deltas and sync digest items as wire bytes, and
-the node resolves them before handle_envelope merges anything: each delta
-with ServiceTable.decode, which reuses a record the table already holds in
-those exact bytes, and the digest with ServiceTable.read_digest, which
-checks either form and parses a narrow digest's few items.
+decode_envelope leaves member rumors, table deltas and sync digest items as
+wire bytes, and the node resolves them before handle_envelope merges
+anything: each rumor with Gossip.decode_rumor and each delta with
+ServiceTable.decode, both of which reuse a record already held in those
+exact bytes, and the digest with ServiceTable.read_digest, which checks
+either form and parses a narrow digest's few items. Almost every rumor
+repeats what the receiver holds; handle_envelope counts such a rumor stale
+without merging it.
 Everything is driven by the owning node's loop: tick() and handle_envelope()
 mutate state and return the envelopes to send, and never touch a socket
 themselves.
@@ -42,13 +46,14 @@ buckets and then digest items; ServiceTable writes and reads both forms.
 
 from __future__ import annotations
 
-import heapq
 import math
 import struct
+from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from ipaddress import IPv4Address
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Optional, Union
 
 from appnet.errors import DecodeError
@@ -85,6 +90,8 @@ _HEADER = struct.Struct(">BB16s")
 _MEMBER = struct.Struct(">16sIHBQ")
 # Host ids in their order, compared as bytes rather than through HostId.
 _RAW = attrgetter("raw")
+# A piggyback queue entry's push sequence number.
+_SEQ = itemgetter(0)
 # Section lengths and the length prefix of each item in a section.
 _U32 = struct.Struct(">I")
 _U16 = struct.Struct(">H")
@@ -127,6 +134,8 @@ class MemberRecord:
 class GossipEnvelope:
     kind: EnvelopeKind
     sender: HostId
+    # Members to send; decode_envelope leaves each as its wire bytes, for the
+    # receiver's Gossip.decode_rumor.
     membership_rumors: list[MemberRecord] = field(default_factory=list)
     # Records to send; decode_envelope leaves each as its wire bytes, for the
     # receiver's ServiceTable.decode.
@@ -222,7 +231,7 @@ def decode_envelope(data: bytes) -> GossipEnvelope:
     return GossipEnvelope(
         kind=kind,
         sender=HostId(sender),
-        membership_rumors=[_decode_member(item) for item in rumors],
+        membership_rumors=rumors,
         table_deltas=deltas,
         sync_digest=digest if kind is EnvelopeKind.SYNC or digest else None,
     )
@@ -232,54 +241,95 @@ class _Piggyback:
     """Items waiting to ride envelopes, each for a budget of retransmissions.
 
     take() picks the highest remaining budget first and, among equals, the
-    oldest push; items come off a heap, so picking costs work in proportion
-    to what is taken, not to the queue.
+    oldest push. Items wait in one FIFO per remaining budget, each in push
+    order, so picking costs work in proportion to what is taken, not to the
+    queue: take() walks the FIFOs from the top budget down, and files each
+    item it takes at the back of the FIFO one budget lower. That is the
+    item's place in push order, because a push never has a lower budget than
+    an older one (budgets grow with the membership, which never shrinks).
+    Only a skipped item can be overtaken by younger ones; when it is taken
+    later, it is filed among them in push order.
     """
 
     def __init__(self) -> None:
         self.slots: dict = {}  # key -> [value, budget, seq]
-        # (-budget, seq, key) per queued item; items whose seq no longer
-        # matches their slot (re-queued or spent) are skipped when popped.
-        self._heap: list[tuple] = []
+        # The non-empty FIFOs by budget, each of (seq, key) per queued item.
+        # A re-queue leaves the item's old entry stale, its seq no longer
+        # matching any slot; stale entries are dropped when reached.
+        self._fifos: dict[int, deque] = {}
+        self._stale = 0
         self._seq = 0
 
     def push(self, key, value, budget: int) -> None:
         self._seq += 1
-        self.slots[key] = [value, budget, self._seq]
-        heapq.heappush(self._heap, (-budget, self._seq, key))
-        self._drop_stale()
+        slots = self.slots
+        if key in slots:
+            self._stale += 1
+        slots[key] = [value, budget, self._seq]
+        fifo = self._fifos.get(budget)
+        if fifo is None:
+            fifo = self._fifos[budget] = deque()
+        fifo.append((self._seq, key))
+        if self._stale > len(slots):
+            self._refile()
 
     def take(self, limit: int, skip=None) -> list:
         """Up to `limit` values, each spending one unit of budget; `skip` keeps its place."""
-        heap, slots = self._heap, self.slots
+        fifos, slots = self._fifos, self.slots
         out = []
-        back = []
-        while heap and len(out) < limit:
-            item = heapq.heappop(heap)
-            _, seq, key = item
-            slot = slots.get(key)
-            if slot is None or slot[2] != seq:
-                continue
-            if key == skip:
-                back.append(item)
-                continue
-            out.append(slot[0])
-            slot[1] -= 1
-            if slot[1] > 0:
-                back.append((-slot[1], seq, key))
+        lowered = []  # (budget - 1, entries taken at budget), in push order
+        room = limit
+        for budget in sorted(fifos, reverse=True):
+            if room <= 0:
+                break
+            fifo = fifos[budget]
+            skipped = None
+            taken = []
+            while fifo:
+                entry = fifo.popleft()
+                seq, key = entry
+                slot = slots.get(key)
+                if slot is None or slot[2] != seq:
+                    self._stale -= 1
+                    continue
+                if skip is not None and key == skip:
+                    skipped = entry
+                    continue
+                out.append(slot[0])
+                if budget > 1:
+                    slot[1] = budget - 1
+                    taken.append(entry)
+                else:
+                    del slots[key]
+                room -= 1
+                if not room:
+                    break
+            if skipped is not None:
+                fifo.appendleft(skipped)
+            elif not fifo:
+                del fifos[budget]
+            if taken:
+                lowered.append((budget - 1, taken))
+        # Filed only now, so no item rides one envelope twice.
+        for budget, entries in lowered:
+            fifo = fifos.get(budget)
+            if fifo is None:
+                fifos[budget] = deque(entries)
+            elif fifo[-1][0] < entries[0][0]:
+                fifo.extend(entries)
             else:
-                del slots[key]
-        # Pushed back only now, so no item rides one envelope twice.
-        for item in back:
-            heapq.heappush(heap, item)
-        self._drop_stale()
+                for entry in entries:
+                    insort(fifo, entry, key=_SEQ)
+        if self._stale > len(slots):
+            self._refile()
         return out
 
-    def _drop_stale(self) -> None:
-        """Rebuild the heap from the slots once stale items outnumber live ones."""
-        if len(self._heap) > 2 * len(self.slots):
-            self._heap = [(-budget, seq, key) for key, (_, budget, seq) in self.slots.items()]
-            heapq.heapify(self._heap)
+    def _refile(self) -> None:
+        """Refile the FIFOs from the slots, once stale entries outnumber live ones."""
+        fifos = self._fifos = {}
+        for key, (_, budget, seq) in sorted(self.slots.items(), key=lambda kv: kv[1][2]):
+            fifos.setdefault(budget, deque()).append((seq, key))
+        self._stale = 0
 
 
 @dataclass
@@ -299,7 +349,12 @@ class Gossip:
         self.local_host = local.host
         self.table = table
         self.rng = rng
-        self.members: dict[HostId, MemberRecord] = {local.host: local}
+        # Every known member by host, and indexes over it that _store alone
+        # keeps: each member by its rumor's wire bytes, and the suspects.
+        self.members: dict[HostId, MemberRecord] = {}
+        self._by_wire: dict[bytes, MemberRecord] = {}
+        self._suspects: set[HostId] = set()
+        self._store(local)
         self._rumors = _Piggyback()  # host -> host
         self._deltas = _Piggyback()  # record id -> record
         self._outstanding: dict[HostId, _PingState] = {}
@@ -396,6 +451,27 @@ class Gossip:
 
     # --- membership merge ---
 
+    def _store(self, member: MemberRecord) -> None:
+        """The one write to the member store: put `member` under its host,
+        keeping _by_wire and _suspects in step."""
+        prior = self.members.get(member.host)
+        if prior is not None:
+            del self._by_wire[_encode_member(prior)]
+        self.members[member.host] = member
+        self._by_wire[_encode_member(member)] = member
+        if member.status is MemberStatus.SUSPECT:
+            self._suspects.add(member.host)
+        else:
+            self._suspects.discard(member.host)
+
+    def decode_rumor(self, data: bytes) -> MemberRecord:
+        """The member record that a rumor's wire bytes encode. Bytes equal to
+        the encoding of a held record are that record itself: they are known
+        to be well formed, so nothing is built. Any other bytes go through
+        the full decoder and its checks."""
+        held = self._by_wire.get(data)
+        return held if held is not None else _decode_member(data)
+
     def _merge_member(self, incoming: MemberRecord, now: int) -> None:
         if incoming.host == self.local_host:
             if (
@@ -410,7 +486,7 @@ class Gossip:
             return
         was_dead = resident is not None and resident.status is MemberStatus.DEAD
         stored = replace(incoming, last_change=now)
-        self.members[incoming.host] = stored
+        self._store(stored)
         self._queue_rumor(incoming.host)
         if stored.status is MemberStatus.DEAD and not was_dead:
             self._declare_dead(incoming.host, now)
@@ -431,32 +507,31 @@ class Gossip:
             incarnation=max(me.incarnation, observed_incarnation) + 1,
             last_change=now,
         )
-        self.members[self.local_host] = bumped
+        self._store(bumped)
         self._queue_rumor(self.local_host)
         return bumped
 
     def suspect_timeout_sweep(self, now: int) -> list[HostId]:
-        newly_dead = []
-        for member in list(self.members.values()):
-            if (
-                member.status is MemberStatus.SUSPECT
-                and now - member.last_change >= SUSPECT_TIMEOUT
-            ):
-                self.members[member.host] = replace(
-                    member, status=MemberStatus.DEAD, last_change=now
-                )
-                self._queue_rumor(member.host)
-                self._declare_dead(member.host, now)
-                newly_dead.append(member.host)
+        expired = {
+            host
+            for host in self._suspects
+            if now - self.members[host].last_change >= SUSPECT_TIMEOUT
+        }
+        if not expired:
+            return []
+        # Deaths queue rumors and tombstones, so they go in membership order.
+        newly_dead = [host for host in self.members if host in expired]
+        for host in newly_dead:
+            self._store(replace(self.members[host], status=MemberStatus.DEAD, last_change=now))
+            self._queue_rumor(host)
+            self._declare_dead(host, now)
         return newly_dead
 
     def _suspect(self, host: HostId, now: int) -> None:
         member = self.members.get(host)
         if member is None or member.status is not MemberStatus.ALIVE:
             return
-        self.members[host] = replace(
-            member, status=MemberStatus.SUSPECT, last_change=now
-        )
+        self._store(replace(member, status=MemberStatus.SUSPECT, last_change=now))
         self._queue_rumor(host)
 
     # --- the protocol period ---
@@ -578,17 +653,24 @@ class Gossip:
         self, env: GossipEnvelope, now: int, source: RealEndpoint
     ) -> list[Outbound]:
         out: list[Outbound] = []
-        if env.sender not in self.members and env.sender != self.local_host:
+        members = self.members
+        if env.sender not in members and env.sender != self.local_host:
             # First contact: the source address is the peer's gossip listener.
-            self.members[env.sender] = MemberRecord(
+            self._store(MemberRecord(
                 host=env.sender,
                 addr=source,
                 status=MemberStatus.ALIVE,
                 incarnation=0,
                 last_change=now,
-            )
+            ))
         for rumor in env.membership_rumors:
-            self._merge_member(rumor, now)
+            if members.get(rumor.host) is not rumor:
+                self._merge_member(rumor, now)
+            elif rumor.host != self.local_host:
+                # The held record itself, as decode_rumor resolved it, which
+                # _merge_member would count stale (and, for our own record,
+                # always alive, ignore).
+                self.counters["stale_rumors"] += 1
         for record in env.table_deltas:
             if self.table.merge_record(record, now) is MergeOutcome.APPLIED:
                 # Fresh information is infective: re-spread with our own budget.

@@ -86,7 +86,7 @@ class ServiceKey(NamedTuple):
     port: int
 
     def __str__(self) -> str:
-        return f"{self.vip}:{self.port}"
+        return f"{self.vip!s}:{self.port}"
 
 
 class RealEndpoint(NamedTuple):
@@ -96,7 +96,7 @@ class RealEndpoint(NamedTuple):
     port: int
 
     def __str__(self) -> str:
-        return f"{self.host_ip}:{self.port}"
+        return f"{self.host_ip!s}:{self.port}"
 
 
 def parse_vip(text: str) -> IPv4Address:

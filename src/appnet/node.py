@@ -128,8 +128,12 @@ class Node:
         self.now = now
         try:
             env = decode_envelope(data)
-            # Every delta and the digest, in either form, is resolved before
-            # anything merges, so a bad one leaves this node as it was.
+            # Every rumor, every delta and the digest, in either form, is
+            # resolved before anything merges, so a bad one leaves this node
+            # as it was.
+            env.membership_rumors = [
+                self.gossip.decode_rumor(item) for item in env.membership_rumors
+            ]
             env.table_deltas = [self.table.decode(item) for item in env.table_deltas]
             if env.sync_digest is not None:
                 env.sync_digest = self.table.read_digest(env.sync_digest)

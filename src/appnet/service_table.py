@@ -19,12 +19,11 @@ table keeps all records in one store keyed by it; the switch and the node
 name what they serve and expose by it too.
 
 A delta arrives as wire bytes, and decode() resolves it before it merges.
-The record id sits in those bytes at offsets named by the layout's struct
-sizes, so one store lookup finds the resident record; when the bytes equal
-its encoding, the resident object is the answer and nothing is decoded.
-Most deltas repeat what the receiver holds, and merge finds them stale. Any
-other bytes, an older version of the same record included, go through the
-full decoder and its checks.
+The table indexes every held record by its encoding, so one lookup of those
+bytes finds a record it already holds: the held object is the answer,
+nothing is decoded, and merge_record finds it stale at once. Most deltas
+repeat what the receiver holds. Any other bytes, an older version of the
+same record included, go through the full decoder and its checks.
 
 Anti-entropy compares tables by bucket. A record's digest item is its lp16
 record id, then its version packed as (u64 incarnation, u8 state, u32 crc32);
@@ -400,12 +399,17 @@ class ServiceTable:
         # entries and bindings never collide.
         self._records: dict[bytes, TableRecord] = {}
         # Indexes over the store, kept by _put alone: live entries by key, by
-        # vip and by lower-cased name, and tombstones of either class by
-        # stamp. Each slot maps record id to record; an emptied one is dropped.
+        # vip, by (raw host id, app id) and by lower-cased name, and tombstones
+        # of either class by stamp. Each slot maps record id to record; an
+        # emptied one is dropped.
         self._by_key: dict[ServiceKey, dict[bytes, ServiceEntry]] = {}
         self._by_vip: dict[IPv4Address, dict[bytes, ServiceEntry]] = {}
+        self._by_app: dict[tuple[bytes, str], dict[bytes, ServiceEntry]] = {}
         self._by_name: dict[str, dict[bytes, ServiceEntry]] = {}
         self._tombstones: dict[int, dict[bytes, TableRecord]] = {}
+        # Every held record by its wire encoding, which names it as surely as
+        # its record id does. Also kept by _put alone.
+        self._by_encoded: dict[bytes, TableRecord] = {}
         # Every held record by digest bucket, and each bucket's hash: the XOR
         # of its records' item hashes. Also kept by _put alone.
         self._in_bucket: list[dict[bytes, TableRecord]] = [{} for _ in range(BUCKETS)]
@@ -422,6 +426,7 @@ class ServiceTable:
         bucket = bucket_of(record_id)
         prior = self._records.get(record_id)
         if prior is not None:
+            del self._by_encoded[prior.encoded]
             self._hashes[bucket] ^= prior.item_hash
             for index, slot in self._indexed_in(prior):
                 del index[slot][record_id]
@@ -432,6 +437,7 @@ class ServiceTable:
             del self._in_bucket[bucket][record_id]
             return
         self._records[record_id] = record
+        self._by_encoded[record.encoded] = record
         self._in_bucket[bucket][record_id] = record
         self._hashes[bucket] ^= record.item_hash
         for index, slot in self._indexed_in(record):
@@ -443,7 +449,11 @@ class ServiceTable:
             return [(self._tombstones, record.stamp)]
         if type(record) is not ServiceEntry:
             return []
-        slots = [(self._by_key, record.key), (self._by_vip, record.key.vip)]
+        slots = [
+            (self._by_key, record.key),
+            (self._by_vip, record.key.vip),
+            (self._by_app, (record.host.raw, record.app_id)),
+        ]
         if record.name:
             slots.append((self._by_name, record.name.lower()))
         return slots
@@ -511,13 +521,11 @@ class ServiceTable:
 
     def decode(self, data: bytes) -> TableRecord:
         """The record that the wire bytes of a delta encode. Bytes equal to the
-        encoding of the record held under their id are that record itself:
-        they are known to be well formed, so nothing is built. Any other
-        bytes go through decode_record and its checks."""
-        resident = self._records.get(record_id_of(data))
-        if resident is not None and resident.encoded == data:
-            return resident
-        return decode_record(data)
+        encoding of a held record are that record itself: they are known to
+        be well formed, so nothing is built. Any other bytes go through
+        decode_record and its checks."""
+        held = self._by_encoded.get(data)
+        return held if held is not None else decode_record(data)
 
     def _owns(self, record_id: bytes) -> bool:
         """True for the id of an entry of this host, its sole writer: the one
@@ -528,6 +536,10 @@ class ServiceTable:
 
     def merge_record(self, record: TableRecord, now: int) -> MergeOutcome:
         resident = self._records.get(record.record_id)
+        if resident is record:
+            # A delta that decode() resolved to the held record: stale,
+            # whoever owns it.
+            return MergeOutcome.STALE
         # For our own entries we refute a foreign version (say a tombstone)
         # that would beat a live one, and reject a ghost of one we no longer
         # hold.
@@ -561,15 +573,12 @@ class ServiceTable:
         """Every held record of class `cls`, live or not."""
         return [r for r in self._records.values() if type(r) is cls]
 
-    def _live(self, index: dict[object, dict[bytes, ServiceEntry]]) -> list[ServiceEntry]:
-        """Every live entry in `index`, _by_key or _by_name."""
-        return [e for bucket in index.values() for e in bucket.values()]
-
     def alive_entries(self) -> list[ServiceEntry]:
-        return sorted(self._live(self._by_key), key=lambda e: (e.key, e.host, e.app_id))
+        live = (e for slot in self._by_key.values() for e in slot.values())
+        return sorted(live, key=lambda e: (e.key, e.host, e.app_id))
 
     def entries_for_app(self, host: HostId, app_id: str) -> list[ServiceEntry]:
-        return [e for e in self._live(self._by_key) if e.host == host and e.app_id == app_id]
+        return list(self._by_app.get((host.raw, app_id), {}).values())
 
     def names_by_vip(self) -> Mapping[IPv4Address, str]:
         """The vips that live named entries claim, each with one such name."""

@@ -10,7 +10,7 @@ Partitions and crashes break both message delivery and established streams.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from ipaddress import IPv4Address
 from typing import Callable, Optional
 
@@ -113,15 +113,6 @@ class _NodeSlot:
     next_port: int = EPHEMERAL_BASE + 1
 
 
-@dataclass(order=True)
-class _InFlight:
-    due: int
-    seq: int
-    dest: RealEndpoint = field(compare=False)
-    data: bytes = field(compare=False)
-    source: RealEndpoint = field(compare=False)
-
-
 class SimNetwork:
     def __init__(self, rng, profile: NetProfile | None = None) -> None:
         self.rng = rng
@@ -134,7 +125,9 @@ class SimNetwork:
             RealEndpoint, Callable[[SimStream, bytes], None]
         ] = {}
         self._external_listeners: dict[RealEndpoint, Callable[[SimStream], None]] = {}
-        self._queue: list[_InFlight] = []
+        # (due, seq, dest, data, source) per datagram in flight; seq is
+        # unique, so the heap orders by due tick, then by send order.
+        self._queue: list[tuple[int, int, RealEndpoint, bytes, RealEndpoint]] = []
         self._seq = 0
         self._partitions: list[tuple[frozenset[IPv4Address], frozenset[IPv4Address]]] = []
         self._streams: list[tuple[IPv4Address, IPv4Address, SimStream]] = []
@@ -209,31 +202,29 @@ class SimNetwork:
         lo, hi = self.profile.latency
         delay = self.rng.randint(lo, hi) if hi > lo else lo
         self._seq += 1
-        heapq.heappush(
-            self._queue, _InFlight(now + delay, self._seq, dest, data, source)
-        )
+        heapq.heappush(self._queue, (now + delay, self._seq, dest, data, source))
         return True
 
     def pump(self, now: int) -> int:
         """Deliver everything due by `now`, including same-tick replies."""
         delivered = 0
         guard = 0
-        while self._queue and self._queue[0].due <= now:
+        while self._queue and self._queue[0][0] <= now:
             guard += 1
             if guard > 100_000:
                 raise RuntimeError("message pump did not quiesce")
-            item = heapq.heappop(self._queue)
-            if self.blocked(item.source.host_ip, item.dest.host_ip):
+            _, _, dest, data, source = heapq.heappop(self._queue)
+            if self.blocked(source.host_ip, dest.host_ip):
                 self.counters["dropped_partition"] += 1
                 continue
-            if not self.is_alive(item.dest.host_ip):
+            if not self.is_alive(dest.host_ip):
                 self.counters["dropped_dead"] += 1
                 continue
-            cb = self._dgram_listeners.get(item.dest)
+            cb = self._dgram_listeners.get(dest)
             if cb is None:
                 self.counters["dropped_dead"] += 1
                 continue
-            cb(item.data, item.source)
+            cb(data, source)
             delivered += 1
         return delivered
 

@@ -68,14 +68,15 @@ def make_gossip(host=H1, n=1, gateway=False):
     return g
 
 
-def receive(data: bytes, table: ServiceTable | None = None) -> GossipEnvelope:
-    """Decode an envelope as a node does: the envelope, then each delta and
-    the digest."""
+def receive(data: bytes, g: Gossip | None = None) -> GossipEnvelope:
+    """Decode an envelope as a node does: the envelope, then each rumor, each
+    delta and the digest."""
     env = decode_envelope(data)
-    table = table or ServiceTable(H4)
-    env.table_deltas = [table.decode(item) for item in env.table_deltas]
+    g = g or make_gossip(H4, 4)
+    env.membership_rumors = [g.decode_rumor(item) for item in env.membership_rumors]
+    env.table_deltas = [g.table.decode(item) for item in env.table_deltas]
     if env.sync_digest is not None:
-        env.sync_digest = table.read_digest(env.sync_digest)
+        env.sync_digest = g.table.read_digest(env.sync_digest)
     return env
 
 
@@ -414,7 +415,8 @@ def test_delta_heap_stays_bounded_under_requeues():
         g.queue_delta(replace(hot[i % 3], incarnation=i))
         if i % 100 == 99:
             g._deltas.take(gossip.PIGGYBACK_LIMIT)
-        assert len(g._deltas._heap) <= 2 * len(g._deltas.slots) + gossip.PIGGYBACK_LIMIT
+        queued = sum(map(len, g._deltas._fifos.values()))
+        assert queued <= 2 * len(g._deltas.slots) + gossip.PIGGYBACK_LIMIT
     assert len(g._deltas.slots) == 3
 
 
@@ -536,6 +538,106 @@ def test_probe_cycle_picks_what_a_per_probe_rebuild_picks():
     assert picks > 1500 and deaths > 50
 
 
+def _assert_member_indexes_hold(g):
+    """_by_wire and _suspects equal their values recomputed from members."""
+    assert g._by_wire == {gossip._encode_member(m): m for m in g.members.values()}
+    assert len(g._by_wire) == len(g.members)
+    for m in g._by_wire.values():
+        assert m is g.members[m.host]
+    assert g._suspects == {
+        host for host, m in g.members.items() if m.status is MemberStatus.SUSPECT
+    }
+
+
+def test_member_indexes_follow_every_write():
+    g = make_gossip(H1, 1)
+    rng = random.Random(13)
+    hosts: list[HostId] = []
+    writes = {"merge": 0, "suspect": 0, "sweep": 0, "refute": 0, "first_contact": 0}
+    deaths = suspected = 0
+    for step in range(1, 2001):
+        write = rng.choice(list(writes))
+        if write == "merge" and hosts and rng.random() < 0.8:
+            # A fresher, equal or older rumor of a known member, or of us.
+            host = rng.choice([H1, *hosts])
+            old = g.members[host]
+            status = rng.choice(list(MemberStatus))
+            incarnation = max(0, old.incarnation + rng.choice([-1, 0, 1]))
+            g._merge_member(replace(old, status=status, incarnation=incarnation), step)
+        elif write == "merge":
+            hosts.append(HostId((step + 16).to_bytes(16, "big")))
+            g._merge_member(member(hosts[-1], 5), step)
+        elif write == "suspect" and hosts:
+            g._suspect(rng.choice(hosts), step)
+        elif write == "sweep":
+            before = dict(g.members)
+            newly_dead = g.suspect_timeout_sweep(step)
+            # What a sweep of every member finds, in membership order.
+            assert newly_dead == [
+                host for host, m in before.items()
+                if m.status is MemberStatus.SUSPECT
+                and step - m.last_change >= gossip.SUSPECT_TIMEOUT
+            ]
+            assert all(g.members[host].status is MemberStatus.DEAD for host in newly_dead)
+            deaths += len(newly_dead)
+        elif write == "refute":
+            g.refute(g.local_record.incarnation + rng.randrange(2), step)
+        else:
+            hosts.append(HostId((step + 16).to_bytes(16, "big")))
+            g.handle_envelope(
+                GossipEnvelope(kind=EnvelopeKind.SYNC_REPLY, sender=hosts[-1]), step, addr(5)
+            )
+            assert g.members[hosts[-1]].incarnation == 0
+        writes[write] += 1
+        suspected += bool(g._suspects)
+        _assert_member_indexes_hold(g)
+    assert min(writes.values()) > 300, writes
+    assert deaths > 20 and suspected > 500
+
+
+def test_held_rumor_resolves_to_the_held_record_and_skips_the_merge():
+    g, old_path = make_gossip(H1, 1), make_gossip(H1, 1)
+    for m in (member(H2, 2), member(H3, 3, MemberStatus.SUSPECT, 4, True)):
+        g._merge_member(m, 0)
+        old_path._merge_member(m, 0)
+    held = [g.members[H2], g.members[H3], g.local_record]
+    data = encode_envelope(GossipEnvelope(
+        kind=EnvelopeKind.SYNC_REPLY, sender=H2, membership_rumors=held
+    ))
+    env = receive(data, g)
+    assert all(r is m for r, m in zip(env.membership_rumors, held, strict=True))
+    merged = []
+    merge = g._merge_member
+    g._merge_member = lambda rumor, now: merged.append(rumor) or merge(rumor, now)
+    g.handle_envelope(env, 5, addr(2))
+    assert merged == []
+    assert [g.members[H2], g.members[H3], g.local_record] == held
+    # stale_rumors moves as merging each decoded rumor moves it: our own
+    # record is not counted.
+    for item in decode_envelope(data).membership_rumors:
+        old_path._merge_member(gossip._decode_member(item), 5)
+    assert g.counters["stale_rumors"] == old_path.counters["stale_rumors"] == 2
+    # A fresher rumor, at a higher incarnation or with a new status, is
+    # decoded and merged.
+    fresher_rumors = (
+        replace(held[0], incarnation=2),
+        replace(held[0], status=MemberStatus.SUSPECT, incarnation=2),
+    )
+    for fresher in fresher_rumors:
+        (rumor,) = receive(encode_envelope(GossipEnvelope(
+            kind=EnvelopeKind.SYNC_REPLY, sender=H2, membership_rumors=[fresher]
+        )), g).membership_rumors
+        assert rumor is not g.members[H2] and rumor == replace(fresher, last_change=0)
+        g.handle_envelope(
+            GossipEnvelope(kind=EnvelopeKind.SYNC_REPLY, sender=H2, membership_rumors=[rumor]),
+            6, addr(2),
+        )
+        assert merged[-1] is rumor
+        assert g.members[H2] == replace(rumor, last_change=6)
+    assert len(merged) == 2 and g.counters["stale_rumors"] == 2
+    _assert_member_indexes_hold(g)
+
+
 def test_single_node_emits_nothing():
     g = make_gossip()
     assert g.tick(1) == []
@@ -544,8 +646,8 @@ def test_single_node_emits_nothing():
 def test_two_nodes_ping_each_other_with_alive_records():
     a, b = make_gossip(H1, 1), make_gossip(H2, 2)
     # Introduce them as a join would.
-    a.handle_envelope(receive(encode_envelope(b.anti_entropy()), a.table), 0, addr(2))
-    b.handle_envelope(receive(encode_envelope(a.anti_entropy()), b.table), 0, addr(1))
+    a.handle_envelope(receive(encode_envelope(b.anti_entropy()), a), 0, addr(2))
+    b.handle_envelope(receive(encode_envelope(a.anti_entropy()), b), 0, addr(1))
     out_a = a.tick(1)
     out_b = b.tick(1)
     assert len(out_a) == 1 and len(out_b) == 1
@@ -560,7 +662,7 @@ def test_two_nodes_ping_each_other_with_alive_records():
 
 def test_ping_gets_ack_with_self_attestation():
     a, b = make_gossip(H1, 1), make_gossip(H2, 2)
-    a.handle_envelope(receive(encode_envelope(b.anti_entropy()), a.table), 0, addr(2))
+    a.handle_envelope(receive(encode_envelope(b.anti_entropy()), a), 0, addr(2))
     (dest, ping), = a.tick(1)
     replies = b.handle_envelope(ping, 1, addr(1))
     acks = [env for _, env in replies if env.kind is EnvelopeKind.ACK]
@@ -664,12 +766,12 @@ def test_sync_reply_returns_missing_records_and_reverse_syncs():
     # a's bucket hashes differ from b's, so b lists its items in the buckets
     # that differ, and a answers with its own.
     (dest, narrowed), = b.handle_envelope(
-        receive(encode_envelope(a.anti_entropy()), b.table), 1, addr(1)
+        receive(encode_envelope(a.anti_entropy()), b), 1, addr(1)
     )
     assert narrowed.kind is EnvelopeKind.SYNC and dest == addr(1)
-    back = a.handle_envelope(receive(encode_envelope(narrowed), a.table), 1, addr(2))
+    back = a.handle_envelope(receive(encode_envelope(narrowed), a), 1, addr(2))
     assert [env.kind for _, env in back] == [EnvelopeKind.SYNC_REPLY, EnvelopeKind.SYNC]
-    out = b.handle_envelope(receive(encode_envelope(back[1][1]), b.table), 1, addr(1))
+    out = b.handle_envelope(receive(encode_envelope(back[1][1]), b), 1, addr(1))
     kinds = [env.kind for _, env in out]
     assert EnvelopeKind.SYNC_REPLY in kinds
     assert EnvelopeKind.SYNC in kinds  # b wants what a has
@@ -736,7 +838,7 @@ def test_equal_tables_exchange_one_sync_of_bucket_hashes_and_one_empty_reply():
     _, pos = read_section(data, pos)
     # The digest section: a u32 length, one u16-prefixed item of 256 hashes.
     assert len(data) - pos == 4 + 2 + 256 * 8
-    (dest, reply), = b.handle_envelope(receive(data, b.table), 1, addr(1))
+    (dest, reply), = b.handle_envelope(receive(data, b), 1, addr(1))
     assert dest == addr(1) and reply.kind is EnvelopeKind.SYNC_REPLY
     assert reply.table_deltas == [] and reply.sync_digest is None
-    assert a.handle_envelope(receive(encode_envelope(reply), a.table), 1, addr(2)) == []
+    assert a.handle_envelope(receive(encode_envelope(reply), a), 1, addr(2)) == []

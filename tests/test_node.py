@@ -1,3 +1,4 @@
+import struct
 from dataclasses import replace
 from ipaddress import IPv4Address
 
@@ -15,12 +16,15 @@ from appnet.errors import (
 )
 from appnet.gossip import (
     ANTI_ENTROPY_PERIOD,
+    ENVELOPE_VERSION,
     MAX_ENVELOPE,
     EnvelopeKind,
     GossipEnvelope,
     MemberRecord,
     MemberStatus,
+    _encode_member,
     encode_envelope,
+    section,
 )
 from appnet.model import (
     AUTO_POOL,
@@ -391,6 +395,63 @@ def test_bad_copy_of_a_held_record_is_counted_and_nothing_merges(record, corrupt
     assert reply[1].kind is EnvelopeKind.ACK
     assert fresh.record_id in {r.record_id for r in node.table.records()}
     assert stranger.host in node.gossip.members
+
+
+_STRANGER = MemberRecord(
+    host=HostId(b"\x03" * 16),
+    addr=RealEndpoint(IPv4Address("10.0.0.3"), 7946),
+    status=MemberStatus.ALIVE,
+    incarnation=1,
+)
+
+
+def _with_status(rumor: bytes, status: int) -> bytes:
+    # Host id, gossip address and port, then the status byte.
+    return rumor[:22] + bytes([status]) + rumor[23:]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda held, stranger: _with_status(held, 0x07),
+        lambda held, stranger: _with_status(held, 0x83),
+        lambda held, stranger: _with_status(stranger, 0x03),
+        lambda held, stranger: stranger[:-1],
+        lambda held, stranger: stranger + b"\x00",
+    ],
+    ids=["held-member-status-7", "held-member-gateway-status-3", "unheld-member-status-3",
+         "short-rumor", "long-rumor"],
+)
+def test_bad_member_rumor_is_counted_and_nothing_merges(corrupt):
+    cluster, node = one_node_cluster()
+    node.on_envelope(
+        encode_envelope(GossipEnvelope(kind=EnvelopeKind.PING, sender=PEER, table_deltas=[PEER_ENTRY])),
+        PEER_ADDR,
+        1,
+    )
+    held = node.table.dump()
+    members = dict(node.gossip.members)
+    fresh = replace(PEER_ENTRY, app_id="a2")
+    # The peer's record as this node holds it, which resolves unparsed, and
+    # a stranger's.
+    rumors = [_encode_member(node.gossip.members[PEER]), _encode_member(_STRANGER)]
+
+    def ping(items):
+        header = struct.pack(">BB16s", ENVELOPE_VERSION, EnvelopeKind.PING.value, PEER.raw)
+        return header + section(items) + section([fresh.encoded]) + section([])
+
+    assert node.on_envelope(ping([*rumors, corrupt(*rumors)]), PEER_ADDR, 2) == []
+    assert node.counters["envelope_decode_errors"] == 1
+    # Nothing of the envelope merged: not the fresh delta, not the rumors.
+    assert node.table.dump() == held
+    assert node.gossip.members == members
+    stale = node.gossip.counters["stale_rumors"]
+    (reply,) = node.on_envelope(ping(rumors), PEER_ADDR, 2)
+    assert reply[1].kind is EnvelopeKind.ACK
+    assert fresh.record_id in {r.record_id for r in node.table.records()}
+    assert _STRANGER.host in node.gossip.members
+    assert node.gossip.counters["stale_rumors"] == stale + 1
+    assert node.counters["envelope_decode_errors"] == 1
 
 
 def _item(record_id: bytes, version: tuple[int, int, int], id_length=None) -> bytes:

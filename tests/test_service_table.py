@@ -506,24 +506,28 @@ def _scan_duplicate(table, key, app_id):
 
 
 def _assert_indexes_hold_exactly_the_current_records(table):
-    by_key, by_vip, by_name, tombstones = {}, {}, {}, {}
+    by_key, by_vip, by_app, by_name, tombstones = {}, {}, {}, {}, {}
     for r in table.records():
         if r.state is EntryState.TOMBSTONE:
             tombstones.setdefault(r.stamp, {})[r.record_id] = r
         elif isinstance(r, ServiceEntry):
             by_key.setdefault(r.key, {})[r.record_id] = r
             by_vip.setdefault(r.key.vip, {})[r.record_id] = r
+            by_app.setdefault((r.host.raw, r.app_id), {})[r.record_id] = r
             if r.name:
                 by_name.setdefault(r.name.lower(), {})[r.record_id] = r
     for index, expected in (
-        (table._by_key, by_key), (table._by_vip, by_vip), (table._by_name, by_name),
-        (table._tombstones, tombstones),
+        (table._by_key, by_key), (table._by_vip, by_vip), (table._by_app, by_app),
+        (table._by_name, by_name), (table._tombstones, tombstones),
     ):
         assert index == expected
         # The very objects the stores hold, not equal leftovers of superseded writes.
         for bucket, records in index.items():
             for record_id, record in records.items():
                 assert record is expected[bucket][record_id]
+    assert table._by_encoded == {r.encoded: r for r in table.records()}
+    for record in table._by_encoded.values():
+        assert record is table._records[record.record_id]
     assert table._hashes == _bucket_hashes(table.records())
     in_bucket = [{} for _ in range(BUCKETS)]
     for record in table.records():
@@ -532,6 +536,13 @@ def _assert_indexes_hold_exactly_the_current_records(table):
     for records in table._in_bucket:
         for record_id, record in records.items():
             assert record is table._records[record_id]
+    # The app index answers what the old scan of every live entry did.
+    for host in (H1, H2, H3):
+        for app_id in ("a0", "a1", "a2"):
+            scan = [e for e in table.alive_entries() if e.host == host and e.app_id == app_id]
+            assert sorted(table.entries_for_app(host, app_id), key=lambda e: e.record_id) == (
+                sorted(scan, key=lambda e: e.record_id)
+            )
     # The vip index answers what the old scans of every live entry did.
     for vip in {key.vip for key in _KEYS}:
         named = {e.name for e in by_vip.get(vip, {}).values() if e.name}
