@@ -59,7 +59,7 @@ class GatewaySession:
     internal: object
     ext_to_int: int = 0
     int_to_ext: int = 0
-    closed: bool = False
+    closed: bool = False  # transports closed and the counts final
 
 
 @dataclass
@@ -288,9 +288,7 @@ class Node:
     def _close_sessions(self, record_id: bytes) -> None:
         for session in self.gateway_sessions:
             if session.binding.record_id == record_id and not session.closed:
-                session.closed = True
-                session.external.close()
-                session.internal.close()
+                self.fabric.end_session(session)
 
     def _on_external_conn(self, binding: GatewayBinding, transport) -> None:
         synth_id = f"gw.{self.host.hex[:6]}.{binding.external_port}"

@@ -317,3 +317,9 @@ class SimFabric:
         endpoint = RealEndpoint(self.host_ip, port)
         self.network.listen_external(endpoint, on_conn)
         return ("external", endpoint)
+
+    def end_session(self, session) -> None:
+        """No pump threads here to wait for: the session ends at once."""
+        session.closed = True
+        session.external.close()
+        session.internal.close()

@@ -1,8 +1,13 @@
+import contextlib
+import errno
+import os
 import socket
 import struct
+import sys
 import threading
 import time
 from ipaddress import IPv4Address
+from pathlib import Path
 
 import pytest
 
@@ -223,7 +228,9 @@ def test_malformed_dns_question_leaves_the_app_in_place(cluster):
     assert a.counters["loop_errors"] == 0
 
 
-def test_gateway_proxies_external_tcp(cluster):
+# One byte; either side of a 64 KiB pipe's capacity; and past 1 MiB.
+@pytest.mark.parametrize("size", [1, 65535, 65537, (1 << 20) + 1])
+def test_gateway_proxies_external_tcp(cluster, size):
     a, b = cluster
     server_info = b.add_app(
         ["--ip", "10.50.0.9", "--name", "pub", "--expose", "31000"]
@@ -234,7 +241,7 @@ def test_gateway_proxies_external_tcp(cluster):
     assert _wait_for(lambda: a.node.table.binding_for_key(binding_key) is not None)
     assert _wait_for(lambda: _listening(a, 31000))
 
-    payload = b"\xcd" * (1 << 20)
+    payload = b"\xcd" * size
     external = socket.create_connection(("127.0.0.1", 31000), timeout=5)
     received = bytearray()
     done = threading.Event()
@@ -253,8 +260,9 @@ def test_gateway_proxies_external_tcp(cluster):
     assert done.wait(timeout=30)
     assert bytes(received) == payload
     external.close()
-    assert _wait_for(lambda: a.node.gateway_sessions, timeout=5)
     session = a.node.gateway_sessions[0]
+    # A session is closed once both pumps have ended: its counts are final.
+    assert _wait_for(lambda: session.closed, timeout=5)
     assert session.ext_to_int == len(payload)
     assert session.int_to_ext == len(payload)
 
@@ -505,3 +513,178 @@ def test_gateway_sessions_never_wait_on_a_missed_wakeup(cluster):
     assert not thread.is_alive()
     # Pump threads end with their sessions: one loop per runtime is left.
     assert _wait_for(lambda: len(_threads_of(a, b)) == 2), _threads_of(a, b)
+
+
+def _open_session(gateway, port):
+    """A client connected through `gateway`'s external `port`, one echo in."""
+    external = socket.create_connection(("127.0.0.1", port), timeout=5)
+    external.sendall(b"hello")
+    assert _recv_exactly(external, 5) == b"hello"
+    return external, gateway.node.gateway_sessions[-1]
+
+
+def test_a_withdrawn_exposure_ends_its_open_sessions(cluster):
+    a, b = cluster
+    info = b.add_app(["--ip", "10.50.0.12", "--name", "held", "--expose", "31020"])
+    server = connect_shim(info["trap"])
+    _listener, echo_thread = _serve_echo(server, 4007)
+    assert _wait_for(lambda: _listening(a, 31020))
+    external, session = _open_session(a, 31020)
+
+    b.remove_app(info["app_id"])
+    assert _wait_for(lambda: not _listening(a, 31020))
+    # Both ends hear the session end, not just the gateway's bookkeeping.
+    external.settimeout(3)
+    assert external.recv(1) == b""
+    echo_thread.join(timeout=3)
+    assert not echo_thread.is_alive()
+    assert _wait_for(lambda: session.closed)
+    external.close()
+    _hang_up(server)
+
+
+def _open_fds(*runtimes) -> int:
+    """Descriptors this process holds, less the anti-entropy streams that the
+    runtimes open on their gossip ports every few periods and idle out."""
+    fds = os.listdir("/proc/self/fd")
+    ports = {rt.config.bind.port for rt in runtimes}
+    syncs = set()
+    for line in Path("/proc/net/tcp").read_text().splitlines()[1:]:
+        fields = line.split()
+        if {int(end.split(":")[1], 16) for end in fields[1:3]} & ports:
+            syncs.add(f"socket:[{fields[9]}]")
+    held = 0
+    for fd in fds:
+        with contextlib.suppress(OSError):  # closed since the listing
+            held += os.readlink(f"/proc/self/fd/{fd}") not in syncs
+    return held
+
+
+def _fds_before(*runtimes) -> int:
+    """The fewest of a few samples: a stream in the midst of opening is not held."""
+    samples = []
+    for _ in range(5):
+        samples.append(_open_fds(*runtimes))
+        time.sleep(0.02)
+    return min(samples)
+
+
+def test_gateway_sessions_leave_no_fds_behind(cluster):
+    a, b = cluster
+    info = b.add_app(["--ip", "10.50.0.13", "--name", "brief", "--expose", "31030"])
+    brief = connect_shim(info["trap"])
+    thread = _serve_and_drop(brief, 4009, reply=True)
+    assert _wait_for(lambda: _listening(a, 31030))
+    before = _fds_before(a, b)
+    for _ in range(20):
+        external = socket.create_connection(("127.0.0.1", 31030), timeout=5)
+        external.sendall(b"x")
+        assert external.recv(1) == b"x"
+        _close_abortively(external)
+    assert _wait_for(lambda: all(s.closed for s in a.node.gateway_sessions))
+    assert _wait_for(lambda: _open_fds(a, b) <= before), (_open_fds(a, b), before)
+    _hang_up(brief)
+    thread.join(timeout=5)
+
+    # A session withdrawn mid-stream, with all its app left behind hung up.
+    before = _fds_before(a, b)
+    info = b.add_app(["--ip", "10.50.0.14", "--name", "held", "--expose", "31031"])
+    held = connect_shim(info["trap"])
+    _listener, echo_thread = _serve_echo(held, 4010)
+    assert _wait_for(lambda: _listening(a, 31031))
+    external, session = _open_session(a, 31031)
+    b.remove_app(info["app_id"])
+    assert _wait_for(lambda: session.closed)
+    echo_thread.join(timeout=5)
+    _close_abortively(external)
+    _hang_up(held)
+    assert _wait_for(lambda: _open_fds(a, b) <= before), (_open_fds(a, b), before)
+    assert a.counters["pump_errors"] == 0
+
+
+def test_a_pump_error_is_counted_and_ends_the_session(cluster, monkeypatch):
+    a, b = cluster
+    info = b.add_app(["--ip", "10.50.0.15", "--name", "faulty", "--expose", "31040"])
+    server = connect_shim(info["trap"])
+    _listener, echo_thread = _serve_echo(server, 4011)
+    assert _wait_for(lambda: _listening(a, 31040))
+    splice, calls = os.splice, []
+
+    def fail_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+        return splice(*args)
+
+    monkeypatch.setattr(os, "splice", fail_first)
+    external = socket.create_connection(("127.0.0.1", 31040), timeout=5)
+    assert external.recv(1) == b""
+    echo_thread.join(timeout=5)
+    assert not echo_thread.is_alive()
+    session = a.node.gateway_sessions[0]
+    assert _wait_for(lambda: session.closed)
+    assert a.counters["pump_errors"] == 1
+    assert "Invalid argument" in a.last_error
+    external.close()
+    _hang_up(server)
+
+
+def _serve_echo_each(shim, port):
+    """Accept in a loop and echo every connection on a thread of its own."""
+    listener = shim.socket(HandleKind.STREAM)
+    shim.bind(listener, (IPv4Address("0.0.0.0"), port))
+    shim.listen(listener)
+
+    def echo(transport):
+        with transport:
+            while chunk := transport.recv(65536):
+                transport.sendall(chunk)
+
+    def serve():
+        while True:
+            try:
+                _handle, _peer, transport = shim.accept(listener)
+            except (AppNetError, ConnectionError, OSError):
+                return  # the channel closed
+            threading.Thread(target=echo, args=(transport,), daemon=True).start()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return thread
+
+
+def test_concurrent_sessions_count_every_byte_once(cluster):
+    a, b = cluster
+    info = b.add_app(["--ip", "10.50.0.16", "--name", "busy", "--expose", "31050"])
+    server = connect_shim(info["trap"])
+    thread = _serve_echo_each(server, 4012)
+    assert _wait_for(lambda: _listening(a, 31050))
+    payload, clients = b"\x5a" * (256 << 10), 4  # 8 pump threads on 2 cores
+    echoed = []
+
+    def stream():
+        with socket.create_connection(("127.0.0.1", 31050), timeout=10) as external:
+            sender = threading.Thread(target=external.sendall, args=(payload,))
+            sender.start()
+            echoed.append(_recv_exactly(external, len(payload)))
+            sender.join(timeout=10)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the pumps' counting as often as can be
+    try:
+        streams = [threading.Thread(target=stream) for _ in range(clients)]
+        for t in streams:
+            t.start()
+        for t in streams:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert echoed == [payload] * clients
+    sessions = a.node.gateway_sessions
+    assert _wait_for(lambda: len(sessions) == clients and all(s.closed for s in sessions))
+    counted = sum(s.ext_to_int + s.int_to_ext for s in sessions)
+    assert counted == a.node.switch.data_path_bytes == 2 * clients * len(payload)
+    _hang_up(server)
+    thread.join(timeout=5)
+    assert not thread.is_alive()
