@@ -140,6 +140,9 @@ def _fast_path_pair(runtime: RealNodeRuntime) -> tuple[socket.socket, socket.soc
     receiver = accepted["sock"]
     assert isinstance(sender, socket.socket) and isinstance(receiver, socket.socket)
     server.close(listener)
+    # The connection needs neither app's channel any more.
+    server.channel.close()
+    client.channel.close()
     return sender, receiver
 
 

@@ -6,11 +6,22 @@ loop: tick() once per protocol period and on_envelope() for each inbound
 gossip datagram, both returning the envelopes to put on the wire. Transport
 mechanics live behind the fabric the backend supplies, so the same class runs
 under the simulated clock and over real sockets.
+
+Exposure runs on events, with the tick as its retry. An app started with
+--expose gets its gateway binding as soon as its first bind succeeds, and
+the tick reconciles exposures before it probes, so a binding made on a tick
+rides that tick's probes. A gateway opens a binding's listener as soon as
+an envelope brings the binding to it. Only the tick withdraws: it retires a
+binding whose service it no longer sees and closes listeners that lost their
+binding. It also retries what an event could not do, such as an exposure
+made before any gateway was known, or an external port that failed to bind
+(counted in counters["gateway_bind_errors"]).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Union
 
 from appnet import names
@@ -18,6 +29,7 @@ from appnet.errors import (
     AmbiguousName,
     AppNetError,
     AttachFailed,
+    BindFailed,
     DecodeError,
     NoSuchService,
     UnknownApp,
@@ -40,7 +52,7 @@ from appnet.model import (
 )
 from appnet.service_table import EntryState, GatewayBinding, ServiceTable
 from appnet.switch import SelectionStrategy, Switch
-from appnet.trap import InProcChannel, TrapReply, TrapRequest
+from appnet.trap import InProcChannel, TrapOp, TrapReply, TrapRequest
 
 
 @dataclass
@@ -60,6 +72,18 @@ class GatewaySession:
     ext_to_int: int = 0
     int_to_ext: int = 0
     closed: bool = False  # transports closed and the counts final
+
+
+@dataclass
+class _Exposure:
+    """A gateway's external listener for one binding, and the synthetic
+    client that its sessions connect inward as, built when it opens."""
+
+    binding: GatewayBinding
+    client_id: str
+    client_addr: tuple
+    client_tags: TagSet
+    token: object = None
 
 
 @dataclass
@@ -107,11 +131,11 @@ class Node:
         )
         self._apps: dict[str, _App] = {}
         self._app_seq = 0
-        self._external_listeners: dict[bytes, object] = {}  # by binding record id
+        self._external_listeners: dict[bytes, _Exposure] = {}  # by binding record id
         self.gateway_sessions: list[GatewaySession] = []
         # Backend hook: wire up byte pumping for a fresh gateway session.
         self.start_pump: Optional[Callable[[GatewaySession], None]] = None
-        self.counters = {"envelope_decode_errors": 0}
+        self.counters = {"envelope_decode_errors": 0, "gateway_bind_errors": 0}
         if config.join is not None:
             self.gossip.begin_join(config.join)
 
@@ -119,9 +143,10 @@ class Node:
 
     def tick(self, now: int) -> list[Outbound]:
         self.now = now
+        # Before the probes, so that a binding made here rides them.
+        self._reconcile_exposures()
         out = self.gossip.tick(now)
         self.table.gc_tombstones(now)
-        self._reconcile_exposures(now)
         return out
 
     def on_envelope(self, data: bytes, source: RealEndpoint, now: int) -> list[Outbound]:
@@ -140,7 +165,13 @@ class Node:
         except DecodeError:
             self.counters["envelope_decode_errors"] += 1
             return []
-        return self.gossip.handle_envelope(env, now, source)
+        out = self.gossip.handle_envelope(env, now, source)
+        if self.config.gateway and any(
+            type(record) is GatewayBinding and record.gateway == self.host
+            for record in env.table_deltas
+        ):
+            self._reconcile_gateway_listeners(withdraw=False)
+        return out
 
     # --- app lifecycle ---
 
@@ -186,7 +217,10 @@ class Node:
     def dispatch_trap(
         self, app_id: str, req: TrapRequest
     ) -> tuple[TrapReply, object | None]:
-        return self.switch.dispatch(app_id, req)
+        reply, transport = self.switch.dispatch(app_id, req)
+        if req.op is TrapOp.BIND and reply.ok:
+            self._reconcile_expose_intent(self._apps[app_id])
+        return reply, transport
 
     def remove_app(self, app_id: str) -> int:
         app = self._apps.pop(app_id, None)
@@ -234,70 +268,95 @@ class Node:
         )
         return self.table.insert_binding(binding, self.now)
 
-    def _reconcile_exposures(self, now: int) -> None:
-        self._reconcile_expose_intents()
-        if self.config.gateway:
-            self._reconcile_gateway_listeners()
-
-    def _reconcile_expose_intents(self) -> None:
-        # The app's own node holds the exposure intent; if the chosen gateway
-        # dies or the binding is displaced, it simply runs expose again.
+    def _reconcile_exposures(self) -> None:
         for app in self._apps.values():
-            if app.expose is None:
-                continue
-            entries = self.table.entries_for_app(self.host, app.identity.app_id)
-            if not entries:
-                continue
-            key = min((e.key for e in entries), key=lambda k: k.port)
-            binding = self.table.binding_for_key(key)
-            if binding is not None and self._gateway_alive(binding.gateway):
-                continue
-            try:
-                self.expose(key, app.expose, admit=app.identity.spec.tags)
-                app.expose_error = None
-            except AppNetError as exc:  # transient until membership settles
-                app.expose_error = str(exc)
+            self._reconcile_expose_intent(app)
+        if self.config.gateway:
+            self._reconcile_gateway_listeners(withdraw=True)
+
+    def _reconcile_expose_intent(self, app: _App) -> None:
+        # The app's own node holds the exposure intent; if the chosen gateway
+        # dies or the binding is displaced, it simply runs expose again. Runs
+        # on each of the app's binds and, as the retry, on every tick.
+        if app.expose is None:
+            return
+        entries = self.table.entries_for_app(self.host, app.identity.app_id)
+        if not entries:
+            return
+        key = min((e.key for e in entries), key=lambda k: k.port)
+        binding = self.table.binding_for_key(key)
+        if binding is not None and self._gateway_alive(binding.gateway):
+            return
+        try:
+            self.expose(key, app.expose, admit=app.identity.spec.tags)
+            app.expose_error = None
+        except AppNetError as exc:  # transient until membership settles
+            app.expose_error = str(exc)
 
     def _gateway_alive(self, host: HostId) -> bool:
         member = self.gossip.members.get(host)
         return member is not None and member.status is MemberStatus.ALIVE
 
-    def _reconcile_gateway_listeners(self) -> None:
-        wanted: dict[bytes, GatewayBinding] = {}
+    def _reconcile_gateway_listeners(self, withdraw: bool) -> None:
+        """Listen for each active binding to this gateway whose service is
+        live. With `withdraw`, as on the tick, also retire the bindings whose
+        service is gone and close the listeners whose binding is."""
+        wanted: list[GatewayBinding] = []
         for binding in self.table.active_bindings():
             if binding.gateway != self.host:
                 continue
-            if not self.table.lookup(binding.key):
+            if self.table.lookup(binding.key):
+                wanted.append(binding)
+            elif withdraw:
                 # Exposure outlived its service; withdraw it.
                 self.table.retire(binding.record_id, self.now)
                 self._close_sessions(binding.record_id)
-                continue
-            wanted[binding.record_id] = binding
-        for record_id in list(self._external_listeners):
-            if record_id not in wanted:
-                self.fabric.close_listener(self._external_listeners.pop(record_id))
-                self._close_sessions(record_id)
-        for record_id, binding in wanted.items():
-            if record_id not in self._external_listeners:
-                token = self.fabric.bind_external(
-                    binding.external_port,
-                    lambda transport, b=binding: self._on_external_conn(b, transport),
-                )
-                self._external_listeners[record_id] = token
+        if withdraw:
+            kept = {binding.record_id for binding in wanted}
+            for record_id in list(self._external_listeners):
+                if record_id not in kept:
+                    exposure = self._external_listeners.pop(record_id)
+                    self.fabric.close_listener(exposure.token)
+                    self._close_sessions(record_id)
+        for binding in wanted:
+            self._listen(binding)
+
+    def _listen(self, binding: GatewayBinding) -> None:
+        exposure = self._external_listeners.get(binding.record_id)
+        if exposure is not None:
+            if exposure.binding.version != binding.version:
+                # Another write for this gateway and port won: serve that one.
+                exposure.binding = binding
+                exposure.client_tags = synthetic_client_tags(binding)
+            return
+        client_id = f"gw.{self.host.hex[:6]}.{binding.external_port}"
+        exposure = _Exposure(
+            binding=binding,
+            client_id=client_id,
+            client_addr=(names.allocate_link_local(client_id), 0),
+            client_tags=synthetic_client_tags(binding),
+        )
+        try:
+            exposure.token = self.fabric.bind_external(
+                binding.external_port, partial(self._on_external_conn, exposure)
+            )
+        except BindFailed:  # the port is held elsewhere: the next tick retries
+            self.counters["gateway_bind_errors"] += 1
+            return
+        self._external_listeners[binding.record_id] = exposure
 
     def _close_sessions(self, record_id: bytes) -> None:
         for session in self.gateway_sessions:
             if session.binding.record_id == record_id and not session.closed:
                 self.fabric.end_session(session)
 
-    def _on_external_conn(self, binding: GatewayBinding, transport) -> None:
-        synth_id = f"gw.{self.host.hex[:6]}.{binding.external_port}"
-        client_virtual = (names.allocate_link_local(synth_id), 0)
+    def _on_external_conn(self, exposure: _Exposure, transport) -> None:
+        binding = exposure.binding
         try:
             internal, _kind = self.switch.connect_for_gateway(
-                synth_id,
-                synthetic_client_tags(binding),
-                client_virtual,
+                exposure.client_id,
+                exposure.client_tags,
+                exposure.client_addr,
                 binding.key,
             )
         except AppNetError:

@@ -282,11 +282,13 @@ def test_criterion_8_gateway_byte_conservation(tmp_path):
             ),
             period_ms=40,
         ).start()
+        shims = []
         try:
             info = inner.add_app(
                 ["--ip", "10.70.0.1", "--name", "pub", "--expose", "31500"]
             )
             shim = connect_shim(info["trap"])
+            shims.append(shim)
             listener = shim.socket(HandleKind.STREAM)
             shim.bind(listener, (IPv4Address("0.0.0.0"), 8080))
             shim.listen(listener)
@@ -336,6 +338,8 @@ def test_criterion_8_gateway_byte_conservation(tmp_path):
             assert session.ext_to_int == len(payload)
             assert session.int_to_ext == len(payload)
         finally:
+            for shim in shims:
+                shim.channel.close()
             inner.stop()
             gateway.stop()
 

@@ -190,5 +190,26 @@ def test_concurrent_exposures_to_one_gateway_converge(seed):
     assert views["g1"] == views["h1"] == views["h2"]
     ports = {b.external_port for b in views["g1"]}
     assert len(ports) == 2
-    for port in sorted(ports):
-        assert cluster.external_connect("g1", port)["status"] == "ok"
+    gateway = cluster.nodes["g1"].node
+    for binding in views["g1"]:
+        assert cluster.external_connect("g1", binding.external_port)["status"] == "ok"
+        # The port's sessions reach the binding that won it, not the one the
+        # gateway happened to open its listener for.
+        assert gateway.gateway_sessions[-1].binding.key == binding.key
+
+
+def test_an_exposed_bind_is_listened_for_by_the_next_tick():
+    # No loss and no latency. The app binds after tick 5's node ticks. Its
+    # node makes the binding then, the binding rides its tick-6 probe, and the
+    # gateway listens as the probe arrives, before tick 6 ends.
+    cluster = SimCluster(seed=46)
+    events = [
+        ScriptEvent(0, "start", ["g1", "gateway"]),
+        ScriptEvent(0, "start", ["h9", "join=g1"]),
+        ScriptEvent(1, "add", ["h9", "svc", "--ip", "10.9.0.1", "--expose", "30080"]),
+        ScriptEvent(5, "serve", ["svc", "7777"]),
+    ]
+    cluster.run_until(5, events)
+    assert cluster.external_connect("g1", 30080)["status"] == "refused"
+    cluster.run_until(6)
+    assert cluster.external_connect("g1", 30080)["status"] == "ok"

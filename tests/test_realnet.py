@@ -76,6 +76,20 @@ def cluster(tmp_path):
             runtime.stop()
 
 
+@pytest.fixture
+def open_shim():
+    """connect_shim for one test: each channel it opens is hung up at the end."""
+    shims = []
+
+    def open_(path):
+        shims.append(connect_shim(path))
+        return shims[-1]
+
+    yield open_
+    for shim in shims:
+        _hang_up(shim)
+
+
 def _serve_echo(shim, port):
     """Accept one connection and echo it; thread.accept_ended says how the accept ended."""
     listener = shim.socket(HandleKind.STREAM)
@@ -103,14 +117,14 @@ def _serve_echo(shim, port):
     return listener, thread
 
 
-def test_cross_node_connect_with_fd_passing(cluster):
+def test_cross_node_connect_with_fd_passing(cluster, open_shim):
     a, b = cluster
     server_info = a.add_app(["--ip", "10.50.0.1", "--name", "srv", "--tag", "grp=t"])
-    server = connect_shim(server_info["trap"])
+    server = open_shim(server_info["trap"])
     _listener, echo_thread = _serve_echo(server, 4000)
 
     client_info = b.add_app(["--tag", "grp=t"])
-    client = connect_shim(client_info["trap"])
+    client = open_shim(client_info["trap"])
     key = ServiceKey(IPv4Address("10.50.0.1"), 4000)
     assert _wait_for(lambda: b.node.table.lookup(key)), "entry never reached b"
 
@@ -132,13 +146,13 @@ def test_cross_node_connect_with_fd_passing(cluster):
     assert meta is not None and meta.channel_kind is ChannelKind.REMOTE
 
 
-def test_local_connect_uses_socketpair(cluster):
+def test_local_connect_uses_socketpair(cluster, open_shim):
     a, _b = cluster
     server_info = a.add_app(["--ip", "10.50.0.2", "--name", "here"])
-    server = connect_shim(server_info["trap"])
+    server = open_shim(server_info["trap"])
     _serve_echo(server, 4001)
     client_info = a.add_app([])
-    client = connect_shim(client_info["trap"])
+    client = open_shim(client_info["trap"])
     handle = client.socket(HandleKind.STREAM)
     sock = client.connect(handle, (IPv4Address("10.50.0.2"), 4001))
     sock.sendall(b"short hop")
@@ -151,10 +165,10 @@ def test_local_connect_uses_socketpair(cluster):
     assert sock.family == socket.AF_UNIX
 
 
-def test_unmanaged_direct_connect_is_refused(cluster):
+def test_unmanaged_direct_connect_is_refused(cluster, open_shim):
     a, b = cluster
     server_info = a.add_app(["--ip", "10.50.0.3", "--name", "guarded"])
-    server = connect_shim(server_info["trap"])
+    server = open_shim(server_info["trap"])
     _serve_echo(server, 4002)
     key = ServiceKey(IPv4Address("10.50.0.3"), 4002)
     assert _wait_for(lambda: a.node.table.lookup(key))
@@ -174,22 +188,22 @@ def test_unmanaged_direct_connect_is_refused(cluster):
     )
 
 
-def test_anonymous_bind_rejected_over_real_channel(cluster):
+def test_anonymous_bind_rejected_over_real_channel(cluster, open_shim):
     a, _b = cluster
     info = a.add_app([])
-    shim = connect_shim(info["trap"])
+    shim = open_shim(info["trap"])
     handle = shim.socket(HandleKind.STREAM)
     with pytest.raises(Unidentified):
         shim.bind(handle, (IPv4Address("0.0.0.0"), 80))
 
 
-def test_dns_resolution_over_real_channel(cluster):
+def test_dns_resolution_over_real_channel(cluster, open_shim):
     a, b = cluster
     server_info = a.add_app(["--name", "lookup-me"])
-    server = connect_shim(server_info["trap"])
+    server = open_shim(server_info["trap"])
     _serve_echo(server, 4003)
     client_info = b.add_app([])
-    client = connect_shim(client_info["trap"])
+    client = open_shim(client_info["trap"])
     from appnet import names
 
     resolver = client.socket(HandleKind.DATAGRAM)
@@ -209,10 +223,10 @@ def test_dns_resolution_over_real_channel(cluster):
     assert str(vip_box["vip"]).startswith("240.")
 
 
-def test_malformed_dns_question_leaves_the_app_in_place(cluster):
+def test_malformed_dns_question_leaves_the_app_in_place(cluster, open_shim):
     a, _b = cluster
     info = a.add_app(["--name", "asker"])
-    app = connect_shim(info["trap"])
+    app = open_shim(info["trap"])
     listener = app.socket(HandleKind.STREAM)
     app.bind(listener, (IPv4Address("0.0.0.0"), 4008))
     app.listen(listener)
@@ -230,12 +244,12 @@ def test_malformed_dns_question_leaves_the_app_in_place(cluster):
 
 # One byte; either side of a 64 KiB pipe's capacity; and past 1 MiB.
 @pytest.mark.parametrize("size", [1, 65535, 65537, (1 << 20) + 1])
-def test_gateway_proxies_external_tcp(cluster, size):
+def test_gateway_proxies_external_tcp(cluster, size, open_shim):
     a, b = cluster
     server_info = b.add_app(
         ["--ip", "10.50.0.9", "--name", "pub", "--expose", "31000"]
     )
-    server = connect_shim(server_info["trap"])
+    server = open_shim(server_info["trap"])
     _serve_echo(server, 4004)
     binding_key = ServiceKey(IPv4Address("10.50.0.9"), 4004)
     assert _wait_for(lambda: a.node.table.binding_for_key(binding_key) is not None)
@@ -267,10 +281,10 @@ def test_gateway_proxies_external_tcp(cluster, size):
     assert session.int_to_ext == len(payload)
 
 
-def test_control_channel_list_and_remove(cluster, tmp_path):
+def test_control_channel_list_and_remove(cluster, tmp_path, open_shim):
     a, _b = cluster
     info = a.add_app(["--ip", "10.50.0.7", "--name", "listed"])
-    shim = connect_shim(info["trap"])
+    shim = open_shim(info["trap"])
     listener, echo_thread = _serve_echo(shim, 4005)
     key = ServiceKey(IPv4Address("10.50.0.7"), 4005)
     assert _wait_for(lambda: a.node.table.lookup(key))
@@ -288,13 +302,13 @@ def test_control_channel_list_and_remove(cluster, tmp_path):
     assert not a.node.switch._waits
 
 
-def test_parked_recvfrom_wakes_only_for_its_connected_peer(cluster):
+def test_parked_recvfrom_wakes_only_for_its_connected_peer(cluster, open_shim):
     a, _b = cluster
     shims = {}
     for label, ip, port in (("peer", "10.50.0.20", 5000), ("client", "10.50.0.21", 5001),
                             ("stranger", "10.50.0.22", 5002)):
         info = a.add_app(["--ip", ip])
-        shim = connect_shim(info["trap"])
+        shim = open_shim(info["trap"])
         handle = shim.socket(HandleKind.DATAGRAM)
         shim.bind(handle, (IPv4Address("0.0.0.0"), port))
         shims[label] = (info["app_id"], shim, handle)
@@ -368,7 +382,8 @@ def _serve_and_drop(shim, port, reply=False):
 
 def _hang_up(shim):
     # Shut down first: it wakes the serving thread blocked on the channel.
-    shim.channel.sock.shutdown(socket.SHUT_RDWR)
+    with contextlib.suppress(OSError):  # already hung up
+        shim.channel.sock.shutdown(socket.SHUT_RDWR)
     shim.channel.close()
 
 
@@ -464,13 +479,13 @@ def test_an_oversize_sync_answer_is_counted_and_the_rest_still_go_out(cluster):
     assert a.counters["loop_errors"] == errors["loop_errors"]
 
 
-def test_threads_stay_bounded_over_connects_and_anti_entropy(cluster):
+def test_threads_stay_bounded_over_connects_and_anti_entropy(cluster, open_shim):
     a, b = cluster
     server_info = a.add_app(["--ip", "10.50.0.12", "--name", "many", "--tag", "grp=t"])
-    server = connect_shim(server_info["trap"])
+    server = open_shim(server_info["trap"])
     thread = _serve_and_drop(server, 4007)
     client_info = b.add_app(["--tag", "grp=t"])
-    client = connect_shim(client_info["trap"])
+    client = open_shim(client_info["trap"])
     key = ServiceKey(IPv4Address("10.50.0.12"), 4007)
     assert _wait_for(lambda: b.node.table.lookup(key)), "entry never reached b"
 
@@ -490,10 +505,10 @@ def test_threads_stay_bounded_over_connects_and_anti_entropy(cluster):
     assert _wait_for(lambda: not a.node.app_ids() and not b.node.app_ids())
 
 
-def test_gateway_sessions_never_wait_on_a_missed_wakeup(cluster):
+def test_gateway_sessions_never_wait_on_a_missed_wakeup(cluster, open_shim):
     a, b = cluster
     info = b.add_app(["--ip", "10.50.0.11", "--name", "quick", "--expose", "31010"])
-    server = connect_shim(info["trap"])
+    server = open_shim(info["trap"])
     thread = _serve_and_drop(server, 4006, reply=True)
     assert _wait_for(lambda: _listening(a, 31010))
 
@@ -523,10 +538,10 @@ def _open_session(gateway, port):
     return external, gateway.node.gateway_sessions[-1]
 
 
-def test_a_withdrawn_exposure_ends_its_open_sessions(cluster):
+def test_a_withdrawn_exposure_ends_its_open_sessions(cluster, open_shim):
     a, b = cluster
     info = b.add_app(["--ip", "10.50.0.12", "--name", "held", "--expose", "31020"])
-    server = connect_shim(info["trap"])
+    server = open_shim(info["trap"])
     _listener, echo_thread = _serve_echo(server, 4007)
     assert _wait_for(lambda: _listening(a, 31020))
     external, session = _open_session(a, 31020)
@@ -569,10 +584,10 @@ def _fds_before(*runtimes) -> int:
     return min(samples)
 
 
-def test_gateway_sessions_leave_no_fds_behind(cluster):
+def test_gateway_sessions_leave_no_fds_behind(cluster, open_shim):
     a, b = cluster
     info = b.add_app(["--ip", "10.50.0.13", "--name", "brief", "--expose", "31030"])
-    brief = connect_shim(info["trap"])
+    brief = open_shim(info["trap"])
     thread = _serve_and_drop(brief, 4009, reply=True)
     assert _wait_for(lambda: _listening(a, 31030))
     before = _fds_before(a, b)
@@ -589,7 +604,7 @@ def test_gateway_sessions_leave_no_fds_behind(cluster):
     # A session withdrawn mid-stream, with all its app left behind hung up.
     before = _fds_before(a, b)
     info = b.add_app(["--ip", "10.50.0.14", "--name", "held", "--expose", "31031"])
-    held = connect_shim(info["trap"])
+    held = open_shim(info["trap"])
     _listener, echo_thread = _serve_echo(held, 4010)
     assert _wait_for(lambda: _listening(a, 31031))
     external, session = _open_session(a, 31031)
@@ -602,10 +617,10 @@ def test_gateway_sessions_leave_no_fds_behind(cluster):
     assert a.counters["pump_errors"] == 0
 
 
-def test_a_pump_error_is_counted_and_ends_the_session(cluster, monkeypatch):
+def test_a_pump_error_is_counted_and_ends_the_session(cluster, monkeypatch, open_shim):
     a, b = cluster
     info = b.add_app(["--ip", "10.50.0.15", "--name", "faulty", "--expose", "31040"])
-    server = connect_shim(info["trap"])
+    server = open_shim(info["trap"])
     _listener, echo_thread = _serve_echo(server, 4011)
     assert _wait_for(lambda: _listening(a, 31040))
     splice, calls = os.splice, []
@@ -653,10 +668,10 @@ def _serve_echo_each(shim, port):
     return thread
 
 
-def test_concurrent_sessions_count_every_byte_once(cluster):
+def test_concurrent_sessions_count_every_byte_once(cluster, open_shim):
     a, b = cluster
     info = b.add_app(["--ip", "10.50.0.16", "--name", "busy", "--expose", "31050"])
-    server = connect_shim(info["trap"])
+    server = open_shim(info["trap"])
     thread = _serve_echo_each(server, 4012)
     assert _wait_for(lambda: _listening(a, 31050))
     payload, clients = b"\x5a" * (256 << 10), 4  # 8 pump threads on 2 cores
@@ -688,3 +703,47 @@ def test_concurrent_sessions_count_every_byte_once(cluster):
     _hang_up(server)
     thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+def test_an_exposed_bind_is_listened_for_within_one_inner_tick(cluster, open_shim, monkeypatch):
+    a, b = cluster
+    info = b.add_app(["--ip", "10.50.0.17", "--name", "prompt", "--expose", "31060"])
+    shim = open_shim(info["trap"])
+    listener = shim.socket(HandleKind.STREAM)
+    # The inner node's tick when the gateway opens the listener.
+    opened_at = []
+    bind_external = a.bind_external
+
+    def recording(port, on_conn):
+        token = bind_external(port, on_conn)
+        opened_at.append(b._tick)
+        return token
+
+    monkeypatch.setattr(a, "bind_external", recording)
+    shim.bind(listener, (IPv4Address("0.0.0.0"), 4009))
+    bound_at = b._tick
+    assert _wait_for(lambda: _listening(a, 31060))
+    assert opened_at[0] - bound_at <= 1, (bound_at, opened_at)
+
+
+def test_a_held_external_port_is_retried_and_never_fails_the_tick(cluster, open_shim):
+    a, b = cluster
+    holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    holder.bind(("127.0.0.1", 31070))
+    holder.listen(1)
+    try:
+        info = b.add_app(["--ip", "10.50.0.18", "--name", "blocked", "--expose", "31070"])
+        server = open_shim(info["trap"])
+        _serve_echo(server, 4010)
+        key = ServiceKey(IPv4Address("10.50.0.18"), 4010)
+        assert _wait_for(lambda: a.in_loop(lambda: a.node.table.binding_for_key(key)))
+        errors, ticked = a.counters["loop_errors"], a._tick
+        assert _wait_for(lambda: a._tick >= ticked + 3)
+        assert a.counters["loop_errors"] == errors
+        assert a.node.counters["gateway_bind_errors"] >= 3
+        assert not _listening(a, 31070)
+    finally:
+        holder.close()
+    assert _wait_for(lambda: _listening(a, 31070))
+    external, _session = _open_session(a, 31070)
+    external.close()

@@ -78,7 +78,7 @@ def test_replay_determinism(name):
 TRACE_SHA256 = {
     "dns.script": "f82cd522e545852f",
     "failover.script": "e0922ea6fc002ed4",
-    "gateway.script": "434e4191bf3eaa34",
+    "gateway.script": "06435ff18e5c5403",
     "local.script": "15feae531df18e3c",
     "partition.script": "0d0e6271bec6a925",
     "three_tier.script": "9954e1676e097ac6",
