@@ -33,8 +33,8 @@ RCODE_NOTIMP = 4
 MAX_DNS_RESPONSE = 512
 
 
-def fnv1a64(data: bytes) -> int:
-    h = FNV_OFFSET
+def fnv1a64(data: bytes, h: int = FNV_OFFSET) -> int:
+    """64-bit FNV-1a of `data`; pass a prefix's hash as `h` to continue it."""
     for b in data:
         h ^= b
         h = (h * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF

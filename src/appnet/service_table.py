@@ -558,7 +558,8 @@ class ServiceTable:
 
     def lookup(self, key: ServiceKey) -> list[ServiceEntry]:
         found = list(self._by_key.get(key, {}).values())
-        found.sort(key=lambda e: (e.host, e.app_id))
+        if len(found) > 1:
+            found.sort(key=lambda e: (e.host, e.app_id))
         return found
 
     def lookup_name(self, name: str) -> Optional[IPv4Address]:

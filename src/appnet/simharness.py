@@ -56,9 +56,11 @@ from appnet.model import (
 from appnet.node import GatewaySession, Node, NodeConfig
 from appnet.simnet import GOSSIP_PORT, NetProfile, SimFabric, SimNetwork, SimStream
 from appnet.switch import SelectionStrategy, StrategyMode, Switch
-from appnet.trap import HandleKind, SocketShim
+from appnet.trap import HandleKind, SocketShim, TrapOp
 
 TRANSFER_CHUNK = 1 << 20
+
+_OP_NAMES = {op: op.name.lower() for op in TrapOp}  # as trap trace events spell them
 
 
 @dataclass
@@ -266,7 +268,7 @@ class SimCluster:
                 tick=self.clock,
                 node=lbl,
                 app=app_id,
-                op=req.op.name.lower(),
+                op=_OP_NAMES[req.op],
                 status=reply.status,
                 handle=reply.handle,
                 addr=_fmt_addr(reply.addr),

@@ -28,10 +28,12 @@ class NetProfile:
 
 
 class SimStream:
-    """One endpoint of a paired in-memory stream."""
+    """One endpoint, "a" or "b", of a paired in-memory stream from `source` to `dest`."""
 
-    def __init__(self, label: str = "") -> None:
-        self.label = label
+    def __init__(self, source: object, dest: object, end: str) -> None:
+        self.source = source
+        self.dest = dest
+        self.end = end
         self.peer: Optional[SimStream] = None
         self._buffer = bytearray()
         self._sink: Optional[Callable[[bytes], None]] = None
@@ -41,14 +43,17 @@ class SimStream:
         self.peer_closed = False
 
     @classmethod
-    def pair(cls, label: str = "") -> tuple["SimStream", "SimStream"]:
-        a, b = cls(label + ".a"), cls(label + ".b")
+    def pair(cls, source: object, dest: object) -> tuple["SimStream", "SimStream"]:
+        a, b = cls(source, dest, "a"), cls(source, dest, "b")
         a.peer, b.peer = b, a
         return a, b
 
     def write(self, data: bytes) -> int:
         if self.closed or self.broken or self.peer is None or self.peer.closed:
-            raise BrokenPipeError(f"stream {self.label} is not writable")
+            # The route is formatted only here, not on every connect.
+            raise BrokenPipeError(
+                f"stream {self.source}->{self.dest}.{self.end} is not writable"
+            )
         self.peer._deliver(bytes(data))
         return len(data)
 
@@ -250,7 +255,7 @@ class SimNetwork:
         cb = self._stream_listeners.get(dest)
         if cb is None:
             raise ConnRefused(f"nothing listening at {dest}")
-        client_end, server_end = SimStream.pair(f"{source_ip}->{dest}")
+        client_end, server_end = SimStream.pair(source_ip, dest)
         self._streams.append((source_ip, dest.host_ip, client_end))
         cb(server_end, preamble)
         return client_end
@@ -271,7 +276,7 @@ class SimNetwork:
         cb = self._external_listeners.get(dest)
         if cb is None:
             raise ConnRefused(f"no exposure at {dest}")
-        client_end, server_end = SimStream.pair(f"ext->{dest}")
+        client_end, server_end = SimStream.pair("ext", dest)
         cb(server_end)
         return client_end
 
@@ -307,7 +312,7 @@ class SimFabric:
         return self.network.connect_stream(self.host_ip, dest, preamble)
 
     def open_local_pair(self) -> tuple[SimStream, SimStream]:
-        return SimStream.pair(f"{self.host_ip}.local")
+        return SimStream.pair(self.host_ip, "local")
 
     def send_dgram(self, dest: RealEndpoint, data: bytes) -> None:
         source = RealEndpoint(self.host_ip, 0)

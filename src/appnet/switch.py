@@ -106,26 +106,22 @@ class PolicyDecision:
     reason: Optional[str] = None
 
 
+ALLOWED = PolicyDecision(True)
+
+
 def policy_allows(client_tags: TagSet, server_tags: TagSet) -> PolicyDecision:
     """Allow unless the server declares groups the client does not share."""
     server_groups = server_tags.values(POLICY_KEY)
     if not server_groups:
-        return PolicyDecision(True)
+        return ALLOWED
     client_groups = client_tags.values(POLICY_KEY)
     if server_groups & client_groups:
-        return PolicyDecision(True)
+        return ALLOWED
     return PolicyDecision(
         False,
         f"no shared '{POLICY_KEY}' value: client {sorted(client_groups)} "
         f"vs server {sorted(server_groups)}",
     )
-
-
-def _rendezvous_weight(
-    seed: int, client_app_id: str, key: ServiceKey, entry: ServiceEntry
-) -> int:
-    material = f"{seed}|{client_app_id}|{key}|{entry.host.hex}:{entry.app_id}"
-    return names.fnv1a64(material.encode())
 
 
 def selection_order(
@@ -135,22 +131,28 @@ def selection_order(
     strategy: SelectionStrategy,
     rr_counter: int = 0,
 ) -> list[ServiceEntry]:
-    """Full preference order; connect retries walk it front to back."""
-    ordered = sorted(candidates, key=lambda e: (e.host, e.app_id))
-    if not ordered:
-        return []
+    """Full preference order; connect retries walk it front to back.
+
+    Rendezvous weighs each candidate by the 64-bit FNV-1a hash of
+    "<seed>|<client>|<key>|<host hex>:<app id>"; the hash of the shared
+    prefix is taken once and continued over each candidate's suffix.
+    """
+    if len(candidates) < 2:
+        return list(candidates)
     if strategy.mode is StrategyMode.ROUND_ROBIN:
+        ordered = sorted(candidates, key=lambda e: (e.host, e.app_id))
         start = rr_counter % len(ordered)
         return ordered[start:] + ordered[:start]
-    ordered.sort(
+    prefix = names.fnv1a64(f"{strategy.seed}|{client_app_id}|{key}|".encode())
+    return sorted(
+        candidates,
         key=lambda e: (
-            _rendezvous_weight(strategy.seed, client_app_id, key, e),
+            names.fnv1a64(f"{e.host.hex}:{e.app_id}".encode(), prefix),
             e.host,
             e.app_id,
         ),
         reverse=True,
     )
-    return ordered
 
 
 class Fabric(Protocol):
@@ -217,7 +219,8 @@ class Switch:
         self._apps: dict[str, _AppState] = {}
         # (app id, handle id) serving each local entry, by record id.
         self._local_services: dict[bytes, tuple[str, int]] = {}
-        self._rr_counters: dict[tuple[str, ServiceKey], int] = {}
+        # Round-robin position per client app, then per key it connects to.
+        self._rr_counters: dict[str, dict[ServiceKey, int]] = {}
         self.data_path_bytes = 0  # only the gateway proxy ever adds to this
         self.counters = {
             "streams_refused_unidentified": 0,
@@ -236,6 +239,7 @@ class Switch:
 
     def unregister_app(self, app_id: str) -> list[bytes]:
         """Drop an app's handles; returns the record ids of the entries it was serving."""
+        self._rr_counters.pop(app_id, None)
         state = self._apps.pop(app_id, None)
         if state is None:
             return []
@@ -396,12 +400,12 @@ class Switch:
                 denial = decision.reason
         if not allowed:
             raise Denied(denial or "policy denied the connection")
-        counter_key = (client_app_id, key)
-        rr = self._rr_counters.get(counter_key, 0)
-        order = selection_order(client_app_id, key, allowed, self.strategy, rr)
+        rr = 0
         if self.strategy.mode is StrategyMode.ROUND_ROBIN:
-            self._rr_counters[counter_key] = rr + 1
-        return order
+            counters = self._rr_counters.setdefault(client_app_id, {})
+            rr = counters.get(key, 0)
+            counters[key] = rr + 1
+        return selection_order(client_app_id, key, allowed, self.strategy, rr)
 
     def connect_for_gateway(
         self,

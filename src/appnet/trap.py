@@ -14,7 +14,7 @@ byte, u32 handle id, 4-byte address, u16 port, u32 payload length, payload.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from ipaddress import IPv4Address
 from typing import Callable, Optional, Protocol
@@ -68,6 +68,8 @@ class TrapOp(Enum):
 # Ops whose requests carry an address; for everything else the address
 # field is padding and decodes as absent.
 _ADDR_OPS = frozenset({TrapOp.BIND, TrapOp.CONNECT, TrapOp.SEND_TO})
+# Wire code -> (op, whether its requests carry an address).
+_OPS_BY_CODE = {op.value: (op, op in _ADDR_OPS) for op in TrapOp}
 
 STATUS_OK = 0
 
@@ -93,7 +95,7 @@ _ERROR_BY_STATUS = {code: exc for exc, code in _STATUS_BY_ERROR.items()}
 _INTERNAL_STATUS = 99
 
 
-@dataclass
+@dataclass(slots=True)
 class TrapRequest:
     op: TrapOp
     handle: int = 0
@@ -101,7 +103,7 @@ class TrapRequest:
     payload: bytes = b""
 
 
-@dataclass
+@dataclass(slots=True)
 class TrapReply:
     status: int = STATUS_OK
     handle: int = 0
@@ -137,11 +139,16 @@ def error_reply(exc: BaseException) -> TrapReply:
 def _encode_frame(code: int, handle: int, addr: Optional[Addr], payload: bytes) -> bytes:
     if len(payload) > MAX_FRAME_PAYLOAD:
         raise ValueError(f"frame payload of {len(payload)} bytes is oversized")
-    ip, port = addr if addr is not None else (_ZERO_IP, 0)
-    return _HEADER.pack(TRAP_VERSION, code, handle, int(ip), port, len(payload)) + payload
+    if addr is None:
+        return _HEADER.pack(TRAP_VERSION, code, handle, 0, 0, len(payload)) + payload
+    return _HEADER.pack(TRAP_VERSION, code, handle, int(addr[0]), addr[1], len(payload)) + payload
 
 
-def _decode_frame(data: bytes) -> tuple[int, int, Addr, bytes]:
+def _addr(ip: int, port: int) -> Addr:
+    return (IPv4Address(ip) if ip else _ZERO_IP, port)
+
+
+def _decode_frame(data: bytes) -> tuple[int, int, int, int, bytes]:
     try:
         version, code, handle, ip, port, length = _HEADER.unpack_from(data)
     except struct.error as exc:
@@ -154,7 +161,7 @@ def _decode_frame(data: bytes) -> tuple[int, int, Addr, bytes]:
         raise errors.DecodeError(
             f"trap frame of {len(data)} bytes claims a {length}-byte payload"
         )
-    return code, handle, (IPv4Address(ip) if ip else _ZERO_IP, port), data[HEADER_SIZE:]
+    return code, handle, ip, port, data[HEADER_SIZE:]
 
 
 def encode_request(req: TrapRequest) -> bytes:
@@ -162,17 +169,12 @@ def encode_request(req: TrapRequest) -> bytes:
 
 
 def decode_request(data: bytes) -> TrapRequest:
-    code, handle, addr, payload = _decode_frame(data)
+    code, handle, ip, port, payload = _decode_frame(data)
     try:
-        op = TrapOp(code)
-    except ValueError as exc:
-        raise errors.DecodeError(f"unknown trap op {code}") from exc
-    return TrapRequest(
-        op=op,
-        handle=handle,
-        addr=addr if op in _ADDR_OPS else None,
-        payload=payload,
-    )
+        op, has_addr = _OPS_BY_CODE[code]
+    except KeyError:
+        raise errors.DecodeError(f"unknown trap op {code}") from None
+    return TrapRequest(op, handle, _addr(ip, port) if has_addr else None, payload)
 
 
 def encode_reply(reply: TrapReply) -> bytes:
@@ -180,14 +182,9 @@ def encode_reply(reply: TrapReply) -> bytes:
 
 
 def decode_reply(data: bytes) -> TrapReply:
-    code, handle, addr, payload = _decode_frame(data)
-    present = addr != (_ZERO_IP, 0)
-    return TrapReply(
-        status=code,
-        handle=handle,
-        addr=addr if present else None,
-        payload=payload,
-    )
+    code, handle, ip, port, payload = _decode_frame(data)
+    # An all-zero address field means no address.
+    return TrapReply(code, handle, _addr(ip, port) if ip or port else None, payload)
 
 
 def frame_payload_length(header: bytes) -> int:

@@ -53,10 +53,12 @@ def daemon(tmp_path):
         yield tmp_path
     finally:
         process.send_signal(signal.SIGTERM)
+        # communicate(), not wait(): it also reads and closes both pipes.
         try:
-            process.wait(timeout=10)
+            process.communicate(timeout=10)
         except subprocess.TimeoutExpired:
             process.kill()
+            process.communicate()
 
 
 SERVER_PROGRAM = r"""

@@ -19,6 +19,11 @@ def test_fnv1a64_against_oracle():
         assert names.fnv1a64(key) == _oracle_fnv1a64(key)
 
 
+def test_fnv1a64_continues_from_a_prefix_hash():
+    for prefix, rest in [(b"", b""), (b"", b"abc"), (b"7|c1|10.1.1.1:80|", b"00ff:a1")]:
+        assert names.fnv1a64(rest, names.fnv1a64(prefix)) == _oracle_fnv1a64(prefix + rest)
+
+
 def test_allocate_is_deterministic():
     assert names.allocate_internal_ip("web") == names.allocate_internal_ip("web")
     expected = _oracle_fnv1a64(b"web#0") % 2**24

@@ -1,4 +1,7 @@
+import random
 from ipaddress import IPv4Address
+
+import pytest
 
 from appnet import names
 from appnet.model import HostId, RealEndpoint, ServiceKey, TagSet
@@ -107,6 +110,49 @@ class TestSelection:
             counts[chosen.app_id] += 1
         for n in counts.values():
             assert 0.25 * 3000 <= n <= 0.42 * 3000
+
+    @pytest.mark.parametrize("n", [2, 8, 64, 512])
+    def test_rendezvous_order_matches_brute_force_ranking(self, n):
+        # The prefix hash is continued per candidate, and there is no
+        # pre-sort; the full order must still be the one that hashing each
+        # candidate's whole material from scratch gives.
+        rng = random.Random(n)
+        cands = [
+            ServiceEntry(
+                key=KEY,
+                real=RealEndpoint(IPv4Address(f"10.0.{i // 250}.{i % 250 + 1}"), 41000),
+                host=HostId.generate(rng),
+                app_id=f"app{rng.randrange(10**6)}",
+                tags=TagSet(),
+                name=None,
+                incarnation=1,
+                state=EntryState.ALIVE,
+            )
+            for i in range(n)
+        ]
+        s = SelectionStrategy(seed=n)
+        for client in ("c0", "client-with-a-longer-id", "gw.a1b2c3.8080"):
+            oracle = sorted(
+                cands,
+                key=lambda c: (
+                    names.fnv1a64(f"{s.seed}|{client}|{KEY}|{c.host.hex}:{c.app_id}".encode()),
+                    c.host,
+                    c.app_id,
+                ),
+                reverse=True,
+            )
+            got = selection_order(client, KEY, list(reversed(cands)), s)
+            assert [(c.host, c.app_id) for c in got] == [(c.host, c.app_id) for c in oracle]
+
+    def test_fewer_than_two_candidates_are_not_ranked(self, monkeypatch):
+        def no_hash(*_):
+            raise AssertionError("a lone candidate was hashed")
+
+        monkeypatch.setattr(names, "fnv1a64", no_hash)
+        only = [candidate(1)]
+        for strategy in (SelectionStrategy(), SelectionStrategy(StrategyMode.ROUND_ROBIN)):
+            assert selection_order("c", KEY, only, strategy, rr_counter=5) == only
+            assert selection_order("c", KEY, [], strategy) == []
 
     def test_selection_order_is_full_ranking(self):
         cands = [candidate(1), candidate(2), candidate(3)]

@@ -35,9 +35,17 @@ def test_truncated_frame_rejected():
 
 def test_unknown_op_rejected():
     data = bytearray(encode_request(TrapRequest(op=TrapOp.CLOSE, handle=1)))
-    data[1] = 200
-    with pytest.raises(errors.DecodeError):
-        decode_request(bytes(data))
+    for code in (0, 11, 99, 200, 255):
+        data[1] = code
+        with pytest.raises(errors.DecodeError, match=f"unknown trap op {code}"):
+            decode_request(bytes(data))
+
+
+@pytest.mark.parametrize("op", [TrapOp.LISTEN, TrapOp.ACCEPT, TrapOp.CLOSE, TrapOp.RECV_FROM])
+def test_address_bytes_of_non_address_ops_decode_as_absent(op):
+    frame = trap._HEADER.pack(trap.TRAP_VERSION, op.value, 7, 0x0A010101, 80, 0)
+    req = decode_request(frame)
+    assert req == TrapRequest(op=op, handle=7, addr=None)
 
 
 def test_sendto_with_payload_round_trips():
@@ -57,6 +65,9 @@ def test_reply_addr_presence():
     assert got.addr is None
     got = decode_reply(encode_reply(TrapReply(addr=(IPv4Address("0.0.0.0"), 0))))
     assert got.addr is None
+    # Only an all-zero address field means "no address": a port alone keeps it.
+    got = decode_reply(encode_reply(TrapReply(addr=(IPv4Address("0.0.0.0"), 8080))))
+    assert got.addr == (IPv4Address("0.0.0.0"), 8080)
 
 
 # Frames and the hex the earlier field-by-field Writer codec produced for them.
