@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from ipaddress import IPv4Address
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 from appnet.errors import AmbiguousName, DecodeError, PoolExhausted
 from appnet.model import AUTO_POOL, LINK_LOCAL_POOL
@@ -41,26 +41,28 @@ def fnv1a64(data: bytes, h: int = FNV_OFFSET) -> int:
     return h
 
 
-def allocate_internal_ip(
-    name: str, taken: Mapping[IPv4Address, str] | None = None
-) -> IPv4Address:
-    """Deterministic 240.x.y.z vip for a named application."""
-    return _probe(name, {} if taken is None else taken, int(AUTO_POOL.network_address), 24)
+NameAt = Callable[[IPv4Address], Optional[str]]
+
+
+def allocate_internal_ip(name: str, name_at: NameAt = {}.get) -> IPv4Address:
+    """Deterministic 240.x.y.z vip for a named application; `name_at` gives
+    the name that already claims a vip, if any."""
+    return _probe(name, name_at, int(AUTO_POOL.network_address), 24)
 
 
 def allocate_link_local(app_id: str) -> IPv4Address:
     """Deterministic 169.254.x.y identity for an anonymous client."""
-    return _probe(app_id, {}, int(LINK_LOCAL_POOL.network_address), 16)
+    return _probe(app_id, {}.get, int(LINK_LOCAL_POOL.network_address), 16)
 
 
-def _probe(key: str, taken: Mapping[IPv4Address, str], base: int, bits: int) -> IPv4Address:
+def _probe(key: str, name_at: NameAt, base: int, bits: int) -> IPv4Address:
     mask = (1 << bits) - 1
     for i in range(MAX_PROBES):
         offset = fnv1a64(f"{key}#{i}".encode()) & mask
         if offset == 0:
             continue
         addr = IPv4Address(base | offset)
-        owner = taken.get(addr)
+        owner = name_at(addr)
         if owner is not None and owner != key:
             continue
         return addr

@@ -4,8 +4,9 @@ DNS answering, app lifecycle, and the optional gateway role.
 A Node owns all mutable protocol state and expects to be driven from a single
 loop: tick() once per protocol period and on_envelope() for each inbound
 gossip datagram, both returning the envelopes to put on the wire. Transport
-mechanics live behind the fabric the backend supplies, so the same class runs
-under the simulated clock and over real sockets.
+mechanics, a gateway session's bytes among them, live behind the fabric the
+backend supplies, so the same class runs under the simulated clock and over
+real sockets.
 
 Exposure runs on events, with the tick as its retry. An app started with
 --expose gets its gateway binding as soon as its first bind succeeds, and
@@ -83,7 +84,7 @@ class _Exposure:
     client_id: str
     client_addr: tuple
     client_tags: TagSet
-    token: object = None
+    close: Optional[Callable[[], None]] = None  # the listener's
 
 
 @dataclass
@@ -133,8 +134,6 @@ class Node:
         self._app_seq = 0
         self._external_listeners: dict[bytes, _Exposure] = {}  # by binding record id
         self.gateway_sessions: list[GatewaySession] = []
-        # Backend hook: wire up byte pumping for a fresh gateway session.
-        self.start_pump: Optional[Callable[[GatewaySession], None]] = None
         self.counters = {"envelope_decode_errors": 0, "gateway_bind_errors": 0}
         if config.join is not None:
             self.gossip.begin_join(config.join)
@@ -193,7 +192,7 @@ class Node:
         if spec.vip is not None:
             resolved = spec.vip
         elif spec.name is not None:
-            resolved = names.allocate_internal_ip(spec.name, self.table.names_by_vip())
+            resolved = names.allocate_internal_ip(spec.name, self.table.name_at)
         else:
             return names.allocate_link_local(app_id)
         if spec.name is not None:
@@ -316,7 +315,8 @@ class Node:
             for record_id in list(self._external_listeners):
                 if record_id not in kept:
                     exposure = self._external_listeners.pop(record_id)
-                    self.fabric.close_listener(exposure.token)
+                    exposure.close()
+                    self.switch.forget_client(exposure.client_id)
                     self._close_sessions(record_id)
         for binding in wanted:
             self._listen(binding)
@@ -337,7 +337,7 @@ class Node:
             client_tags=synthetic_client_tags(binding),
         )
         try:
-            exposure.token = self.fabric.bind_external(
+            exposure.close = self.fabric.bind_external(
                 binding.external_port, partial(self._on_external_conn, exposure)
             )
         except BindFailed:  # the port is held elsewhere: the next tick retries
@@ -365,8 +365,7 @@ class Node:
             return
         session = GatewaySession(binding=binding, external=transport, internal=internal)
         self.gateway_sessions.append(session)
-        if self.start_pump is not None:
-            self.start_pump(session)
+        self.fabric.pump(session)
 
     # --- bookkeeping ---
 

@@ -270,7 +270,6 @@ class RealNodeRuntime:
         self._pump_lock = threading.Lock()
         rng = random.Random(os.urandom(16).hex())
         self.node = Node(config, HostId.generate(rng), rng, self)
-        self.node.start_pump = self._start_pump
 
     # --- lifecycle ---
 
@@ -399,7 +398,7 @@ class RealNodeRuntime:
 
     # --- the fabric: transports for the switch ---
 
-    def bind_stream(self, on_inbound) -> tuple[RealEndpoint, object]:
+    def bind_stream(self, on_inbound) -> tuple[RealEndpoint, Callable[[], None]]:
         listener = _tcp_listener((str(self.config.bind.host_ip), 0))
 
         def accepted(conn: socket.socket, _addr) -> None:
@@ -413,16 +412,15 @@ class RealNodeRuntime:
             )
 
         self._watch(listener, listener.accept, accepted)
-        return RealEndpoint(self.config.bind.host_ip, listener.getsockname()[1]), listener
+        port = listener.getsockname()[1]
+        return RealEndpoint(self.config.bind.host_ip, port), partial(self._unwatch, listener)
 
-    def bind_dgram(self, on_dgram) -> tuple[RealEndpoint, object]:
+    def bind_dgram(self, on_dgram) -> tuple[RealEndpoint, Callable[[], None]]:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.bind((str(self.config.bind.host_ip), 0))
         self._watch(sock, lambda: sock.recvfrom(65535), lambda data, _addr: on_dgram(data))
-        return RealEndpoint(self.config.bind.host_ip, sock.getsockname()[1]), sock
-
-    def close_listener(self, token: object) -> None:
-        self._unwatch(token)  # type: ignore[arg-type]
+        port = sock.getsockname()[1]
+        return RealEndpoint(self.config.bind.host_ip, port), partial(self._unwatch, sock)
 
     def connect_stream(self, dest: RealEndpoint, preamble: bytes) -> socket.socket:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -446,14 +444,14 @@ class RealNodeRuntime:
     def send_dgram(self, dest: RealEndpoint, data: bytes) -> None:
         self.dgram_out.sendto(data, (str(dest.host_ip), dest.port))
 
-    def bind_external(self, port: int, on_conn) -> object:
+    def bind_external(self, port: int, on_conn) -> Callable[[], None]:
         try:
             listener = _tcp_listener((str(self.config.bind.host_ip), port))
         except OSError as exc:
             raise BindFailed(f"external port {port}: {exc}") from exc
         # Accepted sockets come out blocking, as the pump threads need them.
         self._watch(listener, listener.accept, lambda conn, _addr: on_conn(conn))
-        return listener
+        return partial(self._unwatch, listener)
 
     # --- gossip I/O ---
 
@@ -563,12 +561,13 @@ class RealNodeRuntime:
 
     # --- gateway pump ---
 
-    def _start_pump(self, session: GatewaySession) -> None:
+    def pump(self, session: GatewaySession) -> None:
+        """Start the session's two splice threads, one per direction."""
         ext, internal = session.external, session.internal
         assert isinstance(ext, socket.socket) and isinstance(internal, socket.socket)
         ended: list[str] = []  # directions done; the second closes the sockets
 
-        def pump(src: socket.socket, dst: socket.socket, counter: str) -> None:
+        def direction(src: socket.socket, dst: socket.socket, counter: str) -> None:
             try:
                 self._splice(src.fileno(), dst.fileno(), session, counter)
             except (ConnectionResetError, BrokenPipeError):
@@ -586,8 +585,8 @@ class RealNodeRuntime:
                         internal.close()
                         session.closed = True
 
-        self._thread("pump-in", pump, ext, internal, "ext_to_int")
-        self._thread("pump-out", pump, internal, ext, "int_to_ext")
+        self._thread("pump-in", direction, ext, internal, "ext_to_int")
+        self._thread("pump-out", direction, internal, ext, "int_to_ext")
 
     def _splice(self, src: int, dst: int, session: GatewaySession, counter: str) -> None:
         """Move src's bytes to dst through a pipe, in the kernel, until EOF."""
@@ -599,8 +598,6 @@ class RealNodeRuntime:
                     left -= os.splice(pipe_r, dst, left)
                 # This thread is the counter's one writer.
                 setattr(session, counter, getattr(session, counter) + moved)
-                with self._pump_lock:
-                    self.node.switch.data_path_bytes += moved
         finally:
             os.close(pipe_r)
             os.close(pipe_w)

@@ -53,14 +53,13 @@ from __future__ import annotations
 
 import struct
 import zlib
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from hashlib import blake2b
 from ipaddress import IPv4Address
 from itertools import compress
 from operator import attrgetter, ne
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from appnet.errors import AmbiguousName, DecodeError, DuplicateAppBinding, InvalidTag
 from appnet.model import HostId, RealEndpoint, ServiceKey, TagSet
@@ -366,26 +365,6 @@ class PeerDigest(NamedTuple):
     versions: dict[bytes, Version]  # by record id, each item listed
 
 
-class _NamesByVip(Mapping):
-    """The name of a live named entry at each vip, read through the table's
-    vip index rather than copied out of it."""
-
-    def __init__(self, by_vip: dict[IPv4Address, dict[bytes, ServiceEntry]]) -> None:
-        self._by_vip = by_vip
-
-    def __getitem__(self, vip: IPv4Address) -> str:
-        for entry in self._by_vip.get(vip, {}).values():
-            if entry.name:
-                return entry.name
-        raise KeyError(vip)
-
-    def __iter__(self) -> Iterator[IPv4Address]:
-        return (vip for vip in self._by_vip if vip in self)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-
 class ServiceTable:
     """One node's view of the cluster's registrations.
 
@@ -581,9 +560,12 @@ class ServiceTable:
     def entries_for_app(self, host: HostId, app_id: str) -> list[ServiceEntry]:
         return list(self._by_app.get((host.raw, app_id), {}).values())
 
-    def names_by_vip(self) -> Mapping[IPv4Address, str]:
-        """The vips that live named entries claim, each with one such name."""
-        return _NamesByVip(self._by_vip)
+    def name_at(self, vip: IPv4Address) -> Optional[str]:
+        """The name of a live named entry at `vip`, if any claims it."""
+        for entry in self._by_vip.get(vip, {}).values():
+            if entry.name:
+                return entry.name
+        return None
 
     def used_service_ports(self, vip: IPv4Address) -> set[int]:
         return {e.key.port for e in self._by_vip.get(vip, {}).values()}

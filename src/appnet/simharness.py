@@ -53,9 +53,9 @@ from appnet.model import (
     parse_app_spec,
     parse_endpoint,
 )
-from appnet.node import GatewaySession, Node, NodeConfig
+from appnet.node import Node, NodeConfig
 from appnet.simnet import GOSSIP_PORT, NetProfile, SimFabric, SimNetwork, SimStream
-from appnet.switch import SelectionStrategy, StrategyMode, Switch
+from appnet.switch import SelectionStrategy, StrategyMode
 from appnet.trap import HandleKind, SocketShim, TrapOp
 
 TRANSFER_CHUNK = 1 << 20
@@ -275,8 +275,6 @@ class SimCluster:
                 size=len(reply.payload),
             ),
         )
-        # Only a binding's gateway listens on its external port: this node is it.
-        node.start_pump = partial(self._pump_gateway_session, node.switch)
         rt = _NodeRt(label=label, node=node, host_ip=host_ip)
         self.nodes[label] = rt
         self._labels_by_host[host_id] = label
@@ -312,22 +310,6 @@ class SimCluster:
                 sha256=hashlib.sha256(data).hexdigest(),
                 sent=sent,
             )
-
-    def _pump_gateway_session(self, gateway_switch: Switch, session: GatewaySession) -> None:
-        external, internal = session.external, session.internal
-        assert isinstance(external, SimStream) and isinstance(internal, SimStream)
-        def forward(dest: SimStream, counter: str):
-            def on_data(data: bytes) -> None:
-                setattr(session, counter, getattr(session, counter) + len(data))
-                gateway_switch.data_path_bytes += len(data)
-                try:
-                    dest.write(data)
-                except BrokenPipeError:
-                    pass
-            return on_data
-
-        external.set_sink(forward(internal, "ext_to_int"), on_eof=internal.close)
-        internal.set_sink(forward(external, "int_to_ext"), on_eof=external.close)
 
     # --- apps ---
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from ipaddress import IPv4Address
 from typing import Callable, Optional
 
@@ -289,24 +290,15 @@ class SimFabric:
         self.host_ip = host_ip
         self.clock = clock
 
-    def bind_stream(self, on_inbound) -> tuple[RealEndpoint, object]:
+    def bind_stream(self, on_inbound) -> tuple[RealEndpoint, Callable[[], None]]:
         endpoint = RealEndpoint(self.host_ip, self.network.allocate_port(self.host_ip))
         self.network.listen_stream(endpoint, on_inbound)
-        return endpoint, ("stream", endpoint)
+        return endpoint, partial(self.network.unlisten_stream, endpoint)
 
-    def bind_dgram(self, on_dgram) -> tuple[RealEndpoint, object]:
+    def bind_dgram(self, on_dgram) -> tuple[RealEndpoint, Callable[[], None]]:
         endpoint = RealEndpoint(self.host_ip, self.network.allocate_port(self.host_ip))
         self.network.listen_dgram(endpoint, lambda data, _source: on_dgram(data))
-        return endpoint, ("dgram", endpoint)
-
-    def close_listener(self, token) -> None:
-        kind, endpoint = token
-        if kind == "stream":
-            self.network.unlisten_stream(endpoint)
-        elif kind == "dgram":
-            self.network.unlisten_dgram(endpoint)
-        else:
-            self.network.unlisten_external(endpoint)
+        return endpoint, partial(self.network.unlisten_dgram, endpoint)
 
     def connect_stream(self, dest: RealEndpoint, preamble: bytes) -> SimStream:
         return self.network.connect_stream(self.host_ip, dest, preamble)
@@ -318,10 +310,27 @@ class SimFabric:
         source = RealEndpoint(self.host_ip, 0)
         self.network.send_dgram(source, dest, data, self.clock())
 
-    def bind_external(self, port: int, on_conn) -> object:
+    def bind_external(self, port: int, on_conn) -> Callable[[], None]:
         endpoint = RealEndpoint(self.host_ip, port)
         self.network.listen_external(endpoint, on_conn)
-        return ("external", endpoint)
+        return partial(self.network.unlisten_external, endpoint)
+
+    def pump(self, session) -> None:
+        """Relay a gateway session in place: each stream's bytes are counted
+        and written to the other, and each one's end closes the other."""
+        external, internal = session.external, session.internal
+
+        def forward(dest: SimStream, counter: str) -> Callable[[bytes], None]:
+            def on_data(data: bytes) -> None:
+                setattr(session, counter, getattr(session, counter) + len(data))
+                try:
+                    dest.write(data)
+                except BrokenPipeError:
+                    pass
+            return on_data
+
+        external.set_sink(forward(internal, "ext_to_int"), on_eof=internal.close)
+        internal.set_sink(forward(external, "int_to_ext"), on_eof=external.close)
 
     def end_session(self, session) -> None:
         """No pump threads here to wait for: the session ends at once."""

@@ -156,22 +156,27 @@ def selection_order(
 
 
 class Fabric(Protocol):
-    """Transport primitives a backend supplies to its node's switch.
+    """Everything a backend supplies to its node and the node's switch.
 
     Inbound traffic reaches the switch as sent: a stream with the preamble
     bytes read before it (fewer when the peer stopped short), a datagram
-    whole. The switch alone decodes the preamble.
+    whole. The switch alone decodes the preamble. Each bind returns the
+    call that closes its listener. A gateway session's bytes move and end
+    in the backend: `pump` relays a fresh session until either side ends,
+    and `end_session` ends it from outside.
     """
 
     def bind_stream(
         self, on_inbound: Callable[[object, bytes], None]
-    ) -> tuple[RealEndpoint, object]: ...
+    ) -> tuple[RealEndpoint, Callable[[], None]]: ...
 
     def bind_dgram(
         self, on_dgram: Callable[[bytes], None]
-    ) -> tuple[RealEndpoint, object]: ...
+    ) -> tuple[RealEndpoint, Callable[[], None]]: ...
 
-    def close_listener(self, token: object) -> None: ...
+    def bind_external(
+        self, port: int, on_conn: Callable[[object], None]
+    ) -> Callable[[], None]: ...
 
     def connect_stream(self, dest: RealEndpoint, preamble: bytes) -> object: ...
 
@@ -179,13 +184,17 @@ class Fabric(Protocol):
 
     def send_dgram(self, dest: RealEndpoint, data: bytes) -> None: ...
 
+    def pump(self, session) -> None: ...
+
+    def end_session(self, session) -> None: ...
+
 
 @dataclass
 class _HandleState:
     vh: VHandle
     key: Optional[ServiceKey] = None
     record_id: Optional[bytes] = None  # of the entry this handle serves
-    listener_token: Optional[object] = None
+    close_listener: Optional[Callable[[], None]] = None
     meta: Optional[ConnMeta] = None
     accept_queue: deque = field(default_factory=deque)
     recv_queue: deque = field(default_factory=deque)
@@ -221,7 +230,6 @@ class Switch:
         self._local_services: dict[bytes, tuple[str, int]] = {}
         # Round-robin position per client app, then per key it connects to.
         self._rr_counters: dict[str, dict[ServiceKey, int]] = {}
-        self.data_path_bytes = 0  # only the gateway proxy ever adds to this
         self.counters = {
             "streams_refused_unidentified": 0,
             "dgrams_dropped_unidentified": 0,
@@ -239,7 +247,7 @@ class Switch:
 
     def unregister_app(self, app_id: str) -> list[bytes]:
         """Drop an app's handles; returns the record ids of the entries it was serving."""
-        self._rr_counters.pop(app_id, None)
+        self.forget_client(app_id)
         state = self._apps.pop(app_id, None)
         if state is None:
             return []
@@ -250,6 +258,11 @@ class Switch:
                 served.append(hs.record_id)
             self._notify(app_id, hs.vh.id)
         return served
+
+    def forget_client(self, client_app_id: str) -> None:
+        """Drop the selection state of a client that is gone: an app, or a
+        gateway's synthetic client once its listener closes."""
+        self._rr_counters.pop(client_app_id, None)
 
     # --- dispatch ---
 
@@ -319,13 +332,13 @@ class Switch:
             if other.key == key:
                 raise AddrInUse(f"{key} already bound by this app")
         if hs.vh.kind is HandleKind.STREAM:
-            real, token = self.fabric.bind_stream(
+            real, close = self.fabric.bind_stream(
                 lambda transport, preamble, hid=hs.vh.id, aid=app.app_id: (
                     self._on_inbound_stream(aid, hid, transport, decode_preamble(preamble))
                 )
             )
         else:
-            real, token = self.fabric.bind_dgram(
+            real, close = self.fabric.bind_dgram(
                 lambda data, hid=hs.vh.id, aid=app.app_id: self._on_inbound_dgram(
                     aid, hid, decode_preamble(data[:PREAMBLE_SIZE]), data[PREAMBLE_SIZE:]
                 )
@@ -343,11 +356,11 @@ class Switch:
         try:
             stored = self.table.insert_local(entry, self.clock())
         except AppNetError:
-            self.fabric.close_listener(token)
+            close()
             raise
         hs.key = key
         hs.record_id = stored.record_id
-        hs.listener_token = token
+        hs.close_listener = close
         hs.vh.role = HandleRole.BOUND
         self._local_services[stored.record_id] = (app.app_id, hs.vh.id)
         return TrapReply(addr=(key.vip, key.port)), None
@@ -597,8 +610,8 @@ class Switch:
         """Close a handle's listener and the connections queued on it, and stop
         serving its entry here. Like a kernel closing a listen socket, this
         resets the connections the app never accepted."""
-        if hs.listener_token is not None:
-            self.fabric.close_listener(hs.listener_token)
+        if hs.close_listener is not None:
+            hs.close_listener()
         while hs.accept_queue:
             hs.accept_queue.popleft()[0].close()
         if hs.record_id is not None:

@@ -237,7 +237,11 @@ tick 8 connect h2:c1 name:echo:9999 expect=ok
     cluster.run_until(9)
     assert cluster.transfer("c1", total_bytes) == total_bytes
     messages = cluster.nodes["h2"].node._apps["c1"].channel.messages
-    relay_bytes = sum(rt.node.switch.data_path_bytes for rt in cluster.nodes.values())
+    relay_bytes = sum(
+        s.ext_to_int + s.int_to_ext
+        for rt in cluster.nodes.values()
+        for s in rt.node.gateway_sessions
+    )
     return messages, relay_bytes
 
 

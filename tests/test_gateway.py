@@ -151,21 +151,50 @@ def test_only_active_bindings_are_externally_reachable():
     assert reachable == active == {30005}
 
 
-def test_proxied_session_terminates_on_service_crash():
+def _exposed_echo(*gateway_args):
+    """g1 proxies external port 30080 to h9's echo app, with one external
+    connection open."""
     cluster = SimCluster(seed=44)
     cluster.run_until(10, [
-        ScriptEvent(0, "start", ["g1", "gateway"]),
+        ScriptEvent(0, "start", ["g1", "gateway", *gateway_args]),
         ScriptEvent(0, "start", ["h9", "join=g1"]),
         ScriptEvent(1, "add", ["h9", "svc", "--ip", "10.9.0.1", "--expose", "30080"]),
         ScriptEvent(2, "serve", ["svc", "7777"]),
     ])
     assert cluster.external_connect("g1", 30080)["status"] == "ok"
     cluster.run_until(11)
+    return cluster
+
+
+def test_proxied_session_terminates_on_service_crash():
+    cluster = _exposed_echo()
     assert cluster.external_transfer("g1", 4096)["status"] == "ok"
     cluster.crash("h9")
     assert cluster.external_transfer("g1", 4096)["status"] == "reset"
     cluster.run_until(cluster.clock + 12)
     assert cluster.external_connect("g1", 30080)["status"] == "refused"
+
+
+def test_sim_relay_counts_each_direction_and_ends_with_the_exposure():
+    cluster = _exposed_echo()
+    assert cluster.external_transfer("g1", 4096)["status"] == "ok"
+    [session] = cluster.nodes["g1"].node.gateway_sessions
+    assert session.ext_to_int == session.int_to_ext == 4096
+    external = cluster._ext_conns["g1"]
+    cluster.remove_app("svc")
+    cluster.run_until(cluster.clock + 10)
+    assert session.closed
+    assert external.peer_closed
+
+
+def test_a_closed_gateway_listener_drops_its_round_robin_counters():
+    cluster = _exposed_echo("strategy=rr")
+    gateway = cluster.nodes["g1"].node
+    assert [app for app in gateway.switch._rr_counters if app.startswith("gw.")]
+    cluster.remove_app("svc")
+    cluster.run_until(cluster.clock + 10)
+    assert not gateway._external_listeners
+    assert not [app for app in gateway.switch._rr_counters if app.startswith("gw.")]
 
 
 @pytest.mark.parametrize("seed", range(5))

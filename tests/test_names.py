@@ -40,13 +40,13 @@ def test_allocate_matches_probe_sequence_with_taken_map():
         offset = _oracle_fnv1a64(f"{name}#{i}".encode()) % 2**24
         taken[IPv4Address(int(IPv4Address("240.0.0.0")) | offset)] = f"other{i}"
     expect_offset = _oracle_fnv1a64(f"{name}#3".encode()) % 2**24
-    got = names.allocate_internal_ip(name, taken)
+    got = names.allocate_internal_ip(name, taken.get)
     assert int(got) == int(IPv4Address("240.0.0.0")) | expect_offset
 
 
 def test_allocation_reuses_own_claim():
     vip = names.allocate_internal_ip("web")
-    assert names.allocate_internal_ip("web", {vip: "web"}) == vip
+    assert names.allocate_internal_ip("web", {vip: "web"}.get) == vip
 
 
 def test_colliding_first_probe_diverges():
@@ -56,7 +56,7 @@ def test_colliding_first_probe_diverges():
     assert _oracle_fnv1a64(f"{a}#0".encode()) % 2**24 == _oracle_fnv1a64(f"{b}#0".encode()) % 2**24
     vip_a = names.allocate_internal_ip(a)
     assert vip_a == names.allocate_internal_ip(b)  # same when unconstrained
-    vip_b = names.allocate_internal_ip(b, {vip_a: a})
+    vip_b = names.allocate_internal_ip(b, {vip_a: a}.get)
     assert vip_b != vip_a
     assert int(vip_b) == int(IPv4Address("240.0.0.0")) | (
         _oracle_fnv1a64(f"{b}#1".encode()) % 2**24

@@ -699,7 +699,7 @@ def test_concurrent_sessions_count_every_byte_once(cluster, open_shim):
     sessions = a.node.gateway_sessions
     assert _wait_for(lambda: len(sessions) == clients and all(s.closed for s in sessions))
     counted = sum(s.ext_to_int + s.int_to_ext for s in sessions)
-    assert counted == a.node.switch.data_path_bytes == 2 * clients * len(payload)
+    assert counted == 2 * clients * len(payload)
     _hang_up(server)
     thread.join(timeout=5)
     assert not thread.is_alive()
@@ -715,9 +715,9 @@ def test_an_exposed_bind_is_listened_for_within_one_inner_tick(cluster, open_shi
     bind_external = a.bind_external
 
     def recording(port, on_conn):
-        token = bind_external(port, on_conn)
+        close = bind_external(port, on_conn)
         opened_at.append(b._tick)
-        return token
+        return close
 
     monkeypatch.setattr(a, "bind_external", recording)
     shim.bind(listener, (IPv4Address("0.0.0.0"), 4009))

@@ -546,11 +546,8 @@ def _assert_indexes_hold_exactly_the_current_records(table):
     # The vip index answers what the old scans of every live entry did.
     for vip in {key.vip for key in _KEYS}:
         named = {e.name for e in by_vip.get(vip, {}).values() if e.name}
-        assert table.names_by_vip().get(vip) in (named or {None})
+        assert table.name_at(vip) in (named or {None})
         assert table.used_service_ports(vip) == {e.key.port for e in by_vip.get(vip, {}).values()}
-    assert set(table.names_by_vip()) == {
-        vip for vip, entries in by_vip.items() if any(e.name for e in entries.values())
-    }
 
 
 def _bucket_hashes(records) -> list[int]:

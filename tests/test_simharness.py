@@ -336,7 +336,7 @@ def test_dgram_pinning_sticks_to_first_selection():
 # --- control plane vs data plane ---
 
 def _transfer_scenario(total_bytes: int) -> tuple[int, int]:
-    """Returns (client trap messages, switch data-path bytes)."""
+    """Returns (client trap messages, bytes proxied by any gateway)."""
     script = parse_script(
         """
 seed 91
@@ -352,10 +352,12 @@ tick 8 connect h2:c1 name:echo:9999 expect=ok
     cluster.run_until(9)
     assert cluster.transfer("c1", total_bytes) == total_bytes
     channel = cluster.nodes["h2"].node._apps["c1"].channel
-    switch_bytes = sum(
-        rt.node.switch.data_path_bytes for rt in cluster.nodes.values()
+    proxied = sum(
+        s.ext_to_int + s.int_to_ext
+        for rt in cluster.nodes.values()
+        for s in rt.node.gateway_sessions
     )
-    return channel.messages, switch_bytes
+    return channel.messages, proxied
 
 
 def test_trap_count_independent_of_bytes_moved():

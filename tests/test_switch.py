@@ -1,3 +1,4 @@
+import inspect
 import random
 from ipaddress import IPv4Address
 
@@ -5,8 +6,11 @@ import pytest
 
 from appnet import names
 from appnet.model import HostId, RealEndpoint, ServiceKey, TagSet
+from appnet.realnet import RealNodeRuntime
 from appnet.service_table import EntryState, ServiceEntry
+from appnet.simnet import SimFabric
 from appnet.switch import (
+    Fabric,
     PolicyDecision,
     SelectionStrategy,
     StrategyMode,
@@ -181,3 +185,21 @@ def test_preamble_rejects_noise():
     wrong_version = bytearray(encode_preamble((IPv4Address("1.2.3.4"), 5)))
     wrong_version[4] = 2
     assert decode_preamble(bytes(wrong_version)) is None
+
+
+def _parameters(fn) -> list[str]:
+    return list(inspect.signature(fn).parameters)
+
+
+@pytest.mark.parametrize("backend", [SimFabric, RealNodeRuntime])
+def test_each_backend_defines_every_fabric_method_with_its_parameters(backend):
+    methods = [
+        name for name, attr in vars(Fabric).items()
+        if inspect.isfunction(attr) and not name.startswith("_")
+    ]
+    assert sorted(methods) == [
+        "bind_dgram", "bind_external", "bind_stream", "connect_stream",
+        "end_session", "open_local_pair", "pump", "send_dgram",
+    ]
+    for name in methods:
+        assert _parameters(getattr(backend, name)) == _parameters(getattr(Fabric, name)), name
