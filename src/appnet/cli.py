@@ -119,7 +119,7 @@ def _cmd_daemon(args) -> int:
         run_dir=args.run_dir or default_run_dir(),
     )
     runtime = RealNodeRuntime(config, period_ms=args.period_ms).start()
-    print(f"appnet daemon {runtime.node.host.hex} on {args.bind}", flush=True)
+    print(f"appnet daemon {runtime.node.host.hex()} on {args.bind}", flush=True)
     stop = {"flag": False}
 
     def handle_signal(signum, frame) -> None:

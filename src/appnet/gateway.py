@@ -24,10 +24,10 @@ EXTERNAL_GROUP = "__external__"
 
 def choose_gateway(gateways: Iterable[HostId]) -> HostId:
     """Deterministic choice: the lowest live gateway id."""
-    ordered = sorted(gateways)
-    if not ordered:
+    lowest = min(gateways, default=None)
+    if lowest is None:
         raise NoGateway("no live gateway in the cluster")
-    return ordered[0]
+    return lowest
 
 
 def pick_external_port(

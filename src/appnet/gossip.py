@@ -53,7 +53,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from ipaddress import IPv4Address
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Optional, Union
 
 from appnet.errors import DecodeError
@@ -88,8 +88,6 @@ _HEADER = struct.Struct(">BB16s")
 # A member rumor: host id, gossip address and port, status byte (with the
 # gateway flag), incarnation.
 _MEMBER = struct.Struct(">16sIHBQ")
-# Host ids in their order, compared as bytes rather than through HostId.
-_RAW = attrgetter("raw")
 # A piggyback queue entry's push sequence number.
 _SEQ = itemgetter(0)
 # Section lengths and the length prefix of each item in a section.
@@ -148,7 +146,7 @@ class GossipEnvelope:
 
 def _encode_member(m: MemberRecord) -> bytes:
     status = m.status.value | (_GATEWAY_FLAG if m.is_gateway else 0)
-    return _MEMBER.pack(m.host.raw, int(m.addr.host_ip), m.addr.port, status, m.incarnation)
+    return _MEMBER.pack(m.host, int(m.addr.host_ip), m.addr.port, status, m.incarnation)
 
 
 def _decode_member(data: bytes) -> MemberRecord:
@@ -203,7 +201,7 @@ def read_section(data: bytes, pos: int) -> tuple[list[bytes], int]:
 
 def encode_envelope(env: GossipEnvelope) -> bytes:
     data = b"".join((
-        _HEADER.pack(ENVELOPE_VERSION, env.kind.value, env.sender.raw),
+        _HEADER.pack(ENVELOPE_VERSION, env.kind.value, env.sender),
         section([_encode_member(m) for m in env.membership_rumors]),
         section([d.encoded for d in env.table_deltas]),
         section(env.sync_digest or ()),
@@ -422,7 +420,7 @@ class Gossip:
             # Rotate through the full membership so ring partners eventually
             # see every record even after its rumor budget is spent.
             seen = {m.host for m in out}
-            ordered = sorted(self.members, key=_RAW)
+            ordered = sorted(self.members)
             for _ in range(len(ordered)):
                 if len(out) >= PIGGYBACK_LIMIT:
                     break

@@ -11,9 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import total_ordering
 from ipaddress import AddressValueError, IPv4Address, IPv4Network
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, NewType, Optional, Union
 
 from appnet.errors import InvalidName, InvalidSpec, InvalidTag, InvalidVip
 
@@ -35,48 +34,14 @@ class PoolClass(Enum):
     LINK_LOCAL = "link-local"
 
 
-@total_ordering
-@dataclass(frozen=True, slots=True)
-class HostId:
-    """Opaque 16-byte node identifier, rendered as lowercase hex.
+# A node's opaque 16-byte identifier. It is plain bytes: it hashes, compares
+# and orders as bytes, and renders with `.hex()`.
+HostId = NewType("HostId", bytes)
 
-    Host ids key the hot membership and table dicts, so hashing, equality
-    and order work on `raw` directly, not on a field tuple; they order and
-    compare exactly as the generated methods did.
-    """
 
-    raw: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.raw) != 16:
-            raise ValueError(f"host id must be 16 bytes, got {len(self.raw)}")
-
-    def __hash__(self) -> int:
-        return hash(self.raw)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is HostId:
-            return self.raw == other.raw
-        return NotImplemented
-
-    def __lt__(self, other) -> bool:
-        if other.__class__ is HostId:
-            return self.raw < other.raw
-        return NotImplemented
-
-    @classmethod
-    def generate(cls, rng) -> "HostId":
-        return cls(rng.getrandbits(128).to_bytes(16, "big"))
-
-    @property
-    def hex(self) -> str:
-        return self.raw.hex()
-
-    def __str__(self) -> str:
-        return self.raw.hex()
-
-    def __repr__(self) -> str:
-        return f"HostId({self.raw.hex()!r})"
+def new_host_id(rng) -> HostId:
+    """A fresh host id drawn from `rng`."""
+    return HostId(rng.getrandbits(128).to_bytes(16, "big"))
 
 
 class ServiceKey(NamedTuple):
@@ -187,11 +152,6 @@ class TagSet:
         return ",".join(self.pairs()) if self.entries else "-"
 
 
-def normalize_tags(pairs: Iterable[str]) -> TagSet:
-    """Merge "key=value" strings into a TagSet; idempotent and order-free."""
-    return TagSet.from_pairs(pairs)
-
-
 def validate_name(name: str) -> str:
     if not name or len(name) > MAX_NAME:
         raise InvalidName(f"name {name!r} is empty or too long")
@@ -237,7 +197,7 @@ def parse_app_spec(args: list[str]) -> AppSpec:
             expose, i = _parse_expose(args, i)
         else:
             raise InvalidSpec(f"unknown flag {flag!r}")
-    return AppSpec(name=name, vip=vip, tags=normalize_tags(tag_pairs), expose=expose)
+    return AppSpec(name=name, vip=vip, tags=TagSet.from_pairs(tag_pairs), expose=expose)
 
 
 def _flag_value(args: list[str], i: int) -> str:

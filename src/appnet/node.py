@@ -177,7 +177,7 @@ class Node:
     def add_app(self, spec: AppSpec, app_id: Optional[str] = None) -> AppIdentity:
         self._app_seq += 1
         if app_id is None:
-            app_id = f"{self.host.hex[:6]}.{self._app_seq}"
+            app_id = f"{self.host.hex()[:6]}.{self._app_seq}"
         if app_id in self._apps:
             raise AttachFailed(f"app id {app_id} already in use on this node")
         effective_vip = self._resolve_vip(spec, app_id)
@@ -329,7 +329,7 @@ class Node:
                 exposure.binding = binding
                 exposure.client_tags = synthetic_client_tags(binding)
             return
-        client_id = f"gw.{self.host.hex[:6]}.{binding.external_port}"
+        client_id = f"gw.{self.host.hex()[:6]}.{binding.external_port}"
         exposure = _Exposure(
             binding=binding,
             client_id=client_id,

@@ -44,8 +44,8 @@ from appnet.errors import (
     DecodeError,
     WouldBlock,
 )
-from appnet.gossip import PERIOD_MS, RELIABLE_KINDS, encode_envelope
-from appnet.model import HostId, RealEndpoint, parse_app_spec
+from appnet.gossip import MAX_ENVELOPE, PERIOD_MS, RELIABLE_KINDS, encode_envelope
+from appnet.model import RealEndpoint, new_host_id, parse_app_spec
 from appnet.node import GatewaySession, Node, NodeConfig
 from appnet.switch import PREAMBLE_SIZE
 from appnet.trap import SocketShim, TrapReply, TrapRequest
@@ -123,7 +123,10 @@ def _trap_frame_size(buf: bytearray) -> Optional[int]:
 def _sync_frame_size(buf: bytearray) -> Optional[int]:
     if len(buf) < _SYNC_FRAME.size:
         return None
-    return _SYNC_FRAME.size + _SYNC_FRAME.unpack_from(buf)[0]
+    (length,) = _SYNC_FRAME.unpack_from(buf)
+    if length > MAX_ENVELOPE:
+        raise DecodeError(f"sync frame claims {length} bytes, over {MAX_ENVELOPE}")
+    return _SYNC_FRAME.size + length
 
 
 def _line_size(buf: bytearray) -> Optional[int]:
@@ -269,14 +272,14 @@ class RealNodeRuntime:
         self._app_servers: dict[str, socket.socket] = {}
         self._pump_lock = threading.Lock()
         rng = random.Random(os.urandom(16).hex())
-        self.node = Node(config, HostId.generate(rng), rng, self)
+        self.node = Node(config, new_host_id(rng), rng, self)
 
     # --- lifecycle ---
 
     def start(self) -> "RealNodeRuntime":
         self.run_dir.mkdir(parents=True, exist_ok=True)
         (self.run_dir / "apps").mkdir(exist_ok=True)
-        (self.run_dir / "node_id").write_text(self.node.host.hex + "\n")
+        (self.run_dir / "node_id").write_text(self.node.host.hex() + "\n")
         bind = (str(self.config.bind.host_ip), self.config.bind.port)
         try:
             self.gossip_udp.bind(bind)
@@ -299,7 +302,7 @@ class RealNodeRuntime:
         return self
 
     def _thread(self, role: str, target: Callable, *args) -> threading.Thread:
-        name = f"appnet-{role}:{self.node.host.hex[:6]}"
+        name = f"appnet-{role}:{self.node.host.hex()[:6]}"
         thread = threading.Thread(target=target, args=args, name=name, daemon=True)
         thread.start()
         return thread
@@ -629,7 +632,7 @@ class RealNodeRuntime:
     def _control_handle(self, request: dict) -> dict:
         op = request["op"]
         if op == "ping":
-            return {"ok": True, "host": self.node.host.hex}
+            return {"ok": True, "host": self.node.host.hex()}
         if op == "add":
             return {"ok": True, **self.add_app(list(request["args"]))}
         if op == "remove":

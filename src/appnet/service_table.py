@@ -275,7 +275,7 @@ def _encode_entry(e: ServiceEntry) -> bytes:
     app_id, name = e.app_id.encode(), (e.name or "").encode()
     head = _ENTRY_HEAD.pack(
         _KIND_ENTRY, int(e.key.vip), e.key.port, int(e.real.host_ip), e.real.port,
-        e.host.raw, len(app_id),
+        e.host, len(app_id),
     )
     tail = _ENTRY_TAIL.pack(e.state.value, e.incarnation, len(name))
     return b"".join((head, app_id, tail, name, _tags(e.tags)))
@@ -310,7 +310,7 @@ def _decode_entry(data: bytes) -> ServiceEntry:
 
 def _encode_binding(b: GatewayBinding) -> bytes:
     head = _BINDING_HEAD.pack(
-        _KIND_BINDING, int(b.key.vip), b.key.port, b.gateway.raw, b.external_port,
+        _KIND_BINDING, int(b.key.vip), b.key.port, b.gateway, b.external_port,
         b.state.value, b.incarnation,
     )
     return head + _tags(b.admit)
@@ -368,8 +368,7 @@ class PeerDigest(NamedTuple):
 class ServiceTable:
     """One node's view of the cluster's registrations.
 
-    Mutated only from the owning node's event loop; snapshot() hands out
-    immutable copies for anything that runs elsewhere.
+    Mutated only from the owning node's event loop.
     """
 
     def __init__(self, local_host: HostId) -> None:
@@ -378,12 +377,12 @@ class ServiceTable:
         # entries and bindings never collide.
         self._records: dict[bytes, TableRecord] = {}
         # Indexes over the store, kept by _put alone: live entries by key, by
-        # vip, by (raw host id, app id) and by lower-cased name, and tombstones
+        # vip, by (host id, app id) and by lower-cased name, and tombstones
         # of either class by stamp. Each slot maps record id to record; an
         # emptied one is dropped.
         self._by_key: dict[ServiceKey, dict[bytes, ServiceEntry]] = {}
         self._by_vip: dict[IPv4Address, dict[bytes, ServiceEntry]] = {}
-        self._by_app: dict[tuple[bytes, str], dict[bytes, ServiceEntry]] = {}
+        self._by_app: dict[tuple[HostId, str], dict[bytes, ServiceEntry]] = {}
         self._by_name: dict[str, dict[bytes, ServiceEntry]] = {}
         self._tombstones: dict[int, dict[bytes, TableRecord]] = {}
         # Every held record by its wire encoding, which names it as surely as
@@ -431,7 +430,7 @@ class ServiceTable:
         slots = [
             (self._by_key, record.key),
             (self._by_vip, record.key.vip),
-            (self._by_app, (record.host.raw, record.app_id)),
+            (self._by_app, (record.host, record.app_id)),
         ]
         if record.name:
             slots.append((self._by_name, record.name.lower()))
@@ -510,7 +509,7 @@ class ServiceTable:
         """True for the id of an entry of this host, its sole writer: the one
         test behind merge_record's owner clauses and digest_has_news."""
         return record_id[:1] == _ENTRY_KIND_BYTE and record_id.startswith(
-            self.local_host.raw, _KEY.size
+            self.local_host, _KEY.size
         )
 
     def merge_record(self, record: TableRecord, now: int) -> MergeOutcome:
@@ -558,7 +557,7 @@ class ServiceTable:
         return sorted(live, key=lambda e: (e.key, e.host, e.app_id))
 
     def entries_for_app(self, host: HostId, app_id: str) -> list[ServiceEntry]:
-        return list(self._by_app.get((host.raw, app_id), {}).values())
+        return list(self._by_app.get((host, app_id), {}).values())
 
     def name_at(self, vip: IPv4Address) -> Optional[str]:
         """The name of a live named entry at `vip`, if any claims it."""
@@ -682,12 +681,12 @@ class ServiceTable:
     def dump(self) -> str:
         """One line per entry, then one per binding, tab-separated, in a stable order."""
         rows = [
-            [str(e.key), str(e.real), e.host.hex, e.state.name.lower(),
+            [str(e.key), str(e.real), e.host.hex(), e.state.name.lower(),
              str(e.incarnation), e.name or "-", str(e.tags)]
             for e in self.snapshot()
         ]
         rows += [
-            ["binding", str(b.key), f"{b.gateway.hex}:{b.external_port}",
+            ["binding", str(b.key), f"{b.gateway.hex()}:{b.external_port}",
              b.state.name.lower(), str(b.incarnation), str(b.admit)]
             for b in sorted(self._held(GatewayBinding), key=_BY_RECORD_ID)
         ]

@@ -50,6 +50,7 @@ from appnet.model import (
     HostId,
     RealEndpoint,
     ServiceKey,
+    new_host_id,
     parse_app_spec,
     parse_endpoint,
 )
@@ -243,7 +244,7 @@ class SimCluster:
             ip = f"10.0.0.{self._next_ip}"
         host_ip = IPv4Address(ip)
         rng = random.Random(f"{self.seed}:{label}")
-        host_id = HostId.generate(rng)
+        host_id = new_host_id(rng)
         self.network.register_node(host_ip)
         join_addr = None
         if join is not None:
@@ -699,7 +700,7 @@ class SimCluster:
             return
         if binding is None:
             raise AssertionFailed(self.clock, args[2], "no binding")
-        observed = self._labels_by_host.get(binding.gateway, binding.gateway.hex)
+        observed = self._labels_by_host.get(binding.gateway, binding.gateway.hex())
         if observed != args[2]:
             raise AssertionFailed(self.clock, args[2], observed)
 

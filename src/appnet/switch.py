@@ -147,7 +147,7 @@ def selection_order(
     return sorted(
         candidates,
         key=lambda e: (
-            names.fnv1a64(f"{e.host.hex}:{e.app_id}".encode(), prefix),
+            names.fnv1a64(f"{e.host.hex()}:{e.app_id}".encode(), prefix),
             e.host,
             e.app_id,
         ),

@@ -188,10 +188,13 @@ def decode_reply(data: bytes) -> TrapReply:
 
 
 def frame_payload_length(header: bytes) -> int:
-    """Payload length claimed by a 16-byte frame header."""
+    """Payload length claimed by a 16-byte frame header, if not oversized."""
     if len(header) != HEADER_SIZE:
         raise errors.DecodeError("short trap frame header")
-    return _HEADER.unpack(header)[5]
+    length = _HEADER.unpack(header)[5]
+    if length > MAX_FRAME_PAYLOAD:
+        raise errors.DecodeError(f"claimed payload of {length} bytes is oversized")
+    return length
 
 
 class TrapChannel(Protocol):

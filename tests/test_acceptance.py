@@ -237,20 +237,17 @@ tick 8 connect h2:c1 name:echo:9999 expect=ok
     cluster.run_until(9)
     assert cluster.transfer("c1", total_bytes) == total_bytes
     messages = cluster.nodes["h2"].node._apps["c1"].channel.messages
-    relay_bytes = sum(
-        s.ext_to_int + s.int_to_ext
-        for rt in cluster.nodes.values()
-        for s in rt.node.gateway_sessions
-    )
-    return messages, relay_bytes
+    # The two apps hold the two ends of one fabric stream: nothing relays.
+    direct = cluster.apps["c1"].last_transport.peer is cluster.apps["srv"].accepted[-1]
+    return messages, direct
 
 
 def test_criterion_7_control_data_separation():
     with criterion(7, "trap count identical for 1MB vs 100MB; handler moved zero stream bytes"):
-        small_msgs, small_relay = _transfer_run(1 << 20)
-        large_msgs, large_relay = _transfer_run(100 << 20)
+        small_msgs, small_direct = _transfer_run(1 << 20)
+        large_msgs, large_direct = _transfer_run(100 << 20)
         assert small_msgs == large_msgs, (small_msgs, large_msgs)
-        assert small_relay == 0 and large_relay == 0
+        assert small_direct and large_direct
 
 
 def _listening(runtime, port) -> bool:

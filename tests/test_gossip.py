@@ -135,7 +135,7 @@ def test_sync_envelope_carries_digest():
 
 def test_digest_item_without_full_version_rejected():
     old_item = struct.pack(">H", 4) + b"id-1" + struct.pack(">Q", 3)
-    header = struct.pack(">BB16s", ENVELOPE_VERSION, EnvelopeKind.SYNC.value, H1.raw)
+    header = struct.pack(">BB16s", ENVELOPE_VERSION, EnvelopeKind.SYNC.value, H1)
     data = header + section([]) + section([]) + section([bitmap(b"id-1"), old_item])
     with pytest.raises(DecodeError):
         receive(data)

@@ -437,7 +437,7 @@ def test_bad_member_rumor_is_counted_and_nothing_merges(corrupt):
     rumors = [_encode_member(node.gossip.members[PEER]), _encode_member(_STRANGER)]
 
     def ping(items):
-        header = struct.pack(">BB16s", ENVELOPE_VERSION, EnvelopeKind.PING.value, PEER.raw)
+        header = struct.pack(">BB16s", ENVELOPE_VERSION, EnvelopeKind.PING.value, PEER)
         return header + section(items) + section([fresh.encoded]) + section([])
 
     assert node.on_envelope(ping([*rumors, corrupt(*rumors)]), PEER_ADDR, 2) == []

@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import os
+import select
 import socket
 import struct
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from appnet import gossip
+from appnet import gossip, trap
 from appnet.errors import AppNetError, BadHandle, Unidentified
 from appnet.gossip import EnvelopeKind, GossipEnvelope
 from appnet.model import RealEndpoint, ServiceKey, TagSet
@@ -343,7 +344,7 @@ def test_parked_recvfrom_wakes_only_for_its_connected_peer(cluster, open_shim):
 
 def _threads_of(*runtimes):
     """Live threads the given runtimes started (all are named appnet-<role>:<host>)."""
-    hosts = tuple(f":{rt.node.host.hex[:6]}" for rt in runtimes)
+    hosts = tuple(f":{rt.node.host.hex()[:6]}" for rt in runtimes)
     return [
         t.name
         for t in threading.enumerate()
@@ -477,6 +478,58 @@ def test_an_oversize_sync_answer_is_counted_and_the_rest_still_go_out(cluster):
     assert data == gossip.encode_envelope(follow)
     assert a.counters["send_errors"] > errors["send_errors"]
     assert a.counters["loop_errors"] == errors["loop_errors"]
+
+
+def _closed_by_peer(sock: socket.socket, wait: float) -> bool:
+    """True if the peer closed `sock` within `wait` seconds."""
+    if not select.select([sock], [], [], wait)[0]:
+        return False
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+def _claim_then_trickle(sock: socket.socket, header: bytes, seconds: float):
+    """Send a frame header, then 64 KiB every 50 ms for up to `seconds`.
+    The seconds until the peer closed the socket, or None if it never did."""
+    start = time.monotonic()
+    sock.sendall(header)
+    while time.monotonic() - start < seconds:
+        try:
+            sock.sendall(bytes(64 * 1024))
+        except (BrokenPipeError, ConnectionResetError):
+            return time.monotonic() - start
+        if _closed_by_peer(sock, 0.05):
+            return time.monotonic() - start
+    return None
+
+
+def test_a_sync_frame_claiming_more_than_an_envelope_is_refused_and_counted(cluster):
+    a, _b = cluster
+    errors = a.counters["loop_errors"]
+    bind = a.config.bind
+    with socket.create_connection((str(bind.host_ip), bind.port), timeout=5) as client:
+        closed_after = _claim_then_trickle(client, struct.pack(">I", 1 << 30), 3.0)
+    assert closed_after is not None and closed_after < 1.0
+    assert _wait_for(lambda: a.counters["loop_errors"] == errors + 1)
+    assert "sync frame claims 1073741824 bytes" in a.last_error
+
+
+def test_a_trap_frame_claiming_an_oversized_payload_closes_the_channel(cluster):
+    a, _b = cluster
+    info = a.add_app(["--name", "greedy"])
+    errors = a.counters["loop_errors"]
+    request = trap.encode_request(trap.TrapRequest(trap.TrapOp.SOCKET, 0, None, b""))
+    header = request[: trap.HEADER_SIZE - 4] + struct.pack(">I", 1 << 30)
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as channel:
+        channel.connect(info["trap"])
+        channel.settimeout(5)
+        closed_after = _claim_then_trickle(channel, header, 3.0)
+    assert closed_after is not None and closed_after < 1.0
+    assert _wait_for(lambda: info["app_id"] not in a.in_loop(a.node.app_ids))
+    assert a.counters["loop_errors"] == errors + 1
+    assert "claimed payload of 1073741824 bytes is oversized" in a.last_error
 
 
 def test_threads_stay_bounded_over_connects_and_anti_entropy(cluster, open_shim):

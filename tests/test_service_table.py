@@ -38,7 +38,7 @@ def entry(
 ):
     return ServiceEntry(
         key=ServiceKey(IPv4Address(vip), port),
-        real=RealEndpoint(IPv4Address(f"192.168.0.{int(host.raw[0])}"), real_port),
+        real=RealEndpoint(IPv4Address(f"192.168.0.{host[0]}"), real_port),
         host=host,
         app_id=app_id,
         tags=TagSet.from_pairs(list(tags)),
@@ -201,9 +201,9 @@ def _id_from_fields(record) -> bytes:
         app = record.app_id.encode()
         return b"".join((
             b"\x00", record.key.vip.packed, record.key.port.to_bytes(2, "big"),
-            record.host.raw, len(app).to_bytes(2, "big"), app,
+            record.host, len(app).to_bytes(2, "big"), app,
         ))
-    return b"\x01" + record.gateway.raw + record.external_port.to_bytes(2, "big")
+    return b"\x01" + record.gateway + record.external_port.to_bytes(2, "big")
 
 
 def test_decode_reuses_a_held_record_only_for_its_exact_bytes():
@@ -312,7 +312,7 @@ def test_dump_format_is_stable():
     assert lines[0].split("\t") == [
         "10.1.1.1:80",
         "192.168.0.1:41712",
-        H1.hex,
+        H1.hex(),
         "alive",
         "1",
         "web",
@@ -321,7 +321,7 @@ def test_dump_format_is_stable():
     assert lines[1].split("\t") == [
         "10.1.1.2:443",
         "192.168.0.2:41712",
-        H2.hex,
+        H2.hex(),
         "alive",
         "1",
         "-",
@@ -348,7 +348,7 @@ def test_dump_lists_bindings_after_entries():
     assert lines[1].split("\t") == [
         "binding",
         "10.1.1.1:80",
-        f"{H3.hex}:30080",
+        f"{H3.hex()}:30080",
         "tombstone",
         "2",
         "grp=5",
@@ -513,7 +513,7 @@ def _assert_indexes_hold_exactly_the_current_records(table):
         elif isinstance(r, ServiceEntry):
             by_key.setdefault(r.key, {})[r.record_id] = r
             by_vip.setdefault(r.key.vip, {})[r.record_id] = r
-            by_app.setdefault((r.host.raw, r.app_id), {})[r.record_id] = r
+            by_app.setdefault((r.host, r.app_id), {})[r.record_id] = r
             if r.name:
                 by_name.setdefault(r.name.lower(), {})[r.record_id] = r
     for index, expected in (

@@ -5,7 +5,7 @@ from ipaddress import IPv4Address
 import pytest
 
 from appnet import names
-from appnet.model import HostId, RealEndpoint, ServiceKey, TagSet
+from appnet.model import HostId, RealEndpoint, ServiceKey, TagSet, new_host_id
 from appnet.realnet import RealNodeRuntime
 from appnet.service_table import EntryState, ServiceEntry
 from appnet.simnet import SimFabric
@@ -104,7 +104,7 @@ class TestSelection:
             client = f"c{i:04d}"
             weights = {
                 c.app_id: names.fnv1a64(
-                    f"{s.seed}|{client}|{KEY}|{c.host.hex}:{c.app_id}".encode()
+                    f"{s.seed}|{client}|{KEY}|{c.host.hex()}:{c.app_id}".encode()
                 )
                 for c in cands
             }
@@ -125,7 +125,7 @@ class TestSelection:
             ServiceEntry(
                 key=KEY,
                 real=RealEndpoint(IPv4Address(f"10.0.{i // 250}.{i % 250 + 1}"), 41000),
-                host=HostId.generate(rng),
+                host=new_host_id(rng),
                 app_id=f"app{rng.randrange(10**6)}",
                 tags=TagSet(),
                 name=None,
@@ -139,7 +139,7 @@ class TestSelection:
             oracle = sorted(
                 cands,
                 key=lambda c: (
-                    names.fnv1a64(f"{s.seed}|{client}|{KEY}|{c.host.hex}:{c.app_id}".encode()),
+                    names.fnv1a64(f"{s.seed}|{client}|{KEY}|{c.host.hex()}:{c.app_id}".encode()),
                     c.host,
                     c.app_id,
                 ),
