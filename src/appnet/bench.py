@@ -149,12 +149,9 @@ def _fast_path_pair(runtime: RealNodeRuntime) -> tuple[socket.socket, socket.soc
 def measure_local(size: int, seconds: float) -> float:
     rates = []
     for _ in range(ROUNDS):
+        config = NodeConfig(bind=RealEndpoint(IPv4Address("127.0.0.1"), free_port()))
         run_dir = tempfile.mkdtemp(prefix="appnet-bench-")
-        config = NodeConfig(
-            bind=RealEndpoint(IPv4Address("127.0.0.1"), free_port()),
-            run_dir=run_dir,
-        )
-        runtime = RealNodeRuntime(config, period_ms=100).start()
+        runtime = RealNodeRuntime(config, run_dir, period_ms=100).start()
         try:
             sender, receiver = _fast_path_pair(runtime)
         except Exception:

@@ -19,6 +19,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from contextlib import suppress
 
 from appnet.errors import (
     AppNetError,
@@ -49,26 +50,21 @@ def default_run_dir() -> str:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="appnet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    with_run_dir = argparse.ArgumentParser(add_help=False)
+    with_run_dir.add_argument("--run-dir", default=None)
 
-    daemon = sub.add_parser("daemon", help="run the per-host node")
+    daemon = sub.add_parser("daemon", parents=[with_run_dir], help="run the per-host node")
     daemon.add_argument("--bind", required=True, metavar="IP:PORT")
     daemon.add_argument("--join", metavar="IP:PORT")
     daemon.add_argument("--gateway", action="store_true")
     daemon.add_argument("--strategy", choices=["rr", "rendezvous"], default="rendezvous")
-    daemon.add_argument("--run-dir", default=None)
     daemon.add_argument("--period-ms", type=int, default=200, help=argparse.SUPPRESS)
 
-    run = sub.add_parser("run", help="run a program inside an appnet sandbox")
-    run.add_argument("--run-dir", default=None)
     # Spec flags and the program are split on "--" before argparse sees them.
-
-    sub.add_parser("list", help="print the service table").add_argument(
-        "--run-dir", default=None
-    )
-
-    remove = sub.add_parser("remove", help="remove an application")
+    sub.add_parser("run", parents=[with_run_dir], help="run a program inside an appnet sandbox")
+    sub.add_parser("list", parents=[with_run_dir], help="print the service table")
+    remove = sub.add_parser("remove", parents=[with_run_dir], help="remove an application")
     remove.add_argument("app_id")
-    remove.add_argument("--run-dir", default=None)
 
     bench = sub.add_parser("bench", help="same-host fast path vs loopback TCP")
     bench.add_argument("--size", type=int, default=65536)
@@ -116,9 +112,9 @@ def _cmd_daemon(args) -> int:
         join=join,
         gateway=args.gateway,
         strategy=SelectionStrategy(mode=StrategyMode(args.strategy)),
-        run_dir=args.run_dir or default_run_dir(),
     )
-    runtime = RealNodeRuntime(config, period_ms=args.period_ms).start()
+    run_dir = args.run_dir or default_run_dir()
+    runtime = RealNodeRuntime(config, run_dir, period_ms=args.period_ms).start()
     print(f"appnet daemon {runtime.node.host.hex()} on {args.bind}", flush=True)
     stop = {"flag": False}
 
@@ -179,10 +175,8 @@ def _cmd_run(argv: list[str]) -> int:
         completed = subprocess.run(command, env=env)
         return completed.returncode
     finally:
-        try:
+        with suppress(AppNetError):  # the daemon went, or the app already went
             control.call({"op": "remove", "app_id": added["app_id"]})
-        except (DaemonUnreachable, AppNetError):
-            pass
 
 
 def _cmd_list(args) -> int:

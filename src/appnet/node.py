@@ -14,8 +14,9 @@ the tick reconciles exposures before it probes, so a binding made on a tick
 rides that tick's probes. A gateway opens a binding's listener as soon as
 an envelope brings the binding to it. Only the tick withdraws: it retires a
 binding whose service it no longer sees and closes listeners that lost their
-binding. It also retries what an event could not do, such as an exposure
-made before any gateway was known, or an external port that failed to bind
+binding, which ends their sessions. It also retries what an event could not
+do, such as an exposure made before any gateway was known (counted in
+counters["expose_errors"]), or an external port that failed to bind
 (counted in counters["gateway_bind_errors"]).
 """
 
@@ -62,10 +63,9 @@ class NodeConfig:
     join: Optional[RealEndpoint] = None
     gateway: bool = False
     strategy: SelectionStrategy = field(default_factory=SelectionStrategy)
-    run_dir: Optional[str] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class GatewaySession:
     binding: GatewayBinding
     external: object
@@ -84,7 +84,7 @@ class _Exposure:
     client_id: str
     client_addr: tuple
     client_tags: TagSet
-    close: Optional[Callable[[], None]] = None  # the listener's
+    close: Optional[Callable[[], None]] = None  # the listener's, and its sessions'
 
 
 @dataclass
@@ -92,7 +92,6 @@ class _App:
     identity: AppIdentity
     expose: Union[int, str, None]
     channel: Optional[InProcChannel] = None
-    expose_error: Optional[str] = None
 
 
 TraceSink = Callable[[str, TrapRequest, TrapReply], None]
@@ -134,7 +133,8 @@ class Node:
         self._app_seq = 0
         self._external_listeners: dict[bytes, _Exposure] = {}  # by binding record id
         self.gateway_sessions: list[GatewaySession] = []
-        self.counters = {"envelope_decode_errors": 0, "gateway_bind_errors": 0}
+        counted = ("envelope_decode_errors", "expose_errors", "gateway_bind_errors")
+        self.counters = dict.fromkeys(counted, 0)
         if config.join is not None:
             self.gossip.begin_join(config.join)
 
@@ -288,9 +288,8 @@ class Node:
             return
         try:
             self.expose(key, app.expose, admit=app.identity.spec.tags)
-            app.expose_error = None
-        except AppNetError as exc:  # transient until membership settles
-            app.expose_error = str(exc)
+        except AppNetError:  # transient until membership settles
+            self.counters["expose_errors"] += 1
 
     def _gateway_alive(self, host: HostId) -> bool:
         member = self.gossip.members.get(host)
@@ -299,7 +298,8 @@ class Node:
     def _reconcile_gateway_listeners(self, withdraw: bool) -> None:
         """Listen for each active binding to this gateway whose service is
         live. With `withdraw`, as on the tick, also retire the bindings whose
-        service is gone and close the listeners whose binding is."""
+        service is gone and close the listeners whose binding is, which
+        ends the sessions each one accepted."""
         wanted: list[GatewayBinding] = []
         for binding in self.table.active_bindings():
             if binding.gateway != self.host:
@@ -309,7 +309,6 @@ class Node:
             elif withdraw:
                 # Exposure outlived its service; withdraw it.
                 self.table.retire(binding.record_id, self.now)
-                self._close_sessions(binding.record_id)
         if withdraw:
             kept = {binding.record_id for binding in wanted}
             for record_id in list(self._external_listeners):
@@ -317,7 +316,6 @@ class Node:
                     exposure = self._external_listeners.pop(record_id)
                     exposure.close()
                     self.switch.forget_client(exposure.client_id)
-                    self._close_sessions(record_id)
         for binding in wanted:
             self._listen(binding)
 
@@ -345,12 +343,8 @@ class Node:
             return
         self._external_listeners[binding.record_id] = exposure
 
-    def _close_sessions(self, record_id: bytes) -> None:
-        for session in self.gateway_sessions:
-            if session.binding.record_id == record_id and not session.closed:
-                self.fabric.end_session(session)
-
-    def _on_external_conn(self, exposure: _Exposure, transport) -> None:
+    def _on_external_conn(self, exposure: _Exposure, transport) -> Optional[GatewaySession]:
+        """The session to relay for one accepted connection, or None to refuse it."""
         binding = exposure.binding
         try:
             internal, _kind = self.switch.connect_for_gateway(
@@ -360,12 +354,10 @@ class Node:
                 binding.key,
             )
         except AppNetError:
-            # Upstream refusal or policy denial resets the external peer.
-            transport.close()
-            return
+            return None  # upstream refusal or policy denial
         session = GatewaySession(binding=binding, external=transport, internal=internal)
         self.gateway_sessions.append(session)
-        self.fabric.pump(session)
+        return session
 
     # --- bookkeeping ---
 

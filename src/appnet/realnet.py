@@ -6,14 +6,15 @@ whole frames, buffers what it cannot write at once, ticks on the select
 timeout, and re-runs a trap accept or recvfrom that would block when the
 switch wakes its handle (Switch.wait). Other threads reach it through in_loop().
 
-The gateway pump is the one exception: each proxied session moves its bytes
-on two blocking threads, which measured faster than copying on the loop.
-Each thread splices one direction socket -> pipe -> socket (os.splice, so
-Linux only), and the bytes never enter Python. Against recv/sendall, this
-took the daemons' CPU per streamed MB from 680 to 527 us on a 2-vCPU VM.
-Only the pump threads close a session's sockets; everyone else shuts them
-down. Every other connection is passed to its application as a descriptor
-over the app's Unix trap channel and never touches the daemon again.
+The gateway relay is the one exception: each proxied session moves its bytes
+on two blocking threads, one per direction, splicing socket -> pipe -> socket
+(os.splice, so Linux only) so that the bytes never enter Python. Against
+recv/sendall this took the daemons' CPU per streamed MB from 680 to 527 us on
+a 2-vCPU VM; non-blocking splices on the loop took 60 % longer and 33 % more
+CPU per 64 KiB echo (ROADMAP item 6). A session ends with the external
+listener that accepted it. Only its splice threads close its sockets; everyone
+else shuts them down. Every other connection is passed to its application as
+a descriptor over the app's Unix trap channel and never touches the daemon again.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ _WOULD_BLOCK = trap.status_for_error(WouldBlock(""))
 CONNECT_TIMEOUT = 2.0
 PREAMBLE_TIMEOUT = 2.0
 COPY_CHUNK = 65536
+MAX_CONTROL_LINE = 64 * 1024  # newline included; a longer request closes its stream
 # A same-host pair's socket buffers. The Unix default (~208 KiB) wakes the
 # reader so often that a local stream fell behind a TCP loopback hairpin.
 LOCAL_PAIR_BUFFER = 1 << 20
@@ -130,7 +132,10 @@ def _sync_frame_size(buf: bytearray) -> Optional[int]:
 
 
 def _line_size(buf: bytearray) -> Optional[int]:
-    return buf.find(b"\n") + 1 or None
+    size = buf.find(b"\n", 0, MAX_CONTROL_LINE) + 1
+    if not size and len(buf) >= MAX_CONTROL_LINE:
+        raise DecodeError(f"control line runs past {MAX_CONTROL_LINE} bytes")
+    return size or None
 
 
 class _Stream:
@@ -248,14 +253,12 @@ class _Stream:
 
 
 class RealNodeRuntime:
-    """One selector loop around one Node and its fabric, plus splice pump threads."""
+    """One selector loop around one Node and its fabric, plus splice threads."""
 
-    def __init__(self, config: NodeConfig, period_ms: int = PERIOD_MS) -> None:
-        if config.run_dir is None:
-            raise BindFailed("a run directory is required")
+    def __init__(self, config: NodeConfig, run_dir: str, period_ms: int = PERIOD_MS) -> None:
         self.config = config
         self.period_ms = period_ms
-        self.run_dir = Path(config.run_dir)
+        self.run_dir = Path(run_dir)
         self.running = False
         # What the loop survives: failed steps, and sends that were lost.
         # Pump errors are those other than a peer's reset or hang-up.
@@ -278,7 +281,6 @@ class RealNodeRuntime:
 
     def start(self) -> "RealNodeRuntime":
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        (self.run_dir / "apps").mkdir(exist_ok=True)
         (self.run_dir / "node_id").write_text(self.node.host.hex() + "\n")
         bind = (str(self.config.bind.host_ip), self.config.bind.port)
         try:
@@ -318,8 +320,7 @@ class RealNodeRuntime:
         for sock in closing + [self.dgram_out, self._wake_w]:
             sock.close()
         self._selector.close()
-        for session in self.node.gateway_sessions:
-            self.end_session(session)
+        self._end_sessions(self.node.gateway_sessions)
 
     # --- the event loop ---
 
@@ -341,8 +342,8 @@ class RealNodeRuntime:
         try:
             step(*args)
         except Exception:
+            self.last_error = traceback.format_exc()  # set first: readers wait on the count
             self.counters["loop_errors"] += 1
-            self.last_error = traceback.format_exc()
 
     def _on_tick(self, now: float) -> None:
         self._tick += 1
@@ -452,9 +453,22 @@ class RealNodeRuntime:
             listener = _tcp_listener((str(self.config.bind.host_ip), port))
         except OSError as exc:
             raise BindFailed(f"external port {port}: {exc}") from exc
-        # Accepted sockets come out blocking, as the pump threads need them.
-        self._watch(listener, listener.accept, lambda conn, _addr: on_conn(conn))
-        return partial(self._unwatch, listener)
+        sessions: set[GatewaySession] = set()  # the open ones
+
+        def accepted(conn: socket.socket, _addr) -> None:
+            # Accepted sockets come out blocking, as the splice threads need them.
+            session = on_conn(conn)
+            if session is None:
+                conn.close()
+            else:
+                self._relay(session, sessions)
+
+        def close() -> None:
+            self._unwatch(listener)
+            self._end_sessions(sessions)
+
+        self._watch(listener, listener.accept, accepted)
+        return close
 
     # --- gossip I/O ---
 
@@ -517,8 +531,6 @@ class RealNodeRuntime:
         server = self._app_servers[app_id] = _unix_listener(path)
 
         def attached(conn: socket.socket, _addr) -> None:
-            # One sandbox channel per app: later connects are refused.
-            self._unwatch(self._app_servers.pop(app_id))
             _Stream(
                 self,
                 conn,
@@ -526,6 +538,8 @@ class RealNodeRuntime:
                 lambda stream, frame: self._on_trap_frame(stream, app_id, frame),
                 on_close=lambda _stream: self._on_trap_closed(app_id),
             )
+            # One sandbox channel per app: later connects find no path.
+            self._close_trap_server(app_id)
 
         self._watch(server, server.accept, attached)
         return {"app_id": app_id, "vip": str(identity.effective_vip), "trap": str(path)}
@@ -535,10 +549,16 @@ class RealNodeRuntime:
 
     def _remove_app(self, app_id: str) -> int:
         count = self.node.remove_app(app_id)
-        server = self._app_servers.pop(app_id, None)
-        if server is not None:
-            self._unwatch(server)
+        self._close_trap_server(app_id)
         return count
+
+    def _close_trap_server(self, app_id: str) -> None:
+        """Stop listening for the app's channel; remove its path and directory."""
+        if (server := self._app_servers.pop(app_id, None)) is not None:
+            path = Path(server.getsockname())
+            self._unwatch(server)
+            path.unlink(missing_ok=True)
+            path.parent.rmdir()
 
     def _on_trap_frame(self, stream: _Stream, app_id: str, frame: bytes) -> None:
         if not stream.open:
@@ -562,59 +582,60 @@ class RealNodeRuntime:
         with suppress(AppNetError):  # already removed through the control channel
             self._remove_app(app_id)
 
-    # --- gateway pump ---
+    # --- gateway relay ---
 
-    def pump(self, session: GatewaySession) -> None:
-        """Start the session's two splice threads, one per direction."""
+    def _relay(self, session: GatewaySession, sessions: set[GatewaySession]) -> None:
+        """Splice each direction on a thread of its own. The inward thread waits
+        for the outward one, then closes the sockets and drops the session."""
+        sessions.add(session)
         ext, internal = session.external, session.internal
-        assert isinstance(ext, socket.socket) and isinstance(internal, socket.socket)
-        ended: list[str] = []  # directions done; the second closes the sockets
+        outward = self._thread("pump-out", self._splice, internal, ext, session, "int_to_ext")
 
-        def direction(src: socket.socket, dst: socket.socket, counter: str) -> None:
-            try:
-                self._splice(src.fileno(), dst.fileno(), session, counter)
-            except (ConnectionResetError, BrokenPipeError):
-                pass  # a peer reset or hung up: the session is over
-            except OSError:
-                with self._pump_lock:
-                    self.counters["pump_errors"] += 1
-                    self.last_error = traceback.format_exc()
-            finally:
-                self.end_session(session)  # wakes the other direction
-                with self._pump_lock:
-                    ended.append(counter)
-                    if len(ended) == 2:
-                        ext.close()
-                        internal.close()
-                        session.closed = True
+        def inward() -> None:
+            self._splice(ext, internal, session, "ext_to_int")
+            outward.join()
+            with self._pump_lock:
+                sessions.discard(session)
+                ext.close()
+                internal.close()
+                session.closed = True
 
-        self._thread("pump-in", direction, ext, internal, "ext_to_int")
-        self._thread("pump-out", direction, internal, ext, "int_to_ext")
+        self._thread("pump-in", inward)
 
-    def _splice(self, src: int, dst: int, session: GatewaySession, counter: str) -> None:
-        """Move src's bytes to dst through a pipe, in the kernel, until EOF."""
-        pipe_r, pipe_w = os.pipe()
+    def _splice(self, src: socket.socket, dst: socket.socket, session, counter: str) -> None:
+        """Move src's bytes to dst through a pipe, in the kernel, until either
+        side ends; then end the session, which wakes the other direction."""
+        pipe: tuple[int, ...] = ()
         try:
-            while moved := os.splice(src, pipe_w, COPY_CHUNK):
+            pipe_r, pipe_w = pipe = os.pipe()
+            while moved := os.splice(src.fileno(), pipe_w, COPY_CHUNK):
                 left = moved
                 while left:
-                    left -= os.splice(pipe_r, dst, left)
+                    left -= os.splice(pipe_r, dst.fileno(), left)
                 # This thread is the counter's one writer.
                 setattr(session, counter, getattr(session, counter) + moved)
+        except (ConnectionResetError, BrokenPipeError):
+            pass  # a peer reset or hung up: the session is over
+        except OSError:
+            with self._pump_lock:
+                self.last_error = traceback.format_exc()
+                self.counters["pump_errors"] += 1
         finally:
-            os.close(pipe_r)
-            os.close(pipe_w)
+            for fd in pipe:
+                os.close(fd)
+            self._end_sessions([session])
 
-    def end_session(self, session: GatewaySession) -> None:
-        """Shut a session's sockets down, which wakes both of its pumps. Only
-        the pumps close them: a descriptor number freed under a pump blocked
-        in splice could be handed to the next accept, and take its bytes."""
+    def _end_sessions(self, sessions) -> None:
+        """Shut each open session's sockets down, which wakes its splice threads.
+        Only they close the sockets: a descriptor number freed under a thread
+        blocked in splice could go to the next accept, and take its bytes."""
         with self._pump_lock:
-            if session.closed:
-                return
-            for sock in (session.external, session.internal):
-                with suppress(OSError):  # already shut, or the peer reset it
-                    sock.shutdown(socket.SHUT_RDWR)
+            for session in sessions:
+                if session.closed:
+                    continue
+                for sock in (session.external, session.internal):
+                    with suppress(OSError):  # already shut, or the peer reset it
+                        sock.shutdown(socket.SHUT_RDWR)
 
     # --- control channel ---
 

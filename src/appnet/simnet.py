@@ -10,6 +10,7 @@ Partitions and crashes break both message delivery and established streams.
 from __future__ import annotations
 
 import heapq
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from ipaddress import IPv4Address
@@ -184,11 +185,9 @@ class SimNetwork:
 
     def listen_dgram(
         self, endpoint: RealEndpoint, cb: Callable[[bytes, RealEndpoint], None]
-    ) -> None:
+    ) -> Callable[[], None]:
         self._dgram_listeners[endpoint] = cb
-
-    def unlisten_dgram(self, endpoint: RealEndpoint) -> None:
-        self._dgram_listeners.pop(endpoint, None)
+        return partial(self._dgram_listeners.pop, endpoint, None)
 
     def send_dgram(
         self,
@@ -237,14 +236,10 @@ class SimNetwork:
     # --- streams ---
 
     def listen_stream(
-        self,
-        endpoint: RealEndpoint,
-        cb: Callable[[SimStream, bytes], None],
-    ) -> None:
+        self, endpoint: RealEndpoint, cb: Callable[[SimStream, bytes], None]
+    ) -> Callable[[], None]:
         self._stream_listeners[endpoint] = cb
-
-    def unlisten_stream(self, endpoint: RealEndpoint) -> None:
-        self._stream_listeners.pop(endpoint, None)
+        return partial(self._stream_listeners.pop, endpoint, None)
 
     def connect_stream(
         self, source_ip: IPv4Address, dest: RealEndpoint, preamble: bytes
@@ -265,11 +260,9 @@ class SimNetwork:
 
     def listen_external(
         self, endpoint: RealEndpoint, cb: Callable[[SimStream], None]
-    ) -> None:
+    ) -> Callable[[], None]:
         self._external_listeners[endpoint] = cb
-
-    def unlisten_external(self, endpoint: RealEndpoint) -> None:
-        self._external_listeners.pop(endpoint, None)
+        return partial(self._external_listeners.pop, endpoint, None)
 
     def external_connect(self, dest: RealEndpoint) -> SimStream:
         if not self.is_alive(dest.host_ip):
@@ -292,13 +285,11 @@ class SimFabric:
 
     def bind_stream(self, on_inbound) -> tuple[RealEndpoint, Callable[[], None]]:
         endpoint = RealEndpoint(self.host_ip, self.network.allocate_port(self.host_ip))
-        self.network.listen_stream(endpoint, on_inbound)
-        return endpoint, partial(self.network.unlisten_stream, endpoint)
+        return endpoint, self.network.listen_stream(endpoint, on_inbound)
 
     def bind_dgram(self, on_dgram) -> tuple[RealEndpoint, Callable[[], None]]:
         endpoint = RealEndpoint(self.host_ip, self.network.allocate_port(self.host_ip))
-        self.network.listen_dgram(endpoint, lambda data, _source: on_dgram(data))
-        return endpoint, partial(self.network.unlisten_dgram, endpoint)
+        return endpoint, self.network.listen_dgram(endpoint, lambda data, _source: on_dgram(data))
 
     def connect_stream(self, dest: RealEndpoint, preamble: bytes) -> SimStream:
         return self.network.connect_stream(self.host_ip, dest, preamble)
@@ -311,29 +302,36 @@ class SimFabric:
         self.network.send_dgram(source, dest, data, self.clock())
 
     def bind_external(self, port: int, on_conn) -> Callable[[], None]:
-        endpoint = RealEndpoint(self.host_ip, port)
-        self.network.listen_external(endpoint, on_conn)
-        return partial(self.network.unlisten_external, endpoint)
+        """Relay each accepted session in place: each stream's bytes are counted
+        and written to the other, and either stream's end ends both."""
+        sessions: list = []  # the open ones, in the order they were accepted
 
-    def pump(self, session) -> None:
-        """Relay a gateway session in place: each stream's bytes are counted
-        and written to the other, and each one's end closes the other."""
-        external, internal = session.external, session.internal
+        def relay(session, dest: SimStream, counter: str, data: bytes) -> None:
+            setattr(session, counter, getattr(session, counter) + len(data))
+            with suppress(BrokenPipeError):
+                dest.write(data)
 
-        def forward(dest: SimStream, counter: str) -> Callable[[bytes], None]:
-            def on_data(data: bytes) -> None:
-                setattr(session, counter, getattr(session, counter) + len(data))
-                try:
-                    dest.write(data)
-                except BrokenPipeError:
-                    pass
-            return on_data
+        def end(session) -> None:
+            if not session.closed:
+                session.closed = True
+                sessions.remove(session)
+                session.external.close()
+                session.internal.close()
 
-        external.set_sink(forward(internal, "ext_to_int"), on_eof=internal.close)
-        internal.set_sink(forward(external, "int_to_ext"), on_eof=external.close)
+        def accepted(external: SimStream) -> None:
+            session = on_conn(external)
+            if session is None:
+                external.close()
+                return
+            sessions.append(session)
+            internal, ended = session.internal, partial(end, session)
+            external.set_sink(partial(relay, session, internal, "ext_to_int"), on_eof=ended)
+            internal.set_sink(partial(relay, session, external, "int_to_ext"), on_eof=ended)
 
-    def end_session(self, session) -> None:
-        """No pump threads here to wait for: the session ends at once."""
-        session.closed = True
-        session.external.close()
-        session.internal.close()
+        def close() -> None:
+            stop_listening()
+            for session in list(sessions):
+                end(session)
+
+        stop_listening = self.network.listen_external(RealEndpoint(self.host_ip, port), accepted)
+        return close

@@ -161,9 +161,10 @@ class Fabric(Protocol):
     Inbound traffic reaches the switch as sent: a stream with the preamble
     bytes read before it (fewer when the peer stopped short), a datagram
     whole. The switch alone decodes the preamble. Each bind returns the
-    call that closes its listener. A gateway session's bytes move and end
-    in the backend: `pump` relays a fresh session until either side ends,
-    and `end_session` ends it from outside.
+    call that closes its listener. An external listener's `on_conn` makes
+    each connection the gateway session to relay, or None to have it
+    closed. The backend relays each session until either side ends, and
+    the listener's close ends every session it accepted.
     """
 
     def bind_stream(
@@ -175,7 +176,7 @@ class Fabric(Protocol):
     ) -> tuple[RealEndpoint, Callable[[], None]]: ...
 
     def bind_external(
-        self, port: int, on_conn: Callable[[object], None]
+        self, port: int, on_conn: Callable[[object], Optional[object]]
     ) -> Callable[[], None]: ...
 
     def connect_stream(self, dest: RealEndpoint, preamble: bytes) -> object: ...
@@ -183,10 +184,6 @@ class Fabric(Protocol):
     def open_local_pair(self) -> tuple[object, object]: ...
 
     def send_dgram(self, dest: RealEndpoint, data: bytes) -> None: ...
-
-    def pump(self, session) -> None: ...
-
-    def end_session(self, session) -> None: ...
 
 
 @dataclass

@@ -271,16 +271,16 @@ def test_criterion_8_gateway_byte_conservation(tmp_path):
             NodeConfig(
                 bind=RealEndpoint(IPv4Address("127.0.0.1"), port_a),
                 gateway=True,
-                run_dir=str(tmp_path / "gw"),
             ),
+            str(tmp_path / "gw"),
             period_ms=40,
         ).start()
         inner = RealNodeRuntime(
             NodeConfig(
                 bind=RealEndpoint(IPv4Address("127.0.0.1"), port_b),
                 join=RealEndpoint(IPv4Address("127.0.0.1"), port_a),
-                run_dir=str(tmp_path / "in"),
             ),
+            str(tmp_path / "in"),
             period_ms=40,
         ).start()
         shims = []

@@ -4,7 +4,7 @@ import pytest
 
 from appnet.errors import NoGateway, NoSuchService, PortUnavailable
 from appnet.gateway import choose_gateway, pick_external_port, synthetic_client_tags
-from appnet.model import HostId, ServiceKey, TagSet
+from appnet.model import HostId, RealEndpoint, ServiceKey, TagSet
 from appnet.service_table import EntryState, GatewayBinding, decode_record, encode_record
 from appnet.simharness import ScriptEvent, SimCluster
 
@@ -185,6 +185,51 @@ def test_sim_relay_counts_each_direction_and_ends_with_the_exposure():
     cluster.run_until(cluster.clock + 10)
     assert session.closed
     assert external.peer_closed
+
+
+def test_withdrawing_one_exposure_ends_only_its_own_sessions():
+    cluster = SimCluster(seed=45)
+    cluster.run_until(10, [
+        ScriptEvent(0, "start", ["g1", "gateway"]),
+        ScriptEvent(0, "start", ["h9", "join=g1"]),
+        ScriptEvent(1, "add", ["h9", "kept", "--ip", "10.9.0.1", "--expose", "30080"]),
+        ScriptEvent(1, "add", ["h9", "gone", "--ip", "10.9.0.2", "--expose", "30081"]),
+        ScriptEvent(2, "serve", ["kept", "7777"]),
+        ScriptEvent(2, "serve", ["gone", "7777"]),
+    ])
+    gateway_ip = cluster.nodes["g1"].host_ip
+    kept, gone = (
+        cluster.network.external_connect(RealEndpoint(gateway_ip, port))
+        for port in (30080, 30081)
+    )
+    cluster.run_until(11)  # each app accepts its session
+    [gone_app_end] = cluster.apps["gone"].accepted
+    kept_session, gone_session = cluster.nodes["g1"].node.gateway_sessions
+    cluster.remove_app("gone")
+    cluster.run_until(cluster.clock + 10)
+    assert gone_session.closed
+    assert gone.peer_closed and gone_app_end.peer_closed
+    assert not kept_session.closed
+    kept.write(b"still here")
+    assert kept.read() == b"still here"
+
+
+def test_an_exposure_without_a_gateway_counts_each_failure_until_it_binds():
+    cluster = SimCluster(seed=47)
+    cluster.run_until(10, [
+        ScriptEvent(0, "start", ["h9"]),
+        ScriptEvent(1, "add", ["h9", "svc", "--ip", "10.9.0.1", "--expose", "30080"]),
+        ScriptEvent(4, "serve", ["svc", "7777"]),
+    ])
+    inner = cluster.nodes["h9"].node
+    # Once at the bind, after tick 4's node ticks, then on each of ticks 5-10.
+    assert inner.counters["expose_errors"] == 7
+    key = ServiceKey(IPv4Address("10.9.0.1"), 7777)
+    cluster.run_until(30, [ScriptEvent(11, "start", ["g1", "gateway", "join=h9"])])
+    assert inner.table.binding_for_key(key) is not None
+    failed = inner.counters["expose_errors"]
+    cluster.run_until(50)
+    assert inner.counters["expose_errors"] == failed
 
 
 def test_a_closed_gateway_listener_drops_its_round_robin_counters():

@@ -52,8 +52,8 @@ def cluster(tmp_path):
         NodeConfig(
             bind=RealEndpoint(IPv4Address("127.0.0.1"), port_a),
             gateway=True,
-            run_dir=str(tmp_path / "a"),
         ),
+        str(tmp_path / "a"),
         period_ms=40,
     ).start()
     runtimes.append(a)
@@ -62,8 +62,8 @@ def cluster(tmp_path):
             NodeConfig(
                 bind=RealEndpoint(IPv4Address("127.0.0.1"), port_b),
                 join=RealEndpoint(IPv4Address("127.0.0.1"), port_a),
-                run_dir=str(tmp_path / "b"),
             ),
+            str(tmp_path / "b"),
             period_ms=40,
         ).start()
         runtimes.append(b)
@@ -611,6 +611,68 @@ def test_a_withdrawn_exposure_ends_its_open_sessions(cluster, open_shim):
     _hang_up(server)
 
 
+def test_withdrawing_one_exposure_leaves_the_others_sessions_echoing(cluster, open_shim):
+    a, b = cluster
+    kept_info = b.add_app(["--ip", "10.50.0.23", "--name", "kept", "--expose", "31025"])
+    gone_info = b.add_app(["--ip", "10.50.0.24", "--name", "gone", "--expose", "31026"])
+    _listener, kept_echo = _serve_echo(open_shim(kept_info["trap"]), 4013)
+    _listener, gone_echo = _serve_echo(open_shim(gone_info["trap"]), 4014)
+    assert _wait_for(lambda: _listening(a, 31025) and _listening(a, 31026))
+    kept, kept_session = _open_session(a, 31025)
+    gone, gone_session = _open_session(a, 31026)
+
+    b.remove_app(gone_info["app_id"])
+    assert _wait_for(lambda: not _listening(a, 31026))
+    # The withdrawn exposure's session ends at both of its peers.
+    gone.settimeout(3)
+    assert gone.recv(1) == b""
+    gone_echo.join(timeout=3)
+    assert not gone_echo.is_alive()
+    assert _wait_for(lambda: gone_session.closed)
+    # The other exposure's session goes on.
+    kept.sendall(b"still here")
+    assert _recv_exactly(kept, 10) == b"still here"
+    assert not kept_session.closed
+    gone.close()
+    kept.close()
+    kept_echo.join(timeout=3)
+    assert _wait_for(lambda: kept_session.closed)
+
+
+def test_a_control_line_without_an_end_is_refused_and_counted(cluster, tmp_path):
+    a, _b = cluster
+    errors = a.counters["loop_errors"]
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as control:
+        control.connect(str(tmp_path / "a" / "control.sock"))
+        control.settimeout(5)
+        started = time.monotonic()
+        with contextlib.suppress(BrokenPipeError, ConnectionResetError):
+            control.sendall(b"x" * (10 << 20))  # 10 MiB and no newline
+        assert _closed_by_peer(control, 1.0)
+        assert time.monotonic() - started < 1.0
+    assert _wait_for(lambda: a.counters["loop_errors"] == errors + 1)
+    assert "control line runs past 65536 bytes" in a.last_error
+
+
+def test_an_apps_trap_path_goes_when_its_listener_closes(cluster, tmp_path, open_shim):
+    a, _b = cluster
+    apps = tmp_path / "a" / "apps"
+    removed = a.add_app(["--name", "removed"])
+    hung_up = a.add_app(["--name", "hung-up"])
+    never_attached = a.add_app(["--name", "never-attached"])
+    assert sorted(p.name for p in apps.iterdir()) == sorted(
+        info["app_id"] for info in (removed, hung_up, never_attached)
+    )
+    open_shim(removed["trap"])
+    _hang_up(open_shim(hung_up["trap"]))
+    # Attaching closes the listener: the path goes at once.
+    assert _wait_for(lambda: not Path(removed["trap"]).exists())
+    assert _wait_for(lambda: hung_up["app_id"] not in a.in_loop(a.node.app_ids))
+    a.remove_app(removed["app_id"])
+    a.remove_app(never_attached["app_id"])
+    assert list(apps.iterdir()) == []
+
+
 def _open_fds(*runtimes) -> int:
     """Descriptors this process holds, less the anti-entropy streams that the
     runtimes open on their gossip ports every few periods and idle out."""
@@ -753,6 +815,8 @@ def test_concurrent_sessions_count_every_byte_once(cluster, open_shim):
     assert _wait_for(lambda: len(sessions) == clients and all(s.closed for s in sessions))
     counted = sum(s.ext_to_int + s.int_to_ext for s in sessions)
     assert counted == 2 * clients * len(payload)
+    # The splice threads end with their sessions: one loop per runtime is left.
+    assert _wait_for(lambda: len(_threads_of(a, b)) == 2), _threads_of(a, b)
     _hang_up(server)
     thread.join(timeout=5)
     assert not thread.is_alive()
