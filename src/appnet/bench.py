@@ -150,16 +150,14 @@ def measure_local(size: int, seconds: float) -> float:
     rates = []
     for _ in range(ROUNDS):
         config = NodeConfig(bind=RealEndpoint(IPv4Address("127.0.0.1"), free_port()))
-        run_dir = tempfile.mkdtemp(prefix="appnet-bench-")
-        runtime = RealNodeRuntime(config, run_dir, period_ms=100).start()
-        try:
-            sender, receiver = _fast_path_pair(runtime)
-        except Exception:
-            runtime.stop()
-            raise
-        # The connection outlives its control plane; stop the node so both
-        # legs measure pure transport under identical process conditions.
-        runtime.stop()
+        with tempfile.TemporaryDirectory(prefix="appnet-bench-") as run_dir:
+            runtime = RealNodeRuntime(config, run_dir, period_ms=100).start()
+            # The connection outlives its control plane; stop the node so both
+            # legs measure pure transport under identical process conditions.
+            try:
+                sender, receiver = _fast_path_pair(runtime)
+            finally:
+                runtime.stop()
         rates.append(_one_way_rate(sender, receiver, size, seconds))
     return max(rates)
 

@@ -19,7 +19,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-from contextlib import suppress
 
 from appnet.errors import (
     AppNetError,
@@ -175,8 +174,10 @@ def _cmd_run(argv: list[str]) -> int:
         completed = subprocess.run(command, env=env)
         return completed.returncode
     finally:
-        with suppress(AppNetError):  # the daemon went, or the app already went
+        try:
             control.call({"op": "remove", "app_id": added["app_id"]})
+        except (DaemonUnreachable, AppNetError):
+            pass
 
 
 def _cmd_list(args) -> int:

@@ -298,8 +298,7 @@ class Node:
     def _reconcile_gateway_listeners(self, withdraw: bool) -> None:
         """Listen for each active binding to this gateway whose service is
         live. With `withdraw`, as on the tick, also retire the bindings whose
-        service is gone and close the listeners whose binding is, which
-        ends the sessions each one accepted."""
+        service is gone and close the listeners whose binding is."""
         wanted: list[GatewayBinding] = []
         for binding in self.table.active_bindings():
             if binding.gateway != self.host:

@@ -281,6 +281,7 @@ class RealNodeRuntime:
 
     def start(self) -> "RealNodeRuntime":
         self.run_dir.mkdir(parents=True, exist_ok=True)
+        (self.run_dir / "apps").mkdir(exist_ok=True)
         (self.run_dir / "node_id").write_text(self.node.host.hex() + "\n")
         bind = (str(self.config.bind.host_ip), self.config.bind.port)
         try:
@@ -525,9 +526,7 @@ class RealNodeRuntime:
     def _add_app(self, spec_args: list[str], app_id: Optional[str]) -> dict:
         identity = self.node.add_app(parse_app_spec(spec_args), app_id)
         app_id = identity.app_id
-        app_dir = self.run_dir / "apps" / app_id
-        app_dir.mkdir(parents=True, exist_ok=True)
-        path = app_dir / "trap"
+        path = self.run_dir / "apps" / f"{app_id}.trap"
         server = self._app_servers[app_id] = _unix_listener(path)
 
         def attached(conn: socket.socket, _addr) -> None:
@@ -538,7 +537,7 @@ class RealNodeRuntime:
                 lambda stream, frame: self._on_trap_frame(stream, app_id, frame),
                 on_close=lambda _stream: self._on_trap_closed(app_id),
             )
-            # One sandbox channel per app: later connects find no path.
+            # One sandbox channel per app: later connects find no socket.
             self._close_trap_server(app_id)
 
         self._watch(server, server.accept, attached)
@@ -553,12 +552,11 @@ class RealNodeRuntime:
         return count
 
     def _close_trap_server(self, app_id: str) -> None:
-        """Stop listening for the app's channel; remove its path and directory."""
-        if (server := self._app_servers.pop(app_id, None)) is not None:
-            path = Path(server.getsockname())
+        """Stop listening for the app's channel, and remove its socket file."""
+        server = self._app_servers.pop(app_id, None)
+        if server is not None:
+            Path(server.getsockname()).unlink(missing_ok=True)
             self._unwatch(server)
-            path.unlink(missing_ok=True)
-            path.parent.rmdir()
 
     def _on_trap_frame(self, stream: _Stream, app_id: str, frame: bytes) -> None:
         if not stream.open:
@@ -589,10 +587,11 @@ class RealNodeRuntime:
         for the outward one, then closes the sockets and drops the session."""
         sessions.add(session)
         ext, internal = session.external, session.internal
-        outward = self._thread("pump-out", self._splice, internal, ext, session, "int_to_ext")
+        ext_fd, int_fd = ext.fileno(), internal.fileno()
+        outward = self._thread("pump-out", self._splice, int_fd, ext_fd, session, "int_to_ext")
 
         def inward() -> None:
-            self._splice(ext, internal, session, "ext_to_int")
+            self._splice(ext_fd, int_fd, session, "ext_to_int")
             outward.join()
             with self._pump_lock:
                 sessions.discard(session)
@@ -602,16 +601,17 @@ class RealNodeRuntime:
 
         self._thread("pump-in", inward)
 
-    def _splice(self, src: socket.socket, dst: socket.socket, session, counter: str) -> None:
+    def _splice(self, src: int, dst: int, session: GatewaySession, counter: str) -> None:
         """Move src's bytes to dst through a pipe, in the kernel, until either
         side ends; then end the session, which wakes the other direction."""
         pipe: tuple[int, ...] = ()
         try:
-            pipe_r, pipe_w = pipe = os.pipe()
-            while moved := os.splice(src.fileno(), pipe_w, COPY_CHUNK):
+            pipe = os.pipe()
+            pipe_r, pipe_w = pipe
+            while moved := os.splice(src, pipe_w, COPY_CHUNK):
                 left = moved
                 while left:
-                    left -= os.splice(pipe_r, dst.fileno(), left)
+                    left -= os.splice(pipe_r, dst, left)
                 # This thread is the counter's one writer.
                 setattr(session, counter, getattr(session, counter) + moved)
         except (ConnectionResetError, BrokenPipeError):

@@ -67,14 +67,10 @@ class SimStream:
         else:
             self._buffer += data
 
-    def read(self, max_bytes: Optional[int] = None) -> bytes:
+    def read(self) -> bytes:
         """Drain buffered bytes; empty result means nothing is pending."""
-        if max_bytes is None or max_bytes >= len(self._buffer):
-            data = bytes(self._buffer)
-            self._buffer.clear()
-        else:
-            data = bytes(self._buffer[:max_bytes])
-            del self._buffer[:max_bytes]
+        data = bytes(self._buffer)
+        self._buffer.clear()
         return data
 
     def set_sink(
@@ -328,10 +324,11 @@ class SimFabric:
             external.set_sink(partial(relay, session, internal, "ext_to_int"), on_eof=ended)
             internal.set_sink(partial(relay, session, external, "int_to_ext"), on_eof=ended)
 
+        stop_listening = self.network.listen_external(RealEndpoint(self.host_ip, port), accepted)
+
         def close() -> None:
             stop_listening()
             for session in list(sessions):
                 end(session)
 
-        stop_listening = self.network.listen_external(RealEndpoint(self.host_ip, port), accepted)
         return close

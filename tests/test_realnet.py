@@ -661,7 +661,7 @@ def test_an_apps_trap_path_goes_when_its_listener_closes(cluster, tmp_path, open
     hung_up = a.add_app(["--name", "hung-up"])
     never_attached = a.add_app(["--name", "never-attached"])
     assert sorted(p.name for p in apps.iterdir()) == sorted(
-        info["app_id"] for info in (removed, hung_up, never_attached)
+        f"{info['app_id']}.trap" for info in (removed, hung_up, never_attached)
     )
     open_shim(removed["trap"])
     _hang_up(open_shim(hung_up["trap"]))
