@@ -11,10 +11,11 @@ on two blocking threads, one per direction, splicing socket -> pipe -> socket
 (os.splice, so Linux only) so that the bytes never enter Python. Against
 recv/sendall this took the daemons' CPU per streamed MB from 680 to 527 us on
 a 2-vCPU VM; non-blocking splices on the loop took 60 % longer and 33 % more
-CPU per 64 KiB echo (ROADMAP item 6). A session ends with the external
-listener that accepted it. Only its splice threads close its sockets; everyone
-else shuts them down. Every other connection is passed to its application as
-a descriptor over the app's Unix trap channel and never touches the daemon again.
+CPU per 64 KiB echo of perfbench's gateway_stream. A session ends with the
+external listener that accepted it. Only its splice threads close its sockets;
+everyone else shuts them down. Every other connection is passed to its
+application as a descriptor over the app's Unix trap channel and never touches
+the daemon again.
 """
 
 from __future__ import annotations

@@ -300,7 +300,7 @@ class SimFabric:
     def bind_external(self, port: int, on_conn) -> Callable[[], None]:
         """Relay each accepted session in place: each stream's bytes are counted
         and written to the other, and either stream's end ends both."""
-        sessions: list = []  # the open ones, in the order they were accepted
+        sessions: list = []  # the open ones; a list, so close ends them in accept order
 
         def relay(session, dest: SimStream, counter: str, data: bytes) -> None:
             setattr(session, counter, getattr(session, counter) + len(data))

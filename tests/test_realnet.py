@@ -654,7 +654,7 @@ def test_a_control_line_without_an_end_is_refused_and_counted(cluster, tmp_path)
     assert "control line runs past 65536 bytes" in a.last_error
 
 
-def test_an_apps_trap_path_goes_when_its_listener_closes(cluster, tmp_path, open_shim):
+def test_an_apps_trap_socket_goes_when_its_listener_closes(cluster, tmp_path, open_shim):
     a, _b = cluster
     apps = tmp_path / "a" / "apps"
     removed = a.add_app(["--name", "removed"])
@@ -665,7 +665,7 @@ def test_an_apps_trap_path_goes_when_its_listener_closes(cluster, tmp_path, open
     )
     open_shim(removed["trap"])
     _hang_up(open_shim(hung_up["trap"]))
-    # Attaching closes the listener: the path goes at once.
+    # Attaching closes the listener: the socket file goes at once.
     assert _wait_for(lambda: not Path(removed["trap"]).exists())
     assert _wait_for(lambda: hung_up["app_id"] not in a.in_loop(a.node.app_ids))
     a.remove_app(removed["app_id"])
