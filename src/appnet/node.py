@@ -233,12 +233,6 @@ class Node:
     def app_ids(self) -> list[str]:
         return sorted(self._apps)
 
-    def identity(self, app_id: str) -> AppIdentity:
-        app = self._apps.get(app_id)
-        if app is None:
-            raise UnknownApp(f"no app {app_id} on this node")
-        return app.identity
-
     # --- exposure / gateway ---
 
     def expose(
@@ -346,7 +340,7 @@ class Node:
         """The session to relay for one accepted connection, or None to refuse it."""
         binding = exposure.binding
         try:
-            internal, _kind = self.switch.connect_for_gateway(
+            internal = self.switch.connect_for_gateway(
                 exposure.client_id,
                 exposure.client_tags,
                 exposure.client_addr,

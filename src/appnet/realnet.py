@@ -318,6 +318,9 @@ class RealNodeRuntime:
         self._wake()
         if self._loop_thread is not threading.current_thread():
             self._loop_thread.join(timeout=1.0)
+        for app_id in list(self._app_servers):
+            self._close_trap_server(app_id)
+        (self.run_dir / "control.sock").unlink(missing_ok=True)
         closing = [key.fileobj for key in list(self._selector.get_map().values())]
         for sock in closing + [self.dgram_out, self._wake_w]:
             sock.close()

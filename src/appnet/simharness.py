@@ -349,8 +349,8 @@ class SimCluster:
             app.shim.getpeername(handle)
             assert isinstance(transport, SimStream)
             app.last_transport = transport
-            meta = app.node_rt.node.switch.conn_meta(app_label, handle)
-            result["channel"] = meta.channel_kind.value if meta else None
+            # A same-host pair's stream is addressed to "local".
+            result["channel"] = "local" if transport.dest == "local" else "remote"
         except AppNetError as exc:
             result["status"] = _status_name(exc)
         self.last_connect = result

@@ -39,11 +39,9 @@ from appnet.trap import (
     MAX_DGRAM,
     Addr,
     HandleKind,
-    HandleRole,
     TrapOp,
     TrapReply,
     TrapRequest,
-    VHandle,
     error_reply,
 )
 
@@ -59,20 +57,6 @@ POLICY_KEY = "grp"
 MAX_CONNECT_ATTEMPTS = 3
 
 DNS_PORT = 53
-
-
-class ChannelKind(Enum):
-    LOCAL = "local"
-    REMOTE = "remote"
-
-
-@dataclass(frozen=True)
-class ConnMeta:
-    """Virtual identities of an established connection; fixed for its lifetime."""
-
-    local_virtual: Addr
-    peer_virtual: Addr
-    channel_kind: ChannelKind
 
 
 class StrategyMode(Enum):
@@ -186,17 +170,31 @@ class Fabric(Protocol):
     def send_dgram(self, dest: RealEndpoint, data: bytes) -> None: ...
 
 
+class HandleRole(Enum):
+    UNBOUND = 0
+    BOUND = 1
+    LISTENING = 2
+    CONNECTED = 3
+
+
 @dataclass
 class _HandleState:
-    vh: VHandle
+    """Everything the switch knows of one virtual handle."""
+
+    id: int
+    kind: HandleKind
+    role: HandleRole = HandleRole.UNBOUND
     key: Optional[ServiceKey] = None
     record_id: Optional[bytes] = None  # of the entry this handle serves
     close_listener: Optional[Callable[[], None]] = None
-    meta: Optional[ConnMeta] = None
-    accept_queue: deque = field(default_factory=deque)
+    # Virtual endpoints: a bind sets the local one, and a stream connect, an
+    # accept or a datagram connect set both. A datagram handle with a peer
+    # receives only from that peer.
+    local: Optional[Addr] = None
+    peer: Optional[Addr] = None
+    accept_queue: deque = field(default_factory=deque)  # (transport, peer)
     recv_queue: deque = field(default_factory=deque)
     pins: dict[ServiceKey, bytes] = field(default_factory=dict)  # record ids
-    connected_peer: Optional[Addr] = None
 
 
 @dataclass
@@ -204,6 +202,11 @@ class _AppState:
     identity: AppIdentity
     handles: dict[int, _HandleState] = field(default_factory=dict)
     next_handle: int = 1
+
+    def new_handle(self, kind: HandleKind) -> _HandleState:
+        hs = self.handles[self.next_handle] = _HandleState(self.next_handle, kind)
+        self.next_handle += 1
+        return hs
 
 
 class Switch:
@@ -231,6 +234,7 @@ class Switch:
             "streams_refused_unidentified": 0,
             "dgrams_dropped_unidentified": 0,
             "dgrams_dropped_filtered": 0,
+            "dns_queries_dropped": 0,
         }
         # One-shot wakes a runtime registers when its accept/recvfrom gets WouldBlock.
         self._waits: dict[tuple[str, int], Callable[[], None]] = {}
@@ -253,7 +257,7 @@ class Switch:
             self._release(hs)
             if hs.record_id is not None:
                 served.append(hs.record_id)
-            self._notify(app_id, hs.vh.id)
+            self._notify(app_id, hs.id)
         return served
 
     def forget_client(self, client_app_id: str) -> None:
@@ -291,7 +295,7 @@ class Switch:
         if req.op is TrapOp.ACCEPT:
             return self._op_accept(state, hs)
         if req.op in (TrapOp.GET_SOCK_NAME, TrapOp.GET_PEER_NAME):
-            return self._op_name_query(state, hs, req.op)
+            return self._op_name_query(hs, req.op)
         if req.op is TrapOp.SEND_TO:
             return self._op_sendto(state, hs, req)
         if req.op is TrapOp.RECV_FROM:
@@ -306,16 +310,13 @@ class Switch:
         self, state: _AppState, req: TrapRequest
     ) -> tuple[TrapReply, None]:
         kind = HandleKind(req.payload[0]) if req.payload else HandleKind.STREAM
-        handle_id = state.next_handle
-        state.next_handle += 1
-        state.handles[handle_id] = _HandleState(vh=VHandle(handle_id, kind))
-        return TrapReply(handle=handle_id), None
+        return TrapReply(handle=state.new_handle(kind).id), None
 
     def _op_bind(
         self, state: _AppState, hs: _HandleState, req: TrapRequest
     ) -> tuple[TrapReply, None]:
-        if hs.vh.role is not HandleRole.UNBOUND:
-            raise BadHandle(f"handle {hs.vh.id} is already {hs.vh.role.name}")
+        if hs.role is not HandleRole.UNBOUND:
+            raise BadHandle(f"handle {hs.id} is already {hs.role.name}")
         assert req.addr is not None
         app = state.identity
         if not app.is_identified:
@@ -328,15 +329,15 @@ class Switch:
         for other in state.handles.values():
             if other.key == key:
                 raise AddrInUse(f"{key} already bound by this app")
-        if hs.vh.kind is HandleKind.STREAM:
+        if hs.kind is HandleKind.STREAM:
             real, close = self.fabric.bind_stream(
-                lambda transport, preamble, hid=hs.vh.id, aid=app.app_id: (
+                lambda transport, preamble, hid=hs.id, aid=app.app_id: (
                     self._on_inbound_stream(aid, hid, transport, decode_preamble(preamble))
                 )
             )
         else:
             real, close = self.fabric.bind_dgram(
-                lambda data, hid=hs.vh.id, aid=app.app_id: self._on_inbound_dgram(
+                lambda data, hid=hs.id, aid=app.app_id: self._on_inbound_dgram(
                     aid, hid, decode_preamble(data[:PREAMBLE_SIZE]), data[PREAMBLE_SIZE:]
                 )
             )
@@ -355,17 +356,17 @@ class Switch:
         except AppNetError:
             close()
             raise
-        hs.key = key
+        hs.key, hs.local = key, (key.vip, key.port)
         hs.record_id = stored.record_id
         hs.close_listener = close
-        hs.vh.role = HandleRole.BOUND
-        self._local_services[stored.record_id] = (app.app_id, hs.vh.id)
+        hs.role = HandleRole.BOUND
+        self._local_services[stored.record_id] = (app.app_id, hs.id)
         return TrapReply(addr=(key.vip, key.port)), None
 
     def _op_listen(self, hs: _HandleState) -> tuple[TrapReply, None]:
-        if hs.vh.kind is not HandleKind.STREAM or hs.vh.role is not HandleRole.BOUND:
+        if hs.kind is not HandleKind.STREAM or hs.role is not HandleRole.BOUND:
             raise BadHandle("listen needs a bound stream handle")
-        hs.vh.role = HandleRole.LISTENING
+        hs.role = HandleRole.LISTENING
         return TrapReply(), None
 
     # --- connect ---
@@ -380,20 +381,16 @@ class Switch:
             # Inside a distributed application, loopback means "my own vip".
             dest_ip = app.effective_vip
         key = ServiceKey(dest_ip, dest_port)
-        if hs.vh.kind is HandleKind.DATAGRAM:
+        if hs.kind is HandleKind.DATAGRAM:
             return self._connect_dgram(state, hs, key)
-        if hs.vh.role is not HandleRole.UNBOUND:
-            raise BadHandle(f"handle {hs.vh.id} is already {hs.vh.role.name}")
-        client_virtual = (app.effective_vip, self._client_service_port(state))
+        if hs.role is not HandleRole.UNBOUND:
+            raise BadHandle(f"handle {hs.id} is already {hs.role.name}")
+        client_virtual = self._client_virtual(state)
         order = self._resolve(app.app_id, app.spec.tags, key)
-        transport, kind = self._establish(client_virtual, key, order)
-        hs.meta = ConnMeta(
-            local_virtual=client_virtual,
-            peer_virtual=(key.vip, key.port),
-            channel_kind=kind,
-        )
-        hs.vh.role = HandleRole.CONNECTED
-        return TrapReply(handle=hs.vh.id), transport
+        transport = self._establish(client_virtual, key, order)
+        hs.local, hs.peer = client_virtual, (key.vip, key.port)
+        hs.role = HandleRole.CONNECTED
+        return TrapReply(handle=hs.id), transport
 
     def _resolve(
         self, client_app_id: str, client_tags: TagSet, key: ServiceKey
@@ -423,31 +420,24 @@ class Switch:
         client_tags: TagSet,
         client_virtual: Addr,
         key: ServiceKey,
-    ) -> tuple[object, ChannelKind]:
+    ) -> object:
         """Inward connect on behalf of a proxied external peer."""
         order = self._resolve(client_app_id, client_tags, key)
         return self._establish(client_virtual, key, order)
 
     def _establish(
         self, client_virtual: Addr, key: ServiceKey, order: list[ServiceEntry]
-    ) -> tuple[object, ChannelKind]:
+    ) -> object:
         last_error: Optional[AppNetError] = None
         for entry in order[:MAX_CONNECT_ATTEMPTS]:
-            if entry.host == self.local_host:
-                try:
-                    transport = self._connect_local(entry, client_virtual)
-                except AppNetError as exc:
-                    last_error = exc
-                    continue
-                return transport, ChannelKind.LOCAL
             try:
-                transport = self.fabric.connect_stream(
+                if entry.host == self.local_host:
+                    return self._connect_local(entry, client_virtual)
+                return self.fabric.connect_stream(
                     entry.real, encode_preamble(client_virtual)
                 )
             except AppNetError as exc:
                 last_error = exc
-                continue
-            return transport, ChannelKind.REMOTE
         raise ConnRefused(
             f"all candidates for {key} failed: {last_error}"
         ) from last_error
@@ -460,56 +450,39 @@ class Switch:
             raise ConnRefused(f"{entry.key} is not served here anymore")
         app_id, handle_id = owner
         server_state = self._apps[app_id].handles.get(handle_id)
-        if server_state is None or server_state.vh.role is not HandleRole.LISTENING:
+        if server_state is None or server_state.role is not HandleRole.LISTENING:
             raise ConnRefused(f"service handle for {entry.key} is not listening")
         client_end, server_end = self.fabric.open_local_pair()
-        server_state.accept_queue.append(
-            (server_end, client_virtual, ChannelKind.LOCAL)
-        )
+        server_state.accept_queue.append((server_end, client_virtual))
         self._notify(app_id, handle_id)
         return client_end
 
-    def _client_service_port(self, state: _AppState) -> int:
+    def _client_virtual(self, state: _AppState) -> Addr:
+        """The source an app's connects and datagrams carry: its vip and lowest
+        bound port, or port 0."""
         ports = [hs.key.port for hs in state.handles.values() if hs.key is not None]
-        return min(ports) if ports else 0
+        return (state.identity.effective_vip, min(ports) if ports else 0)
 
     # --- accept / name queries ---
 
     def _op_accept(
         self, state: _AppState, hs: _HandleState
     ) -> tuple[TrapReply, object | None]:
-        if hs.vh.role is not HandleRole.LISTENING:
+        if hs.role is not HandleRole.LISTENING:
             raise BadHandle("accept needs a listening handle")
         if not hs.accept_queue:
             raise WouldBlock("no pending connection")
-        transport, peer_virtual, kind = hs.accept_queue.popleft()
-        assert hs.key is not None
-        conn_id = state.next_handle
-        state.next_handle += 1
-        conn = _HandleState(
-            vh=VHandle(conn_id, HandleKind.STREAM, HandleRole.CONNECTED),
-            meta=ConnMeta(
-                local_virtual=(hs.key.vip, hs.key.port),
-                peer_virtual=peer_virtual,
-                channel_kind=kind,
-            ),
-        )
-        state.handles[conn_id] = conn
-        return TrapReply(handle=conn_id, addr=peer_virtual), transport
+        transport, peer = hs.accept_queue.popleft()
+        conn = state.new_handle(HandleKind.STREAM)
+        conn.role = HandleRole.CONNECTED
+        conn.local, conn.peer = hs.local, peer
+        return TrapReply(handle=conn.id, addr=peer), transport
 
-    def _op_name_query(
-        self, state: _AppState, hs: _HandleState, op: TrapOp
-    ) -> tuple[TrapReply, None]:
-        if hs.meta is not None:
-            addr = (
-                hs.meta.local_virtual
-                if op is TrapOp.GET_SOCK_NAME
-                else hs.meta.peer_virtual
-            )
-            return TrapReply(addr=addr), None
-        if hs.key is not None and op is TrapOp.GET_SOCK_NAME:
-            return TrapReply(addr=(hs.key.vip, hs.key.port)), None
-        raise NotConnected(f"handle {hs.vh.id} has no established peer")
+    def _op_name_query(self, hs: _HandleState, op: TrapOp) -> tuple[TrapReply, None]:
+        addr = hs.local if op is TrapOp.GET_SOCK_NAME else hs.peer
+        if addr is None:
+            raise NotConnected(f"handle {hs.id} has no established peer")
+        return TrapReply(addr=addr), None
 
     # --- datagrams ---
 
@@ -519,13 +492,13 @@ class Switch:
         """Connected UDP: pin the selection and filter inbound to that peer."""
         order = self._resolve(state.identity.app_id, state.identity.spec.tags, key)
         hs.pins[key] = order[0].record_id
-        hs.connected_peer = (key.vip, key.port)
-        return TrapReply(handle=hs.vh.id), None
+        hs.local, hs.peer = self._client_virtual(state), (key.vip, key.port)
+        return TrapReply(handle=hs.id), None
 
     def _op_sendto(
         self, state: _AppState, hs: _HandleState, req: TrapRequest
     ) -> tuple[TrapReply, None]:
-        if hs.vh.kind is not HandleKind.DATAGRAM:
+        if hs.kind is not HandleKind.DATAGRAM:
             raise BadHandle("sendto needs a datagram handle")
         assert req.addr is not None
         if len(req.payload) > MAX_DGRAM:
@@ -539,7 +512,7 @@ class Switch:
             return TrapReply(), None
         key = ServiceKey(dest_ip, dest_port)
         entry = self._pinned_entry(state, hs, key)
-        source = (app.effective_vip, self._client_service_port(state))
+        source = self._client_virtual(state)
         if entry.host == self.local_host:
             owner = self._local_services.get(entry.record_id)
             if owner is None:
@@ -575,17 +548,17 @@ class Switch:
         try:
             response = names.dns_answer(query, resolve)
         except AppNetError:
-            self.counters["dgrams_dropped_unidentified"] += 1
+            self.counters["dns_queries_dropped"] += 1
             return
         hs.recv_queue.append((dest, response))
-        self._notify(state.identity.app_id, hs.vh.id)
+        self._notify(state.identity.app_id, hs.id)
 
     def _op_recvfrom(self, hs: _HandleState) -> tuple[TrapReply, None]:
-        if hs.vh.kind is not HandleKind.DATAGRAM:
+        if hs.kind is not HandleKind.DATAGRAM:
             raise BadHandle("recvfrom needs a datagram handle")
         while hs.recv_queue:
             source, payload = hs.recv_queue.popleft()
-            if hs.connected_peer is not None and source != hs.connected_peer:
+            if hs.peer is not None and source != hs.peer:
                 self.counters["dgrams_dropped_filtered"] += 1
                 continue
             return TrapReply(addr=source, payload=payload), None
@@ -599,8 +572,8 @@ class Switch:
         self._release(hs)
         if hs.record_id is not None:
             self.table.retire(hs.record_id, self.clock())
-        del state.handles[hs.vh.id]
-        self._notify(state.identity.app_id, hs.vh.id)
+        del state.handles[hs.id]
+        self._notify(state.identity.app_id, hs.id)
         return TrapReply(), None
 
     def _release(self, hs: _HandleState) -> None:
@@ -620,12 +593,12 @@ class Switch:
         self, app_id: str, handle_id: int, transport, peer: Optional[Addr]
     ) -> None:
         hs = self._handle_or_none(app_id, handle_id)
-        if hs is None or hs.vh.role is not HandleRole.LISTENING or peer is None:
+        if hs is None or hs.role is not HandleRole.LISTENING or peer is None:
             # Unidentified or unexpected arrivals never reach the application.
             self.counters["streams_refused_unidentified"] += 1
             transport.close()
             return
-        hs.accept_queue.append((transport, peer, ChannelKind.REMOTE))
+        hs.accept_queue.append((transport, peer))
         self._notify(app_id, handle_id)
 
     def _on_inbound_dgram(
@@ -654,10 +627,6 @@ class Switch:
             wake()
 
     # --- views for tests and the harness ---
-
-    def conn_meta(self, app_id: str, handle_id: int) -> Optional[ConnMeta]:
-        hs = self._handle_or_none(app_id, handle_id)
-        return hs.meta if hs else None
 
     def pending_accepts(self, app_id: str, handle_id: int) -> int:
         hs = self._handle_or_none(app_id, handle_id)

@@ -38,20 +38,6 @@ class HandleKind(Enum):
     DATAGRAM = 1
 
 
-class HandleRole(Enum):
-    UNBOUND = 0
-    BOUND = 1
-    LISTENING = 2
-    CONNECTED = 3
-
-
-@dataclass
-class VHandle:
-    id: int
-    kind: HandleKind
-    role: HandleRole = HandleRole.UNBOUND
-
-
 class TrapOp(Enum):
     SOCKET = 1
     BIND = 2
@@ -127,8 +113,6 @@ def raise_for_status(reply: TrapReply) -> TrapReply:
         return reply
     detail = reply.payload.decode(errors="replace") if reply.payload else ""
     exc_type = _ERROR_BY_STATUS.get(reply.status, errors.AppNetError)
-    if exc_type is errors.Denied:
-        raise errors.Denied(detail or "denied")
     raise exc_type(detail or f"trap status {reply.status}")
 
 

@@ -23,7 +23,8 @@ from appnet.simharness import (
     run_script,
     run_script_with_cluster,
 )
-from appnet.simnet import NetProfile
+from appnet.simnet import NetProfile, SimFabric
+from appnet.switch import MAX_CONNECT_ATTEMPTS, selection_order
 from appnet.trap import STATUS_OK, HandleKind, status_for_error
 
 SCENARIOS = Path(__file__).parent / "scenarios"
@@ -365,6 +366,101 @@ def test_dgram_pinning_sticks_to_first_selection():
                 break
         counts[label] = got
     assert sorted(counts.values()) == [0, 5], f"pinning broken: {counts}"
+
+
+def test_a_connected_datagram_handle_names_both_its_ends():
+    cluster, srv, hs, cli, hc = _dgram_pair()
+    cli.shim.connect(hc, (IPv4Address("10.8.0.1"), 5353))
+    assert cli.shim.getpeername(hc) == (IPv4Address("10.8.0.1"), 5353)
+    assert cli.shim.getsockname(hc) == (IPv4Address("10.8.0.2"), 5354)
+    # The name it reports is the source its peer sees.
+    cli.shim.sendto(hc, (IPv4Address("10.8.0.1"), 5353), b"ping!")
+    cluster.run_until(cluster.clock + 1)
+    assert srv.shim.recvfrom(hs) == (cli.shim.getsockname(hc), b"ping!")
+
+
+def test_a_malformed_dns_query_is_counted_as_such():
+    cluster, _srv, _hs, cli, hc = _dgram_pair()
+    counters = cluster.nodes["n1"].node.switch.counters
+    before = dict(counters)
+    cli.shim.sendto(hc, (IPv4Address("127.0.0.1"), 53), b"\x12\x34\x01\x00\x00")
+    assert counters["dns_queries_dropped"] == before["dns_queries_dropped"] + 1
+    assert counters["dgrams_dropped_unidentified"] == before["dgrams_dropped_unidentified"]
+    with pytest.raises(WouldBlock):
+        cli.shim.recvfrom(hc)
+
+
+# --- connect failures ---
+
+def test_a_connect_to_a_key_nothing_serves_finds_no_service():
+    trace = run_script(parse_script(
+        """
+seed 5
+tick 0 start h1
+tick 1 add h1 c1
+tick 2 connect h1:c1 10.9.9.9:80 expect=nosuchservice
+"""
+    ))
+    assert [e["status"] for e in trace.of_type("connect")] == ["nosuchservice"]
+
+
+def test_a_key_whose_instances_all_crashed_is_refused_after_the_attempt_limit(monkeypatch):
+    # Four instances on four hosts that crash together; the client's node
+    # has declared none of them dead when it connects.
+    lines = ["seed 7", "tick 0 start h0"]
+    lines += [f"tick 0 start h{i} join=h0" for i in range(1, 5)]
+    lines += [f"tick 1 add h{i} s{i} --ip 10.5.0.9" for i in range(1, 5)]
+    lines += [f"tick 2 serve s{i} 9000" for i in range(1, 5)]
+    lines += [
+        "tick 3 add h0 c1",
+        "tick 10 assert table_count h0 10.5.0.9:9000 4",
+    ]
+    lines += [f"tick 11 crash h{i}" for i in range(1, 5)]
+    lines += [
+        "tick 11 connect h0:c1 10.5.0.9:9000 expect=connrefused",
+        "tick 11 assert table_count h0 10.5.0.9:9000 4",
+    ]
+    script = parse_script("\n".join(lines))
+    cluster = SimCluster(seed=script.seed, profile=script.profile)
+    cluster.run_until(10, script.events)
+    attempts = []
+    connect_stream = SimFabric.connect_stream
+
+    def counted(fabric, dest, preamble):
+        attempts.append(dest)
+        return connect_stream(fabric, dest, preamble)
+
+    monkeypatch.setattr(SimFabric, "connect_stream", counted)
+    cluster.run_until(11, script.events)
+    assert cluster.last_connect["status"] == "connrefused"
+    assert len(set(attempts)) == len(attempts) == MAX_CONNECT_ATTEMPTS
+
+
+def test_a_local_instance_that_is_not_listening_is_passed_over_for_a_remote_one():
+    script = parse_script(
+        """
+seed 0
+tick 0 start h0
+tick 0 start h1 join=h0
+tick 1 add h0 idle --ip 10.5.0.7
+tick 1 add h1 s1 --ip 10.5.0.7
+tick 2 serve s1 9000
+tick 3 add h0 c1
+tick 10 assert table_count h0 10.5.0.7:9000 2
+tick 11 connect h0:c1 10.5.0.7:9000 expect=ok channel=remote
+tick 12 transfer c1 4096
+"""
+    )
+    cluster = SimCluster(seed=script.seed, profile=script.profile)
+    cluster.run_until(1, script.events)
+    idle = cluster.apps["idle"]
+    idle.shim.bind(idle.shim.socket(HandleKind.STREAM), (IPv4Address("0.0.0.0"), 9000))
+    cluster.run_until(10, script.events)
+    node = cluster.nodes["h0"].node
+    key = ServiceKey(IPv4Address("10.5.0.7"), 9000)
+    order = selection_order("c1", key, node.table.lookup(key), node.switch.strategy)
+    assert order[0].host == node.host, "the local, bound-only instance must rank first"
+    cluster.run_until(12, script.events)
 
 
 # --- control plane vs data plane ---
