@@ -1,5 +1,6 @@
-"""Per-host composition: one table, one gossip instance, the trap handler,
-DNS answering, app lifecycle, and the optional gateway role.
+"""Per-host composition: one table, one gossip instance, the switch that
+holds the node's apps and answers their traps, and exposure through the
+optional gateway role.
 
 A Node owns all mutable protocol state and expects to be driven from a single
 loop: tick() once per protocol period and on_envelope() for each inbound
@@ -30,11 +31,9 @@ from appnet import names
 from appnet.errors import (
     AmbiguousName,
     AppNetError,
-    AttachFailed,
     BindFailed,
     DecodeError,
     NoSuchService,
-    UnknownApp,
 )
 from appnet.gateway import choose_gateway, pick_external_port, synthetic_client_tags
 from appnet.gossip import (
@@ -54,7 +53,7 @@ from appnet.model import (
 )
 from appnet.service_table import EntryState, GatewayBinding, ServiceTable
 from appnet.switch import SelectionStrategy, Switch
-from appnet.trap import InProcChannel, TrapOp, TrapReply, TrapRequest
+from appnet.trap import TrapOp, TrapReply, TrapRequest
 
 
 @dataclass
@@ -87,31 +86,13 @@ class _Exposure:
     close: Optional[Callable[[], None]] = None  # the listener's, and its sessions'
 
 
-@dataclass
-class _App:
-    identity: AppIdentity
-    expose: Union[int, str, None]
-    channel: Optional[InProcChannel] = None
-
-
-TraceSink = Callable[[str, TrapRequest, TrapReply], None]
-
-
 class Node:
-    def __init__(
-        self,
-        config: NodeConfig,
-        host_id: HostId,
-        rng,
-        fabric,
-        trace_sink: Optional[TraceSink] = None,
-    ) -> None:
+    def __init__(self, config: NodeConfig, host_id: HostId, rng, fabric) -> None:
         self.config = config
         self.host = host_id
         self.rng = rng
         self.fabric = fabric
         self.now = 0
-        self.trace_sink = trace_sink
         self.table = ServiceTable(host_id)
         local = MemberRecord(
             host=host_id,
@@ -129,11 +110,15 @@ class Node:
             strategy=config.strategy,
             clock=lambda: self.now,
         )
-        self._apps: dict[str, _App] = {}
         self._app_seq = 0
         self._external_listeners: dict[bytes, _Exposure] = {}  # by binding record id
         self.gateway_sessions: list[GatewaySession] = []
-        counted = ("envelope_decode_errors", "expose_errors", "gateway_bind_errors")
+        counted = (
+            "envelope_decode_errors",
+            "expose_errors",
+            "gateway_bind_errors",
+            "gateway_refusals",
+        )
         self.counters = dict.fromkeys(counted, 0)
         if config.join is not None:
             self.gossip.begin_join(config.join)
@@ -178,14 +163,11 @@ class Node:
         self._app_seq += 1
         if app_id is None:
             app_id = f"{self.host.hex()[:6]}.{self._app_seq}"
-        if app_id in self._apps:
-            raise AttachFailed(f"app id {app_id} already in use on this node")
         effective_vip = self._resolve_vip(spec, app_id)
         identity = AppIdentity(
             app_id=app_id, host=self.host, spec=spec, effective_vip=effective_vip
         )
         self.switch.register_app(identity)
-        self._apps[app_id] = _App(identity=identity, expose=spec.expose)
         return identity
 
     def _resolve_vip(self, spec: AppSpec, app_id: str):
@@ -203,52 +185,29 @@ class Node:
                 )
         return resolved
 
-    def attach(self, app_id: str) -> InProcChannel:
-        """Create the app's trap channel; each sandbox gets exactly one."""
-        app = self._apps.get(app_id)
-        if app is None:
-            raise AttachFailed(f"no app {app_id} on this node")
-        if app.channel is not None and not app.channel.detached:
-            raise AttachFailed(f"app {app_id} already has a sandbox channel")
-        app.channel = InProcChannel(app_id, self.dispatch_trap, sink=self.trace_sink)
-        return app.channel
-
     def dispatch_trap(
         self, app_id: str, req: TrapRequest
     ) -> tuple[TrapReply, object | None]:
         reply, transport = self.switch.dispatch(app_id, req)
         if req.op is TrapOp.BIND and reply.ok:
-            self._reconcile_expose_intent(self._apps[app_id])
+            self._reconcile_expose_intent(self.switch.apps[app_id].identity)
         return reply, transport
 
     def remove_app(self, app_id: str) -> int:
-        app = self._apps.pop(app_id, None)
-        if app is None:
-            raise UnknownApp(f"no app {app_id} on this node")
-        if app.channel is not None:
-            app.channel.detached = True
-        served = self.switch.unregister_app(app_id)
-        return sum(self.table.retire(record_id, self.now) for record_id in served)
+        """Close the app's handles; returns how many entries that retired."""
+        return self.switch.unregister_app(app_id)
 
     def app_ids(self) -> list[str]:
-        return sorted(self._apps)
+        return list(self.switch.apps)
 
     # --- exposure / gateway ---
 
     def expose(
-        self,
-        key: ServiceKey,
-        requested: Union[int, str],
-        admit: Optional[TagSet] = None,
+        self, key: ServiceKey, requested: Union[int, str], admit: TagSet
     ) -> GatewayBinding:
         gateway_host = choose_gateway(self.gossip.alive_gateways())
-        entries = self.table.lookup(key)
-        if not entries:
+        if not self.table.lookup(key):
             raise NoSuchService(f"nothing live at {key} to expose")
-        if admit is None:
-            admit = TagSet()
-            for entry in entries:
-                admit = admit.union(entry.tags)
         taken = self.table.external_ports_taken(gateway_host)
         port = pick_external_port(requested, taken)
         binding = GatewayBinding(
@@ -262,18 +221,19 @@ class Node:
         return self.table.insert_binding(binding, self.now)
 
     def _reconcile_exposures(self) -> None:
-        for app in self._apps.values():
-            self._reconcile_expose_intent(app)
+        for state in self.switch.apps.values():
+            self._reconcile_expose_intent(state.identity)
         if self.config.gateway:
             self._reconcile_gateway_listeners(withdraw=True)
 
-    def _reconcile_expose_intent(self, app: _App) -> None:
+    def _reconcile_expose_intent(self, identity: AppIdentity) -> None:
         # The app's own node holds the exposure intent; if the chosen gateway
         # dies or the binding is displaced, it simply runs expose again. Runs
         # on each of the app's binds and, as the retry, on every tick.
-        if app.expose is None:
+        requested = identity.spec.expose
+        if requested is None:
             return
-        entries = self.table.entries_for_app(self.host, app.identity.app_id)
+        entries = self.table.entries_for_app(self.host, identity.app_id)
         if not entries:
             return
         key = min((e.key for e in entries), key=lambda k: k.port)
@@ -281,7 +241,7 @@ class Node:
         if binding is not None and self._gateway_alive(binding.gateway):
             return
         try:
-            self.expose(key, app.expose, admit=app.identity.spec.tags)
+            self.expose(key, requested, identity.spec.tags)
         except AppNetError:  # transient until membership settles
             self.counters["expose_errors"] += 1
 
@@ -346,8 +306,9 @@ class Node:
                 exposure.client_addr,
                 binding.key,
             )
-        except AppNetError:
-            return None  # upstream refusal or policy denial
+        except AppNetError:  # upstream refusal or policy denial
+            self.counters["gateway_refusals"] += 1
+            return None
         session = GatewaySession(binding=binding, external=transport, internal=internal)
         self.gateway_sessions.append(session)
         return session

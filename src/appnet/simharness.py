@@ -57,7 +57,7 @@ from appnet.model import (
 from appnet.node import Node, NodeConfig
 from appnet.simnet import GOSSIP_PORT, NetProfile, SimFabric, SimNetwork, SimStream
 from appnet.switch import SelectionStrategy, StrategyMode
-from appnet.trap import HandleKind, SocketShim, TrapOp
+from appnet.trap import HandleKind, InProcChannel, SocketShim, TrapOp, TrapReply, TrapRequest
 
 TRANSFER_CHUNK = 1 << 20
 
@@ -159,7 +159,6 @@ class _NodeRt:
     label: str
     node: Node
     host_ip: IPv4Address
-    crashed: bool = False
 
     @property
     def gossip_addr(self) -> RealEndpoint:
@@ -259,23 +258,7 @@ class SimCluster:
             strategy=strategy or SelectionStrategy(),
         )
         fabric = SimFabric(self.network, host_ip, lambda: self.clock)
-        node = Node(
-            config,
-            host_id,
-            rng,
-            fabric,
-            trace_sink=lambda app_id, req, reply, lbl=label: self.trace.add(
-                event="trap",
-                tick=self.clock,
-                node=lbl,
-                app=app_id,
-                op=_OP_NAMES[req.op],
-                status=reply.status,
-                handle=reply.handle,
-                addr=_fmt_addr(reply.addr),
-                size=len(reply.payload),
-            ),
-        )
+        node = Node(config, host_id, rng, fabric)
         rt = _NodeRt(label=label, node=node, host_ip=host_ip)
         self.nodes[label] = rt
         self._labels_by_host[host_id] = label
@@ -286,8 +269,6 @@ class SimCluster:
         return rt
 
     def _deliver_envelope(self, rt: _NodeRt, data: bytes, source: RealEndpoint) -> None:
-        if rt.crashed:
-            return
         replies = rt.node.on_envelope(data, source, self.clock)
         self._send_outbound(rt, replies)
 
@@ -320,10 +301,27 @@ class SimCluster:
             raise ScriptError(f"app {app_label} already added")
         spec = parse_app_spec(spec_args)
         identity = rt.node.add_app(spec, app_id=app_label)
-        channel = rt.node.attach(app_label)
+        channel = InProcChannel(
+            app_label, rt.node.dispatch_trap, sink=partial(self._trace_trap, rt.label)
+        )
         app = _App(app_label, rt, SocketShim(channel), identity)
         self.apps[app_label] = app
         return app
+
+    def _trace_trap(
+        self, node_label: str, app_id: str, req: TrapRequest, reply: TrapReply
+    ) -> None:
+        self.trace.add(
+            event="trap",
+            tick=self.clock,
+            node=node_label,
+            app=app_id,
+            op=_OP_NAMES[req.op],
+            status=reply.status,
+            handle=reply.handle,
+            addr=_fmt_addr(reply.addr),
+            size=len(reply.payload),
+        )
 
     def serve(self, app_label: str, port: int) -> None:
         app = self._app(app_label)
@@ -477,14 +475,13 @@ class SimCluster:
         return result
 
     def crash(self, node_label: str) -> None:
-        rt = self._node(node_label)
-        rt.crashed = True
-        self.network.crash_node(rt.host_ip)
+        self.network.crash_node(self._node(node_label).host_ip)
 
     def remove_app(self, app_label: str) -> int:
         app = self.apps.pop(app_label, None)
         if app is None:
             raise ScriptError(f"no app {app_label}")
+        app.shim.channel.detached = True
         return app.node_rt.node.remove_app(app_label)
 
     def partition(self, sides: str) -> None:
@@ -514,11 +511,11 @@ class SimCluster:
     def _step(self, events: list[ScriptEvent]) -> None:
         self.network.pump(self.clock)
         for rt in self.nodes.values():
-            if not rt.crashed:
+            if self.network.is_alive(rt.host_ip):
                 self._send_outbound(rt, rt.node.tick(self.clock))
         self.network.pump(self.clock)
         for app in self.apps.values():
-            if not app.node_rt.crashed:
+            if self.network.is_alive(app.node_rt.host_ip):
                 app.step()
         for event in events:
             self._execute(event)
@@ -661,7 +658,7 @@ class SimCluster:
         dumps = {
             rt.label: rt.node.dump()
             for rt in self.nodes.values()
-            if not rt.crashed
+            if self.network.is_alive(rt.host_ip)
         }
         distinct = set(dumps.values())
         if len(distinct) > 1:

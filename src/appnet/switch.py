@@ -1,10 +1,11 @@
 """Trap-handler semantics: registration, policy-checked connects, identity answers.
 
-The switch owns the per-application handle state on one node. It resolves
-virtual destinations through the service table, gates them on segmentation
-tags, picks an instance client-side, and establishes the transport: a local
-pair when the chosen instance lives on the same node, otherwise a stream to
-the instance's real endpoint carrying an identity preamble. Once a transport
+The switch holds the node's one app registry: each app's identity and the
+state of each of its handles. It resolves virtual destinations through the
+service table, gates them on segmentation tags, picks an instance
+client-side, and establishes the transport: a local pair when the chosen
+instance lives on the same node, otherwise a stream to the instance's real
+endpoint carrying an identity preamble. Once a transport
 is handed to the application the switch never sees its bytes again.
 
 Preamble wire format: magic 0x41535057 ("ASPW"), version byte, client vip
@@ -24,6 +25,7 @@ from appnet import names
 from appnet.errors import (
     AddrInUse,
     AppNetError,
+    AttachFailed,
     BadHandle,
     ConnRefused,
     Denied,
@@ -31,6 +33,7 @@ from appnet.errors import (
     NoSuchService,
     NotConnected,
     Unidentified,
+    UnknownApp,
     WouldBlock,
 )
 from appnet.model import AppIdentity, HostId, RealEndpoint, ServiceKey, TagSet
@@ -225,7 +228,8 @@ class Switch:
         self.fabric = fabric
         self.strategy = strategy
         self.clock = clock
-        self._apps: dict[str, _AppState] = {}
+        # The node's apps, in registration order.
+        self.apps: dict[str, _AppState] = {}
         # (app id, handle id) serving each local entry, by record id.
         self._local_services: dict[bytes, tuple[str, int]] = {}
         # Round-robin position per client app, then per key it connects to.
@@ -242,23 +246,17 @@ class Switch:
     # --- app lifecycle ---
 
     def register_app(self, identity: AppIdentity) -> None:
-        if identity.app_id in self._apps:
-            raise AddrInUse(f"app {identity.app_id} already registered")
-        self._apps[identity.app_id] = _AppState(identity=identity)
+        if identity.app_id in self.apps:
+            raise AttachFailed(f"app id {identity.app_id} already in use on this node")
+        self.apps[identity.app_id] = _AppState(identity=identity)
 
-    def unregister_app(self, app_id: str) -> list[bytes]:
-        """Drop an app's handles; returns the record ids of the entries it was serving."""
-        self.forget_client(app_id)
-        state = self._apps.pop(app_id, None)
+    def unregister_app(self, app_id: str) -> int:
+        """Close every handle of an app; returns how many entries that retired."""
+        state = self.apps.pop(app_id, None)
         if state is None:
-            return []
-        served = []
-        for hs in state.handles.values():
-            self._release(hs)
-            if hs.record_id is not None:
-                served.append(hs.record_id)
-            self._notify(app_id, hs.id)
-        return served
+            raise UnknownApp(f"no app {app_id} on this node")
+        self.forget_client(app_id)
+        return sum(self._close(state, hs) for hs in list(state.handles.values()))
 
     def forget_client(self, client_app_id: str) -> None:
         """Drop the selection state of a client that is gone: an app, or a
@@ -270,7 +268,7 @@ class Switch:
     def dispatch(
         self, app_id: str, req: TrapRequest
     ) -> tuple[TrapReply, object | None]:
-        state = self._apps.get(app_id)
+        state = self.apps.get(app_id)
         if state is None:
             return error_reply(BadHandle(f"unknown app {app_id}")), None
         try:
@@ -301,7 +299,8 @@ class Switch:
         if req.op is TrapOp.RECV_FROM:
             return self._op_recvfrom(hs)
         if req.op is TrapOp.CLOSE:
-            return self._op_close(state, hs)
+            self._close(state, hs)
+            return TrapReply(), None
         raise BadHandle(f"unhandled op {req.op}")
 
     # --- socket / bind / listen ---
@@ -385,7 +384,7 @@ class Switch:
             return self._connect_dgram(state, hs, key)
         if hs.role is not HandleRole.UNBOUND:
             raise BadHandle(f"handle {hs.id} is already {hs.role.name}")
-        client_virtual = self._client_virtual(state)
+        client_virtual = self._client_virtual(state, hs)
         order = self._resolve(app.app_id, app.spec.tags, key)
         transport = self._establish(client_virtual, key, order)
         hs.local, hs.peer = client_virtual, (key.vip, key.port)
@@ -449,7 +448,7 @@ class Switch:
         if owner is None:
             raise ConnRefused(f"{entry.key} is not served here anymore")
         app_id, handle_id = owner
-        server_state = self._apps[app_id].handles.get(handle_id)
+        server_state = self.apps[app_id].handles.get(handle_id)
         if server_state is None or server_state.role is not HandleRole.LISTENING:
             raise ConnRefused(f"service handle for {entry.key} is not listening")
         client_end, server_end = self.fabric.open_local_pair()
@@ -457,9 +456,11 @@ class Switch:
         self._notify(app_id, handle_id)
         return client_end
 
-    def _client_virtual(self, state: _AppState) -> Addr:
-        """The source an app's connects and datagrams carry: its vip and lowest
-        bound port, or port 0."""
+    def _client_virtual(self, state: _AppState, hs: _HandleState) -> Addr:
+        """The source a handle's connects and datagrams carry: its own bound
+        endpoint, else its app's vip and lowest bound port, or port 0."""
+        if hs.key is not None:
+            return (hs.key.vip, hs.key.port)
         ports = [hs.key.port for hs in state.handles.values() if hs.key is not None]
         return (state.identity.effective_vip, min(ports) if ports else 0)
 
@@ -492,7 +493,7 @@ class Switch:
         """Connected UDP: pin the selection and filter inbound to that peer."""
         order = self._resolve(state.identity.app_id, state.identity.spec.tags, key)
         hs.pins[key] = order[0].record_id
-        hs.local, hs.peer = self._client_virtual(state), (key.vip, key.port)
+        hs.local, hs.peer = self._client_virtual(state, hs), (key.vip, key.port)
         return TrapReply(handle=hs.id), None
 
     def _op_sendto(
@@ -512,7 +513,7 @@ class Switch:
             return TrapReply(), None
         key = ServiceKey(dest_ip, dest_port)
         entry = self._pinned_entry(state, hs, key)
-        source = self._client_virtual(state)
+        source = self._client_virtual(state, hs)
         if entry.host == self.local_host:
             owner = self._local_services.get(entry.record_id)
             if owner is None:
@@ -566,26 +567,22 @@ class Switch:
 
     # --- close ---
 
-    def _op_close(
-        self, state: _AppState, hs: _HandleState
-    ) -> tuple[TrapReply, None]:
-        self._release(hs)
-        if hs.record_id is not None:
-            self.table.retire(hs.record_id, self.clock())
-        del state.handles[hs.id]
-        self._notify(state.identity.app_id, hs.id)
-        return TrapReply(), None
-
-    def _release(self, hs: _HandleState) -> None:
-        """Close a handle's listener and the connections queued on it, and stop
-        serving its entry here. Like a kernel closing a listen socket, this
-        resets the connections the app never accepted."""
+    def _close(self, state: _AppState, hs: _HandleState) -> bool:
+        """Close a handle's listener and the connections queued on it, retire
+        the entry it served and wake its waiter; returns whether an entry was
+        retired. Like a kernel closing a listen socket, this resets the
+        connections the app never accepted."""
         if hs.close_listener is not None:
             hs.close_listener()
         while hs.accept_queue:
             hs.accept_queue.popleft()[0].close()
+        retired = False
         if hs.record_id is not None:
             self._local_services.pop(hs.record_id, None)
+            retired = self.table.retire(hs.record_id, self.clock())
+        del state.handles[hs.id]
+        self._notify(state.identity.app_id, hs.id)
+        return retired
 
     # --- inbound from the fabric ---
 
@@ -612,7 +609,7 @@ class Switch:
         self._notify(app_id, handle_id)
 
     def _handle_or_none(self, app_id: str, handle_id: int) -> Optional[_HandleState]:
-        state = self._apps.get(app_id)
+        state = self.apps.get(app_id)
         if state is None:
             return None
         return state.handles.get(handle_id)

@@ -236,7 +236,7 @@ tick 8 connect h2:c1 name:echo:9999 expect=ok
     _, cluster = run_script_with_cluster(script)
     cluster.run_until(9)
     assert cluster.transfer("c1", total_bytes) == total_bytes
-    messages = cluster.nodes["h2"].node._apps["c1"].channel.messages
+    messages = cluster.apps["c1"].shim.channel.messages
     # The two apps hold the two ends of one fabric stream: nothing relays.
     direct = cluster.apps["c1"].last_transport.peer is cluster.apps["srv"].accepted[-1]
     return messages, direct

@@ -69,8 +69,8 @@ def test_expose_requires_live_entries_and_gateway():
     cluster = _cluster_with_service()
     node = cluster.nodes["h9"].node
     with pytest.raises(NoSuchService):
-        node.expose(ServiceKey(IPv4Address("10.9.9.9"), 1), "auto")
-    binding = node.expose(ServiceKey(IPv4Address("10.9.0.1"), 7777), "auto")
+        node.expose(ServiceKey(IPv4Address("10.9.9.9"), 1), "auto", TagSet())
+    binding = node.expose(ServiceKey(IPv4Address("10.9.0.1"), 7777), "auto", TagSet())
     assert binding.external_port == 30000
     assert binding.gateway == cluster.nodes["g1"].node.host
 
@@ -78,7 +78,7 @@ def test_expose_requires_live_entries_and_gateway():
 def test_expose_deterministic_gateway_choice():
     cluster = _cluster_with_service(gateway_labels=("g1", "g2"))
     node = cluster.nodes["h9"].node
-    binding = node.expose(ServiceKey(IPv4Address("10.9.0.1"), 7777), "auto")
+    binding = node.expose(ServiceKey(IPv4Address("10.9.0.1"), 7777), "auto", TagSet())
     lowest = min(
         cluster.nodes["g1"].node.host, cluster.nodes["g2"].node.host
     )
@@ -89,9 +89,9 @@ def test_expose_same_port_twice_unavailable():
     cluster = _cluster_with_service()
     node = cluster.nodes["h9"].node
     key = ServiceKey(IPv4Address("10.9.0.1"), 7777)
-    node.expose(key, 30080)
+    node.expose(key, 30080, TagSet())
     with pytest.raises(PortUnavailable):
-        node.expose(key, 30080)
+        node.expose(key, 30080, TagSet())
 
 
 def test_no_gateway_cluster_cannot_expose():
@@ -103,7 +103,7 @@ def test_no_gateway_cluster_cannot_expose():
     ])
     with pytest.raises(NoGateway):
         cluster.nodes["plain"].node.expose(
-            ServiceKey(IPv4Address("10.9.0.1"), 7777), "auto"
+            ServiceKey(IPv4Address("10.9.0.1"), 7777), "auto", TagSet()
         )
 
 
@@ -185,6 +185,15 @@ def test_sim_relay_counts_each_direction_and_ends_with_the_exposure():
     cluster.run_until(cluster.clock + 10)
     assert session.closed
     assert external.peer_closed
+
+
+def test_a_connect_the_gateway_refuses_is_counted():
+    cluster = _exposed_echo()
+    gateway = cluster.nodes["g1"].node
+    cluster.remove_app("svc")
+    # The listener stays open until the gateway's next tick withdraws it.
+    assert cluster.external_connect("g1", 30080)["status"] == "refused"
+    assert gateway.counters["gateway_refusals"] == 1
 
 
 def test_withdrawing_one_exposure_ends_only_its_own_sessions():

@@ -98,20 +98,17 @@ def test_conflicting_alias_raises_ambiguous_name():
     node.add_app(parse_app_spec(["--name", "web", "--ip", "10.1.1.1"]))
 
 
-def test_attach_semantics():
+def test_an_app_id_is_registered_once_per_node():
     _, node = one_node_cluster()
     node.add_app(parse_app_spec([]), app_id="a1")
     with pytest.raises(AttachFailed):
-        node.attach("missing")
-    node.attach("a1")
-    with pytest.raises(AttachFailed):
-        node.attach("a1")
+        node.add_app(parse_app_spec([]), app_id="a1")
+    assert node.app_ids() == ["a1"]
 
 
 def test_anonymous_bind_is_rejected():
-    cluster, node = one_node_cluster()
-    node.add_app(parse_app_spec([]), app_id="anon")
-    shim = __import__("appnet.trap", fromlist=["SocketShim"]).SocketShim(node.attach("anon"))
+    cluster, _node = one_node_cluster()
+    shim = cluster.add_app("n0", "anon", []).shim
     handle = shim.socket(HandleKind.STREAM)
     with pytest.raises(Unidentified):
         shim.bind(handle, (IPv4Address("0.0.0.0"), 80))

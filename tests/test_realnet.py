@@ -352,6 +352,22 @@ def test_a_connected_datagram_handle_names_both_its_ends(cluster, open_shim):
     assert server.recvfrom(server_handle) == ((IPv4Address("10.50.0.31"), 5011), b"ping")
 
 
+def test_a_bound_datagram_handle_sends_from_its_own_port(cluster, open_shim):
+    a, _b = cluster
+    server = open_shim(a.add_app(["--ip", "10.50.0.40"])["trap"])
+    server_handle = server.socket(HandleKind.DATAGRAM)
+    server.bind(server_handle, (IPv4Address("0.0.0.0"), 5020))
+    client = open_shim(a.add_app(["--ip", "10.50.0.41"])["trap"])
+    first, second = (client.socket(HandleKind.DATAGRAM) for _ in range(2))
+    client.bind(first, (IPv4Address("0.0.0.0"), 5021))
+    client.bind(second, (IPv4Address("0.0.0.0"), 5022))
+    client.sendto(second, (IPv4Address("10.50.0.40"), 5020), b"ping")
+    source, payload = server.recvfrom(server_handle)
+    assert (source, payload) == ((IPv4Address("10.50.0.41"), 5022), b"ping")
+    server.sendto(server_handle, source, b"pong")
+    assert client.recvfrom(second) == ((IPv4Address("10.50.0.40"), 5020), b"pong")
+
+
 def _threads_of(*runtimes):
     """Live threads the given runtimes started (all are named appnet-<role>:<host>)."""
     hosts = tuple(f":{rt.node.host.hex()[:6]}" for rt in runtimes)

@@ -320,6 +320,24 @@ def test_dgram_round_trip_reports_virtual_sources():
     assert back_source == (IPv4Address("10.8.0.1"), 5353)
 
 
+def test_a_bound_dgram_handle_sends_from_its_own_port():
+    cluster, srv, hs, cli, hc = _dgram_pair()
+    second = cli.shim.socket(HandleKind.DATAGRAM)
+    cli.shim.bind(second, (IPv4Address("0.0.0.0"), 5355))
+    cluster.run_until(cluster.clock + 4)
+    cli.shim.sendto(second, (IPv4Address("10.8.0.1"), 5353), b"ping!")
+    cluster.run_until(cluster.clock + 1)
+    assert srv.shim.recvfrom(hs) == (cli.shim.getsockname(second), b"ping!")
+    srv.shim.sendto(hs, cli.shim.getsockname(second), b"pong!")
+    cluster.run_until(cluster.clock + 1)
+    assert cli.shim.recvfrom(second) == ((IPv4Address("10.8.0.1"), 5353), b"pong!")
+    with pytest.raises(WouldBlock):
+        cli.shim.recvfrom(hc)
+    # A datagram connect keeps the handle's own name too.
+    cli.shim.connect(second, (IPv4Address("10.8.0.1"), 5353))
+    assert cli.shim.getsockname(second) == (IPv4Address("10.8.0.2"), 5355)
+
+
 def test_dgram_from_unmanaged_endpoint_dropped():
     cluster, srv, hs, cli, hc = _dgram_pair()
     server_node = cluster.nodes["n0"].node
@@ -335,7 +353,7 @@ def test_dgram_from_unmanaged_endpoint_dropped():
         srv.shim.recvfrom(hs)
 
 
-def test_dgram_pinning_sticks_to_first_selection():
+def _pinned_dgram_cluster():
     cluster = _start_cluster(3, seed=78)
     cluster.run_until(3, [
         ScriptEvent(1, "add", ["n0", "s1", "--ip", "10.8.1.1"]),
@@ -351,12 +369,19 @@ def test_dgram_pinning_sticks_to_first_selection():
     hc = cli.shim.socket(HandleKind.DATAGRAM)
     cli.shim.bind(hc, (IPv4Address("0.0.0.0"), 7001))
     cluster.run_until(14)
-    for _ in range(5):
+    return cluster, cli, hc
+
+
+def _send_and_count(cluster, cli, hc, times):
+    """Datagrams to the shared key, then how many each live instance got."""
+    for _ in range(times):
         cli.shim.sendto(hc, (IPv4Address("10.8.1.1"), 7000), b"x")
     cluster.run_until(cluster.clock + 1)
     counts = {}
     for label in ("s1", "s2"):
-        app = cluster.apps[label]
+        app = cluster.apps.get(label)
+        if app is None:
+            continue
         got = 0
         while True:
             try:
@@ -365,7 +390,24 @@ def test_dgram_pinning_sticks_to_first_selection():
             except WouldBlock:
                 break
         counts[label] = got
+    return counts
+
+
+def test_dgram_pinning_sticks_to_first_selection():
+    cluster, cli, hc = _pinned_dgram_cluster()
+    counts = _send_and_count(cluster, cli, hc, 5)
     assert sorted(counts.values()) == [0, 5], f"pinning broken: {counts}"
+
+
+def test_a_pinned_dgram_peer_that_goes_away_is_selected_afresh():
+    cluster, cli, hc = _pinned_dgram_cluster()
+    [pinned] = [label for label, got in _send_and_count(cluster, cli, hc, 1).items() if got]
+    cluster.remove_app(pinned)
+    cluster.run_until(cluster.clock + 10)
+    key = ServiceKey(IPv4Address("10.8.1.1"), 7000)
+    assert len(cluster.nodes["n2"].node.table.lookup(key)) == 1
+    [other] = {"s1", "s2"} - {pinned}
+    assert _send_and_count(cluster, cli, hc, 3) == {other: 3}
 
 
 def test_a_connected_datagram_handle_names_both_its_ends():
@@ -482,7 +524,7 @@ tick 8 connect h2:c1 name:echo:9999 expect=ok
     trace, cluster = run_script_with_cluster(script)
     cluster.run_until(9)
     assert cluster.transfer("c1", total_bytes) == total_bytes
-    channel = cluster.nodes["h2"].node._apps["c1"].channel
+    channel = cluster.apps["c1"].shim.channel
     direct = cluster.apps["c1"].last_transport.peer is cluster.apps["srv"].accepted[-1]
     return channel.messages, direct
 
