@@ -19,13 +19,19 @@ binding, which ends their sessions. It also retries what an event could not
 do, such as an exposure made before any gateway was known (counted in
 counters["expose_errors"]), or an external port that failed to bind
 (counted in counters["gateway_bind_errors"]).
+
+A binding (service_table.GatewayBinding) ties a service key to one (gateway,
+external port) pair. The gateway that owns it proxies each connection on the
+external port inward as a synthetic client; that proxy is the one place this
+system sits on the data path. The policy for choosing the gateway, the port
+and the synthetic client's tags is at the top of this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from appnet import names
 from appnet.errors import (
@@ -33,9 +39,10 @@ from appnet.errors import (
     AppNetError,
     BindFailed,
     DecodeError,
+    NoGateway,
     NoSuchService,
+    PortUnavailable,
 )
-from appnet.gateway import choose_gateway, pick_external_port, synthetic_client_tags
 from appnet.gossip import (
     Gossip,
     MemberRecord,
@@ -54,6 +61,38 @@ from appnet.model import (
 from appnet.service_table import EntryState, GatewayBinding, ServiceTable
 from appnet.switch import SelectionStrategy, Switch
 from appnet.trap import TrapOp, TrapReply, TrapRequest
+
+EXTERNAL_PORT_MIN = 30000
+EXTERNAL_PORT_MAX = 32767
+
+# Synthetic clients minted for proxied sessions always carry this group value,
+# so operators can admit external traffic explicitly via a server-side tag.
+EXTERNAL_GROUP = "__external__"
+
+
+def choose_gateway(gateways: Iterable[HostId]) -> HostId:
+    """Deterministic choice: the lowest live gateway id."""
+    lowest = min(gateways, default=None)
+    if lowest is None:
+        raise NoGateway("no live gateway in the cluster")
+    return lowest
+
+
+def pick_external_port(requested: Union[int, str], taken: set[int]) -> int:
+    if requested != "auto":
+        port = int(requested)
+        if port in taken:
+            raise PortUnavailable(f"external port {port} already bound")
+        return port
+    for port in range(EXTERNAL_PORT_MIN, EXTERNAL_PORT_MAX + 1):
+        if port not in taken:
+            return port
+    raise PortUnavailable("external port range exhausted")
+
+
+def synthetic_client_tags(binding: GatewayBinding) -> TagSet:
+    """Tags the proxy presents when connecting inward on behalf of an external peer."""
+    return TagSet.from_pairs([f"grp={EXTERNAL_GROUP}"]).union(binding.admit)
 
 
 @dataclass

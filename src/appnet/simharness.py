@@ -35,16 +35,7 @@ from itertools import zip_longest
 from typing import Optional
 
 from appnet import names
-from appnet.errors import (
-    AppNetError,
-    AssertionFailed,
-    ConnRefused,
-    Denied,
-    NoSuchService,
-    ScriptError,
-    Unidentified,
-    WouldBlock,
-)
+from appnet.errors import AppNetError, AssertionFailed, ConnRefused, ScriptError, WouldBlock
 from appnet.gossip import RELIABLE_KINDS, encode_envelope
 from appnet.model import (
     HostId,
@@ -350,7 +341,7 @@ class SimCluster:
             # A same-host pair's stream is addressed to "local".
             result["channel"] = "local" if transport.dest == "local" else "remote"
         except AppNetError as exc:
-            result["status"] = _status_name(exc)
+            result["status"] = type(exc).__name__.lower()
         self.last_connect = result
         self.trace.add(**result)
         return result
@@ -360,15 +351,9 @@ class SimCluster:
         app = self._app(app_label)
         transport = app.last_transport
         assert transport is not None, f"{app_label} has no connection"
-        payload = b"\xa5" * TRANSFER_CHUNK
-        sent = 0
-        echoed = 0
-        while sent < total:
-            chunk = payload[: min(TRANSFER_CHUNK, total - sent)]
-            transport.write(chunk)
-            sent += len(chunk)
-            echoed += len(transport.read())
-        echoed += len(transport.read())
+        sent, echoed = _echo_round_trip(transport, total, b"\xa5")
+        if sent < total:
+            raise BrokenPipeError(f"{app_label}'s connection was reset")
         self.trace.add(
             event="transfer", tick=self.clock, app=app_label, sent=sent, echoed=echoed
         )
@@ -406,13 +391,8 @@ class SimCluster:
         entries = rt.node.table.lookup(dest_key)
         if not entries:
             return "nosuchservice"
-        real = entries[0].real
-        try:
-            transport = self.network.connect_stream(rt.host_ip, real, b"")
-        except ConnRefused:
-            status = "refused"
-        else:
-            status = "refused" if transport.peer_closed else "accepted"
+        transport = self._dial(rt.host_ip, entries[0].real)
+        status = "refused" if transport is None else "accepted"
         self.trace.add(
             event="rawconnect", tick=self.clock, node=node_label,
             dest=str(dest_key), status=status,
@@ -428,20 +408,22 @@ class SimCluster:
             "port": port,
             "status": "ok",
         }
-        try:
-            transport = self.network.external_connect(
-                RealEndpoint(rt.host_ip, port)
-            )
-        except ConnRefused:
-            result["status"] = "refused"
-            self.trace.add(**result)
-            return result
-        if transport.peer_closed:
+        transport = self._dial("ext", RealEndpoint(rt.host_ip, port))
+        if transport is None:
             result["status"] = "refused"
         else:
             self._ext_conns[node_label] = transport
         self.trace.add(**result)
         return result
+
+    def _dial(self, source_ip: object, dest: RealEndpoint) -> Optional[SimStream]:
+        """An unmanaged peer's connect, with no preamble: the stream, or None
+        when it is refused or the listener closed it at once."""
+        try:
+            transport = self.network.connect_stream(source_ip, dest, b"")
+        except ConnRefused:
+            return None
+        return None if transport.peer_closed else transport
 
     def external_transfer(self, node_label: str, total: int) -> dict:
         transport = self._ext_conns.get(node_label)
@@ -456,20 +438,11 @@ class SimCluster:
             result["status"] = "noconn"
             self.trace.add(**result)
             return result
-        payload = b"\x5a" * TRANSFER_CHUNK
-        sent = echoed = 0
-        while sent < total:
-            chunk = payload[: min(TRANSFER_CHUNK, total - sent)]
-            try:
-                transport.write(chunk)
-            except BrokenPipeError:
-                result["status"] = "reset"
-                break
-            sent += len(chunk)
-            echoed += len(transport.read())
-        echoed += len(transport.read())
+        sent, echoed = _echo_round_trip(transport, total, b"\x5a")
         result["echoed"] = echoed
-        if result["status"] == "ok" and echoed != total:
+        if sent < total:
+            result["status"] = "reset"
+        elif echoed != total:
             result["status"] = "short"
         self.trace.add(**result)
         return result
@@ -630,19 +603,17 @@ class SimCluster:
         checker = getattr(self, f"_assert_{predicate}", None)
         if checker is None:
             raise ScriptError(f"unknown predicate {predicate!r}")
-        ok = True
+        failure = None
         try:
             checker(event.args[1:])
-        except AssertionFailed:
-            self.trace.add(
-                event="assert", tick=self.clock, predicate=predicate,
-                args=event.args[1:], ok=False,
-            )
-            raise
+        except AssertionFailed as exc:
+            failure = exc
         self.trace.add(
             event="assert", tick=self.clock, predicate=predicate,
-            args=event.args[1:], ok=ok,
+            args=event.args[1:], ok=failure is None,
         )
+        if failure is not None:
+            raise failure
 
     # --- predicates ---
 
@@ -724,16 +695,21 @@ def _fmt_addr(addr) -> Optional[str]:
     return f"{addr[0]}:{addr[1]}" if addr is not None else None
 
 
-def _status_name(exc: AppNetError) -> str:
-    if isinstance(exc, Denied):
-        return "denied"
-    if isinstance(exc, NoSuchService):
-        return "nosuchservice"
-    if isinstance(exc, ConnRefused):
-        return "connrefused"
-    if isinstance(exc, Unidentified):
-        return "unidentified"
-    return type(exc).__name__.lower()
+def _echo_round_trip(transport: SimStream, total: int, fill: bytes) -> tuple[int, int]:
+    """Write `total` bytes of `fill` in chunks, draining the echo after each;
+    returns (sent, echoed). A reset stops the writes, so `sent` falls short,
+    and what was echoed before it still counts."""
+    payload = fill * TRANSFER_CHUNK
+    sent = echoed = 0
+    while sent < total:
+        chunk = payload[: min(TRANSFER_CHUNK, total - sent)]
+        try:
+            transport.write(chunk)
+        except BrokenPipeError:
+            break
+        sent += len(chunk)
+        echoed += len(transport.read())
+    return sent, echoed + len(transport.read())
 
 
 def _options(args: list[str]) -> dict[str, str]:

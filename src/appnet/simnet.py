@@ -4,7 +4,9 @@ Datagrams are scheduled onto a global queue with seeded loss and latency
 measured in ticks; latency zero means delivery within the same tick's pump.
 Streams are synchronous paired pipes: bytes written land immediately in the
 peer's buffer (or its sink), so byte conservation holds by construction.
-Partitions and crashes break both message delivery and established streams.
+Every stream is made and tracked the same way: one between hosts, a
+same-host pair and an external client's alike. Partitions and crashes break
+both message delivery and the open streams they cut.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import partial
 from ipaddress import IPv4Address
 from typing import Callable, Optional
 
-from appnet.errors import ConnRefused
+from appnet.errors import BindFailed, ConnRefused
 from appnet.model import RealEndpoint
 
 GOSSIP_PORT = 7946
@@ -30,12 +32,15 @@ class NetProfile:
 
 
 class SimStream:
-    """One endpoint, "a" or "b", of a paired in-memory stream from `source` to `dest`."""
+    """One endpoint, "a" or "b", of a paired in-memory stream from `source` to
+    `dest`. `untrack` takes the pair off its network's list of open streams;
+    either end's close, or the pair breaking, calls it."""
 
-    def __init__(self, source: object, dest: object, end: str) -> None:
+    def __init__(self, source: object, dest: object, end: str, untrack: Callable[[], None]) -> None:
         self.source = source
         self.dest = dest
         self.end = end
+        self._untrack = untrack
         self.peer: Optional[SimStream] = None
         self._buffer = bytearray()
         self._sink: Optional[Callable[[bytes], None]] = None
@@ -45,8 +50,10 @@ class SimStream:
         self.peer_closed = False
 
     @classmethod
-    def pair(cls, source: object, dest: object) -> tuple["SimStream", "SimStream"]:
-        a, b = cls(source, dest, "a"), cls(source, dest, "b")
+    def pair(
+        cls, source: object, dest: object, untrack: Callable[[], None]
+    ) -> tuple["SimStream", "SimStream"]:
+        a, b = cls(source, dest, "a", untrack), cls(source, dest, "b", untrack)
         a.peer, b.peer = b, a
         return a, b
 
@@ -92,6 +99,7 @@ class SimStream:
         if self.closed:
             return
         self.closed = True
+        self._untrack()
         if self.peer is not None and not self.peer.closed:
             self.peer._peer_went_away()
 
@@ -102,6 +110,7 @@ class SimStream:
 
     def break_pipe(self) -> None:
         """Partition or crash: both directions die immediately."""
+        self._untrack()
         for end in (self, self.peer):
             if end is not None and not end.broken:
                 end.broken = True
@@ -127,13 +136,14 @@ class SimNetwork:
         self._stream_listeners: dict[
             RealEndpoint, Callable[[SimStream, bytes], None]
         ] = {}
-        self._external_listeners: dict[RealEndpoint, Callable[[SimStream], None]] = {}
         # (due, seq, dest, data, source) per datagram in flight; seq is
         # unique, so the heap orders by due tick, then by send order.
         self._queue: list[tuple[int, int, RealEndpoint, bytes, RealEndpoint]] = []
         self._seq = 0
         self._partitions: list[tuple[frozenset[IPv4Address], frozenset[IPv4Address]]] = []
-        self._streams: list[tuple[IPv4Address, IPv4Address, SimStream]] = []
+        # The client end of each open pair, in the order the pairs were made,
+        # and the hosts of its two ends; "ext" for an external client.
+        self._streams: dict[SimStream, tuple[object, IPv4Address]] = {}
         self.counters = {"lost": 0, "dropped_dead": 0, "dropped_partition": 0}
 
     # --- topology ---
@@ -144,6 +154,8 @@ class SimNetwork:
     def allocate_port(self, host_ip: IPv4Address) -> int:
         slot = self.nodes[host_ip]
         slot.next_port += 1
+        while RealEndpoint(host_ip, slot.next_port) in self._stream_listeners:
+            slot.next_port += 1
         return slot.next_port
 
     def crash_node(self, host_ip: IPv4Address) -> None:
@@ -151,10 +163,10 @@ class SimNetwork:
         if slot is None or not slot.alive:
             return
         slot.alive = False
-        for registry in (self._dgram_listeners, self._stream_listeners, self._external_listeners):
+        for registry in (self._dgram_listeners, self._stream_listeners):
             for endpoint in [e for e in registry if e.host_ip == host_ip]:
                 del registry[endpoint]
-        for a, b, stream in self._streams:
+        for stream, (a, b) in list(self._streams.items()):
             if host_ip in (a, b):
                 stream.break_pipe()
 
@@ -164,7 +176,7 @@ class SimNetwork:
 
     def partition(self, side_a: set[IPv4Address], side_b: set[IPv4Address]) -> None:
         self._partitions.append((frozenset(side_a), frozenset(side_b)))
-        for a, b, stream in self._streams:
+        for stream, (a, b) in list(self._streams.items()):
             if self.blocked(a, b):
                 stream.break_pipe()
 
@@ -234,12 +246,18 @@ class SimNetwork:
     def listen_stream(
         self, endpoint: RealEndpoint, cb: Callable[[SimStream, bytes], None]
     ) -> Callable[[], None]:
+        """Both a service's listener and a gateway's external port; one that
+        is already held is not taken over."""
+        if endpoint in self._stream_listeners:
+            raise BindFailed(f"{endpoint} is already listening")
         self._stream_listeners[endpoint] = cb
         return partial(self._stream_listeners.pop, endpoint, None)
 
     def connect_stream(
-        self, source_ip: IPv4Address, dest: RealEndpoint, preamble: bytes
+        self, source_ip: object, dest: RealEndpoint, preamble: bytes
     ) -> SimStream:
+        """A connect from a host, or from "ext", an external client on no
+        partition's side."""
         if self.blocked(source_ip, dest.host_ip):
             raise ConnRefused(f"{dest} unreachable from {source_ip}")
         if not self.is_alive(dest.host_ip):
@@ -247,28 +265,20 @@ class SimNetwork:
         cb = self._stream_listeners.get(dest)
         if cb is None:
             raise ConnRefused(f"nothing listening at {dest}")
-        client_end, server_end = SimStream.pair(source_ip, dest)
-        self._streams.append((source_ip, dest.host_ip, client_end))
+        client_end, server_end = self.open_pair(source_ip, dest.host_ip, dest)
         cb(server_end, preamble)
         return client_end
 
-    # --- the external world (unmanaged clients hitting gateways) ---
-
-    def listen_external(
-        self, endpoint: RealEndpoint, cb: Callable[[SimStream], None]
-    ) -> Callable[[], None]:
-        self._external_listeners[endpoint] = cb
-        return partial(self._external_listeners.pop, endpoint, None)
-
-    def external_connect(self, dest: RealEndpoint) -> SimStream:
-        if not self.is_alive(dest.host_ip):
-            raise ConnRefused(f"{dest.host_ip} is down")
-        cb = self._external_listeners.get(dest)
-        if cb is None:
-            raise ConnRefused(f"no exposure at {dest}")
-        client_end, server_end = SimStream.pair("ext", dest)
-        cb(server_end)
-        return client_end
+    def open_pair(
+        self, source_ip: object, dest_ip: IPv4Address, dest: object
+    ) -> tuple[SimStream, SimStream]:
+        """A pair from `source_ip` to `dest` on `dest_ip`, kept on the list of
+        open streams, which a crash or partition breaks, until it ends."""
+        client_end, server_end = SimStream.pair(
+            source_ip, dest, lambda: self._streams.pop(client_end, None)
+        )
+        self._streams[client_end] = (source_ip, dest_ip)
+        return client_end, server_end
 
 
 class SimFabric:
@@ -291,7 +301,8 @@ class SimFabric:
         return self.network.connect_stream(self.host_ip, dest, preamble)
 
     def open_local_pair(self) -> tuple[SimStream, SimStream]:
-        return SimStream.pair(self.host_ip, "local")
+        # Addressed to "local", which is how the harness tells it from a remote one.
+        return self.network.open_pair(self.host_ip, self.host_ip, "local")
 
     def send_dgram(self, dest: RealEndpoint, data: bytes) -> None:
         source = RealEndpoint(self.host_ip, 0)
@@ -314,7 +325,7 @@ class SimFabric:
                 session.external.close()
                 session.internal.close()
 
-        def accepted(external: SimStream) -> None:
+        def accepted(external: SimStream, _preamble: bytes) -> None:
             session = on_conn(external)
             if session is None:
                 external.close()
@@ -324,7 +335,7 @@ class SimFabric:
             external.set_sink(partial(relay, session, internal, "ext_to_int"), on_eof=ended)
             internal.set_sink(partial(relay, session, external, "int_to_ext"), on_eof=ended)
 
-        stop_listening = self.network.listen_external(RealEndpoint(self.host_ip, port), accepted)
+        stop_listening = self.network.listen_stream(RealEndpoint(self.host_ip, port), accepted)
 
         def close() -> None:
             stop_listening()

@@ -239,6 +239,7 @@ class Switch:
             "dgrams_dropped_unidentified": 0,
             "dgrams_dropped_filtered": 0,
             "dns_queries_dropped": 0,
+            "connect_attempts_failed": 0,
         }
         # One-shot wakes a runtime registers when its accept/recvfrom gets WouldBlock.
         self._waits: dict[tuple[str, int], Callable[[], None]] = {}
@@ -436,6 +437,7 @@ class Switch:
                     entry.real, encode_preamble(client_virtual)
                 )
             except AppNetError as exc:
+                self.counters["connect_attempts_failed"] += 1
                 last_error = exc
         raise ConnRefused(
             f"all candidates for {key} failed: {last_error}"

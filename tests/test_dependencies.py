@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -25,3 +26,12 @@ def test_the_package_imports_only_the_standard_library_and_itself():
         if root not in allowed
     }
     assert not outside
+
+
+def test_the_readme_layout_table_names_every_module():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in layout.splitlines() if line.startswith("| `appnet.")]
+    named = {name for row in rows for name in re.findall(r"`appnet\.(\w+)`", row)}
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert named == modules

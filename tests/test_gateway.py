@@ -2,8 +2,8 @@ from ipaddress import IPv4Address
 
 import pytest
 
-from appnet.errors import NoGateway, NoSuchService, PortUnavailable
-from appnet.gateway import choose_gateway, pick_external_port, synthetic_client_tags
+from appnet.errors import BindFailed, NoGateway, NoSuchService, PortUnavailable
+from appnet.node import choose_gateway, pick_external_port, synthetic_client_tags
 from appnet.model import HostId, RealEndpoint, ServiceKey, TagSet
 from appnet.service_table import EntryState, GatewayBinding, decode_record, encode_record
 from appnet.simharness import ScriptEvent, SimCluster
@@ -175,6 +175,45 @@ def test_proxied_session_terminates_on_service_crash():
     assert cluster.external_connect("g1", 30080)["status"] == "refused"
 
 
+def test_a_crashed_gateways_external_client_is_reset():
+    # The service runs on the gateway itself: the session's inward stream is
+    # a same-host pair, and no stream of it crosses to another host.
+    cluster = SimCluster(seed=48)
+    cluster.run_until(10, [
+        ScriptEvent(0, "start", ["g1", "gateway"]),
+        ScriptEvent(1, "add", ["g1", "svc", "--ip", "10.9.0.1", "--expose", "30080"]),
+        ScriptEvent(2, "serve", ["svc", "7777"]),
+    ])
+    assert cluster.external_connect("g1", 30080)["status"] == "ok"
+    cluster.run_until(11)
+    assert cluster.external_transfer("g1", 4096)["status"] == "ok"
+    cluster.crash("g1")
+    assert cluster.external_transfer("g1", 4096)["status"] == "reset"
+
+
+def test_an_exposed_port_is_held_against_the_gateways_own_listeners():
+    cluster = SimCluster(seed=49)
+    cluster.run_until(10, [
+        ScriptEvent(0, "start", ["g1", "gateway"]),
+        ScriptEvent(0, "start", ["h9", "join=g1"]),
+        ScriptEvent(1, "add", ["h9", "svc", "--ip", "10.9.0.1", "--expose", "40002"]),
+        ScriptEvent(2, "serve", ["svc", "7777"]),
+    ])
+    held = RealEndpoint(cluster.nodes["g1"].host_ip, 40002)
+    with pytest.raises(BindFailed):
+        cluster.network.listen_stream(held, lambda _stream, _preamble: None)
+    # 40002 is the next port the gateway would hand out; its own app's
+    # listener is given the one after.
+    cluster.run_until(12, [
+        ScriptEvent(11, "add", ["g1", "local", "--ip", "10.9.0.2"]),
+        ScriptEvent(11, "serve", ["local", "7777"]),
+    ])
+    assert cluster.external_connect("g1", 40002)["status"] == "ok"
+    cluster.run_until(13)
+    assert cluster.external_transfer("g1", 100)["status"] == "ok"
+    assert cluster.nodes["h9"].node.counters["gateway_bind_errors"] == 0
+
+
 def test_sim_relay_counts_each_direction_and_ends_with_the_exposure():
     cluster = _exposed_echo()
     assert cluster.external_transfer("g1", 4096)["status"] == "ok"
@@ -208,7 +247,7 @@ def test_withdrawing_one_exposure_ends_only_its_own_sessions():
     ])
     gateway_ip = cluster.nodes["g1"].host_ip
     kept, gone = (
-        cluster.network.external_connect(RealEndpoint(gateway_ip, port))
+        cluster.network.connect_stream("ext", RealEndpoint(gateway_ip, port), b"")
         for port in (30080, 30081)
     )
     cluster.run_until(11)  # each app accepts its session

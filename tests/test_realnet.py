@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from appnet import gossip, trap
-from appnet.errors import AppNetError, BadHandle, Unidentified
+from appnet.errors import AppNetError, BadHandle, ConnRefused, Unidentified
 from appnet.gossip import EnvelopeKind, GossipEnvelope
 from appnet.model import RealEndpoint, ServiceKey, TagSet
 from appnet.node import NodeConfig
@@ -797,6 +797,29 @@ def test_a_pump_error_is_counted_and_ends_the_session(cluster, monkeypatch, open
     assert "Invalid argument" in a.last_error
     external.close()
     _hang_up(server)
+
+
+def test_a_refused_external_connection_is_closed_and_counted(cluster, monkeypatch, open_shim):
+    a, b = cluster
+    info = b.add_app(["--ip", "10.50.0.19", "--name", "shut", "--expose", "31045"])
+    server = open_shim(info["trap"])
+    _listener, echo_thread = _serve_echo(server, 4015)
+    assert _wait_for(lambda: _listening(a, 31045))
+
+    def refuse(*_args):
+        raise ConnRefused("no instance takes the session")
+
+    monkeypatch.setattr(a.node.switch, "connect_for_gateway", refuse)
+    before = _fds_before(a, b)
+    external = socket.create_connection(("127.0.0.1", 31045), timeout=5)
+    assert external.recv(1) == b""
+    _close_abortively(external)
+    assert a.node.counters["gateway_refusals"] == 1
+    assert a.node.gateway_sessions == []
+    assert _wait_for(lambda: _open_fds(a, b) <= before), (_open_fds(a, b), before)
+    _hang_up(server)
+    echo_thread.join(timeout=5)
+    assert not echo_thread.is_alive()
 
 
 def _serve_echo_each(shim, port):

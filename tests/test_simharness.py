@@ -476,6 +476,7 @@ def test_a_key_whose_instances_all_crashed_is_refused_after_the_attempt_limit(mo
     cluster.run_until(11, script.events)
     assert cluster.last_connect["status"] == "connrefused"
     assert len(set(attempts)) == len(attempts) == MAX_CONNECT_ATTEMPTS
+    assert cluster.nodes["h0"].node.switch.counters["connect_attempts_failed"] == MAX_CONNECT_ATTEMPTS
 
 
 def test_a_local_instance_that_is_not_listening_is_passed_over_for_a_remote_one():
@@ -503,6 +504,26 @@ tick 12 transfer c1 4096
     order = selection_order("c1", key, node.table.lookup(key), node.switch.strategy)
     assert order[0].host == node.host, "the local, bound-only instance must rank first"
     cluster.run_until(12, script.events)
+    assert node.switch.counters["connect_attempts_failed"] == 1
+
+
+def test_a_crashed_hosts_same_host_pair_refuses_writes():
+    script = parse_script(
+        """
+seed 0
+tick 0 start h0
+tick 1 add h0 s1 --ip 10.5.0.7
+tick 2 serve s1 9000
+tick 3 add h0 c1
+tick 5 connect h0:c1 10.5.0.7:9000 expect=ok channel=local
+tick 6 transfer c1 1000
+"""
+    )
+    cluster = SimCluster(seed=script.seed, profile=script.profile)
+    cluster.run_until(6, script.events)
+    cluster.crash("h0")
+    with pytest.raises(BrokenPipeError):
+        cluster.transfer("c1", 1000)
 
 
 # --- control plane vs data plane ---
