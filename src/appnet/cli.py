@@ -146,6 +146,9 @@ def _cmd_run(argv: list[str]) -> int:
     i = 0
     while i < len(flags):
         if flags[i] == "--run-dir":
+            if i + 1 == len(flags):
+                print("appnet: --run-dir needs a path", file=sys.stderr)
+                return EXIT_SPEC
             run_dir = flags[i + 1]
             i += 2
         else:

@@ -43,13 +43,7 @@ from appnet.errors import (
     NoSuchService,
     PortUnavailable,
 )
-from appnet.gossip import (
-    Gossip,
-    MemberRecord,
-    MemberStatus,
-    Outbound,
-    decode_envelope,
-)
+from appnet.gossip import Gossip, Outbound, decode_envelope
 from appnet.model import (
     AppIdentity,
     AppSpec,
@@ -58,7 +52,7 @@ from appnet.model import (
     ServiceKey,
     TagSet,
 )
-from appnet.service_table import EntryState, GatewayBinding, ServiceTable
+from appnet.service_table import EntryState, GatewayBinding, Member, ServiceTable
 from appnet.switch import SelectionStrategy, Switch
 from appnet.trap import TrapOp, TrapReply, TrapRequest
 
@@ -133,15 +127,8 @@ class Node:
         self.fabric = fabric
         self.now = 0
         self.table = ServiceTable(host_id)
-        local = MemberRecord(
-            host=host_id,
-            addr=config.bind,
-            status=MemberStatus.ALIVE,
-            incarnation=1,
-            is_gateway=config.gateway,
-        )
+        local = Member(host_id, config.bind, EntryState.ALIVE, 0, config.gateway)
         self.gossip = Gossip(local, self.table, rng)
-        self.table.on_local_update = self.gossip.queue_delta
         self.switch = Switch(
             local_host=host_id,
             table=self.table,
@@ -176,12 +163,8 @@ class Node:
         self.now = now
         try:
             env = decode_envelope(data)
-            # Every rumor, every delta and the digest, in either form, is
-            # resolved before anything merges, so a bad one leaves this node
-            # as it was.
-            env.membership_rumors = [
-                self.gossip.decode_rumor(item) for item in env.membership_rumors
-            ]
+            # Every delta and the digest, in either form, is resolved before
+            # anything merges, so a bad one leaves this node as it was.
             env.table_deltas = [self.table.decode(item) for item in env.table_deltas]
             if env.sync_digest is not None:
                 env.sync_digest = self.table.read_digest(env.sync_digest)
@@ -257,7 +240,7 @@ class Node:
             incarnation=0,
             admit=admit,
         )
-        return self.table.insert_binding(binding, self.now)
+        return self.table.write_local(binding, self.now)
 
     def _reconcile_exposures(self) -> None:
         for state in self.switch.apps.values():
@@ -285,8 +268,8 @@ class Node:
             self.counters["expose_errors"] += 1
 
     def _gateway_alive(self, host: HostId) -> bool:
-        member = self.gossip.members.get(host)
-        return member is not None and member.status is MemberStatus.ALIVE
+        member = self.table.member(host)
+        return member is not None and member.state is EntryState.ALIVE
 
     def _reconcile_gateway_listeners(self, withdraw: bool) -> None:
         """Listen for each active binding to this gateway whose service is

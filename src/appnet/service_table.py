@@ -1,22 +1,29 @@
-"""The replicated service table: virtual identities mapped to real endpoints.
+"""The replicated cluster view: virtual identities mapped to real endpoints,
+and the hosts that serve them.
 
-Service entries and gateway bindings share one record path. Local writes go
-through insert_local, insert_binding and retire; the rest arrives through
-merge_record. Merge and the anti-entropy digest order records by one version,
-(incarnation, state, crc32 of the encoding): the higher incarnation wins; at
-equal incarnation a tombstone beats a live record; at equal incarnation and
-state the larger fingerprint wins, so rival writes resolve alike everywhere.
-Retiring writes a tombstone at the next incarnation; tombstones are kept for
-TOMBSTONE_TTL ticks, long enough to outlive in-flight rumors.
+The table holds three kinds of record on one path: service entries, gateway
+bindings and members (a host, its gossip address and whether it is a
+gateway). Local writes go through insert_local, write_local, mark_member and
+retire; the rest arrives through merge_record. Merge and the anti-entropy
+digest order records by one version, (incarnation, state, crc32 of the
+encoding): the higher incarnation wins; at equal incarnation the higher
+state wins, so a tombstone beats a live entry or binding, and a member goes
+ALIVE < SUSPECT < DEAD; at equal incarnation and state the larger
+fingerprint wins, so rival writes resolve alike everywhere. Retiring writes
+a tombstone at the next incarnation; tombstones are kept for TOMBSTONE_TTL
+ticks, long enough to outlive in-flight deltas. Another node's suspicion or
+death of a member keeps its incarnation: only the member's own host bumps it.
 
 Each record kind has one wire layout, a few struct.Structs that the encoder
-packs and the decoder unpacks: the kind byte and service key open it, then
-fixed fields and lp16 strings, then the tags.
+packs and the decoder unpacks: the kind byte opens it, then the service key
+of an entry or binding or the host id of a member, then fixed fields and
+lp16 strings, then the tags.
 
 Every record has one name, its record id: the kind byte and key, then the
-host and app id of an entry or the gateway id and port of a binding. The
-table keeps all records in one store keyed by it; the switch and the node
-name what they serve and expose by it too.
+host and app id of an entry or the gateway id and port of a binding; or the
+kind byte and host id of a member. The table keeps all records in one store
+keyed by it; the switch and the node name what they serve and expose by it
+too.
 
 A delta arrives as wire bytes, and decode() resolves it before it merges.
 The table indexes every held record by its encoding, so one lookup of those
@@ -40,13 +47,14 @@ buckets whose items differ. A narrow digest holds only their few items, so
 read_digest, records_newer_than and digest_has_news work in proportion to
 the difference, not to the table.
 
-Only an entry's id names its sole writer, so two owner clauses apply to
-entries of the local host only: a foreign tombstone of a live one is refuted
-by re-writing it above the tombstone, and a ghost of one this node no longer
-holds is rejected. merge_record and digest_has_news ask the same predicate,
-so a digest item for such a ghost is not news either. A binding is written
-by the exposing node and released by its gateway, or by any node once that
-gateway is dead.
+Only the id of an entry or a member names its sole writer, so two owner
+clauses apply to the local host's entries and its own member record: a
+foreign version that would beat a live one (a tombstone, a suspicion, a
+death) is refuted by re-writing it above, and a ghost of one this node no
+longer holds is rejected. merge_record and digest_has_news ask the same
+predicate, so a digest item for such a ghost is not news either. A binding
+is written by the exposing node and released by its gateway, or by any node
+once that gateway is dead.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from hashlib import blake2b
 from ipaddress import IPv4Address
 from itertools import compress
 from operator import attrgetter, ne
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, ClassVar, NamedTuple, Optional, Union
 
 from appnet.errors import AmbiguousName, DecodeError, DuplicateAppBinding, InvalidTag
 from appnet.model import HostId, RealEndpoint, ServiceKey, TagSet
@@ -71,8 +79,14 @@ SERVICE_PORT_MAX = 65535
 
 
 class EntryState(Enum):
+    """A record's state. The value is its byte on the wire and its rank in
+    the version: an entry or a binding is ALIVE or a TOMBSTONE, a member is
+    ALIVE, SUSPECT or DEAD."""
+
     ALIVE = 0
     TOMBSTONE = 1
+    SUSPECT = 2
+    DEAD = 3
 
 
 class MergeOutcome(Enum):
@@ -97,6 +111,9 @@ class _Record:
 
     __slots__ = ("record_id", "encoded", "version", "digest_item", "item_hash")
 
+    # The states a record of the class takes.
+    STATES: ClassVar[frozenset] = frozenset({EntryState.ALIVE, EntryState.TOMBSTONE})
+
     def __post_init__(self) -> None:
         # A field out of its range fails to pack: an app id, name or tag over
         # 0xFFFF bytes, or an app id too long for its lp16 digest record id.
@@ -106,6 +123,8 @@ class _Record:
             raise ValueError(f"cannot encode {type(self).__name__}: {exc}") from exc
 
     def _seal(self, encoded: bytes):
+        if self.state not in self.STATES:
+            raise ValueError(f"a {type(self).__name__} cannot be {self.state.name}")
         object.__setattr__(self, "encoded", encoded)
         object.__setattr__(self, "record_id", record_id_of(encoded))
         version = (self.incarnation, self.state.value, zlib.crc32(encoded))
@@ -167,15 +186,38 @@ class GatewayBinding(_Record):
         return self.gateway
 
 
-TableRecord = Union[ServiceEntry, GatewayBinding]
+@dataclass(frozen=True, slots=True)
+class Member(_Record):
+    """A host in the cluster: where its gossip listens, and whether it is a
+    gateway. Its stamp is also the start of a suspicion."""
+
+    host: HostId
+    addr: RealEndpoint
+    state: EntryState
+    incarnation: int
+    is_gateway: bool = False
+    stamp: int = field(default=0, compare=False)
+
+    STATES: ClassVar[frozenset] = frozenset(
+        {EntryState.ALIVE, EntryState.SUSPECT, EntryState.DEAD}
+    )
+
+    @property
+    def owner(self) -> HostId:
+        return self.host
+
+
+TableRecord = Union[ServiceEntry, GatewayBinding, Member]
 
 # --- codec: one layout per record kind, used to encode and to decode ---
 
 _KIND_ENTRY = 0
 _KIND_BINDING = 1
+_KIND_MEMBER = 2
 _ENTRY_KIND_BYTE = bytes([_KIND_ENTRY])
+_MEMBER_KIND_BYTE = bytes([_KIND_MEMBER])
 
-# Every record opens with its kind byte and service key (vip, port).
+# An entry or a binding opens with its kind byte and service key (vip, port).
 _KEY = struct.Struct(">BIH")
 # An entry: kind, key, real ip and port, host id, app id length; the app id;
 # state, incarnation, name length; the name; the tags. Its record id is its
@@ -188,6 +230,10 @@ _REAL = struct.Struct(">IH")
 # follow the key.
 _BINDING_HEAD = struct.Struct(">BIH16sHBQ")
 _BINDING_ID = struct.Struct(">16sH")
+# A member: kind, host id, gossip ip and port, gateway flag, state,
+# incarnation. Its record id is the kind and host id.
+_MEMBER_RECORD = struct.Struct(">B16sIHBBQ")
+_MEMBER_ID_SIZE = 17
 _U16 = struct.Struct(">H")
 # A sync digest item's version, after its lp16 record id.
 _DIGEST_VERSION = struct.Struct(">QBI")
@@ -239,11 +285,14 @@ def chunked(things: list, size: Callable[[object], int], limit: int) -> list[lis
 def record_id_of(data: bytes) -> bytes:
     """The record id inside a record's wire bytes, sliced where it sits. Bytes
     too short for one give a short id; this never raises."""
-    if data[:1] == _ENTRY_KIND_BYTE:
+    kind = data[:1]
+    if kind == _ENTRY_KIND_BYTE:
         app_at = _ENTRY_HEAD.size
         app_end = app_at + int.from_bytes(data[app_at - _U16.size : app_at], "big")
         return data[: _KEY.size] + data[_KEY.size + _REAL.size : app_end]
-    return data[:1] + data[_KEY.size : _KEY.size + _BINDING_ID.size]
+    if kind == _MEMBER_KIND_BYTE:
+        return data[:_MEMBER_ID_SIZE]
+    return kind + data[_KEY.size : _KEY.size + _BINDING_ID.size]
 
 
 def _tags(tags: TagSet) -> bytes:
@@ -336,8 +385,42 @@ def _decode_binding(data: bytes) -> GatewayBinding:
         raise DecodeError(f"bad gateway binding: {exc}") from exc
 
 
-_ENCODERS = {ServiceEntry: _encode_entry, GatewayBinding: _encode_binding}
-_DECODERS = {_KIND_ENTRY: _decode_entry, _KIND_BINDING: _decode_binding}
+def _encode_member_record(m: Member) -> bytes:
+    return _MEMBER_RECORD.pack(
+        _KIND_MEMBER, m.host, int(m.addr.host_ip), m.addr.port, m.is_gateway,
+        m.state.value, m.incarnation,
+    )
+
+
+def _decode_member_record(data: bytes) -> Member:
+    try:
+        _, host, ip, port, gateway, state, incarnation = _MEMBER_RECORD.unpack(data)
+        if gateway > 1:
+            raise ValueError(f"gateway flag {gateway}")
+        return _decoded(
+            Member,
+            data,
+            HostId(host),
+            RealEndpoint(IPv4Address(ip), port),
+            EntryState(state),
+            incarnation,
+            bool(gateway),
+            0,
+        )
+    except (struct.error, ValueError) as exc:
+        raise DecodeError(f"bad member: {exc}") from exc
+
+
+_ENCODERS = {
+    ServiceEntry: _encode_entry,
+    GatewayBinding: _encode_binding,
+    Member: _encode_member_record,
+}
+_DECODERS = {
+    _KIND_ENTRY: _decode_entry,
+    _KIND_BINDING: _decode_binding,
+    _KIND_MEMBER: _decode_member_record,
+}
 
 
 def encode_record(record: TableRecord) -> bytes:
@@ -373,17 +456,19 @@ class ServiceTable:
 
     def __init__(self, local_host: HostId) -> None:
         self.local_host = local_host
+        self._own_member_id = _MEMBER_KIND_BYTE + local_host
         # Every held record by record id. The kind byte opens each id, so
-        # entries and bindings never collide.
+        # records of different kinds never collide.
         self._records: dict[bytes, TableRecord] = {}
         # Indexes over the store, kept by _put alone: live entries by key, by
-        # vip, by (host id, app id) and by lower-cased name, and tombstones
-        # of either class by stamp. Each slot maps record id to record; an
-        # emptied one is dropped.
+        # vip, by (host id, app id) and by lower-cased name, members by
+        # state, and tombstones of entries and bindings by stamp. Each slot
+        # maps record id to record; an emptied one is dropped.
         self._by_key: dict[ServiceKey, dict[bytes, ServiceEntry]] = {}
         self._by_vip: dict[IPv4Address, dict[bytes, ServiceEntry]] = {}
         self._by_app: dict[tuple[HostId, str], dict[bytes, ServiceEntry]] = {}
         self._by_name: dict[str, dict[bytes, ServiceEntry]] = {}
+        self._members: dict[EntryState, dict[bytes, Member]] = {}
         self._tombstones: dict[int, dict[bytes, TableRecord]] = {}
         # Every held record by its wire encoding, which names it as surely as
         # its record id does. Also kept by _put alone.
@@ -425,6 +510,13 @@ class ServiceTable:
         """Each (index, slot) that holds `record`."""
         if record.state is EntryState.TOMBSTONE:
             return [(self._tombstones, record.stamp)]
+        if type(record) is Member:
+            # A DEAD member is a member's tombstone, but gc_tombstones does
+            # not collect it: the ghost rotation and a partition's heal need
+            # it, for a host declared dead refutes only a death it is sent.
+            # Death certificates with a shared expiry (see ROADMAP) are to
+            # reap dead members, and then this exemption goes.
+            return [(self._members, record.state)]
         if type(record) is not ServiceEntry:
             return []
         slots = [
@@ -438,18 +530,22 @@ class ServiceTable:
 
     # --- local writes ---
 
-    def _write_local(
+    def write_local(
         self, record: TableRecord, now: int, above: int = 0, **changes
     ) -> TableRecord:
         """Store `record`, with `changes`, at this node's next incarnation for
         it, and announce it."""
         prior = self._records.get(record.record_id)
         incarnation = max(prior.incarnation if prior else 0, above) + 1
-        stored = replace(record, incarnation=incarnation, stamp=now, **changes)
-        self._put(record.record_id, stored)
+        return self._announce(
+            replace(record, incarnation=incarnation, stamp=now, **changes)
+        )
+
+    def _announce(self, record: TableRecord) -> TableRecord:
+        self._put(record.record_id, record)
         if self.on_local_update is not None:
-            self.on_local_update(stored)
-        return stored
+            self.on_local_update(record)
+        return record
 
     def insert_local(self, entry: ServiceEntry, now: int) -> ServiceEntry:
         """Register a live entry of this node; returns the entry as stored."""
@@ -462,23 +558,28 @@ class ServiceTable:
                 raise DuplicateAppBinding(
                     f"app {entry.app_id} already holds {entry.key}"
                 )
-        return self._write_local(entry, now)
-
-    def insert_binding(self, binding: GatewayBinding, now: int) -> GatewayBinding:
-        return self._write_local(binding, now)
+        return self.write_local(entry, now)
 
     def retire(self, record_id: bytes, now: int) -> bool:
         """Tombstone a live entry or release an active binding."""
         resident = self._records.get(record_id)
         if resident is None or resident.state is not EntryState.ALIVE:
             return False
-        self._write_local(resident, now, state=EntryState.TOMBSTONE)
+        self.write_local(resident, now, state=EntryState.TOMBSTONE)
         return True
 
+    def mark_member(self, host: HostId, state: EntryState, now: int) -> Member:
+        """Store this node's suspicion or declared death of another host, at
+        the incarnation held for it, and announce it."""
+        held = self.member(host)
+        return self._announce(replace(held, state=state, stamp=now))
+
     def tombstone_host(self, host: HostId, now: int) -> int:
-        """Retire every live record a dead node owned; returns the count."""
+        """Retire every live entry and binding a dead node owned, not its
+        member record; returns the count."""
         doomed = [
-            r for r in self.records() if r.owner == host and r.state is EntryState.ALIVE
+            r for r in self.records()
+            if r.owner == host and r.state is EntryState.ALIVE and type(r) is not Member
         ]
         for record in doomed:
             self.retire(record.record_id, now)
@@ -506,11 +607,12 @@ class ServiceTable:
         return held if held is not None else decode_record(data)
 
     def _owns(self, record_id: bytes) -> bool:
-        """True for the id of an entry of this host, its sole writer: the one
-        test behind merge_record's owner clauses and digest_has_news."""
-        return record_id[:1] == _ENTRY_KIND_BYTE and record_id.startswith(
-            self.local_host, _KEY.size
-        )
+        """True for the id of an entry of this host or of its own member
+        record, whose sole writer it is: the one test behind merge_record's
+        owner clauses and digest_has_news."""
+        if record_id[:1] == _ENTRY_KIND_BYTE:
+            return record_id.startswith(self.local_host, _KEY.size)
+        return record_id == self._own_member_id
 
     def merge_record(self, record: TableRecord, now: int) -> MergeOutcome:
         resident = self._records.get(record.record_id)
@@ -518,14 +620,14 @@ class ServiceTable:
             # A delta that decode() resolved to the held record: stale,
             # whoever owns it.
             return MergeOutcome.STALE
-        # For our own entries we refute a foreign version (say a tombstone)
-        # that would beat a live one, and reject a ghost of one we no longer
-        # hold.
+        # For our own entries and member record we refute a foreign version
+        # (say a tombstone, or a suspicion) that would beat a live one, and
+        # reject a ghost of one we no longer hold.
         if self._owns(record.record_id):
             if resident is None:
                 return MergeOutcome.STALE
             if resident.state is EntryState.ALIVE and record.version > resident.version:
-                self._write_local(resident, now, above=record.incarnation)
+                self.write_local(resident, now, above=record.incarnation)
                 return MergeOutcome.REFUTED
         if resident is not None and record.version <= resident.version:
             return MergeOutcome.STALE
@@ -590,6 +692,18 @@ class ServiceTable:
 
     def external_ports_taken(self, gateway: HostId) -> set[int]:
         return {b.external_port for b in self.active_bindings() if b.gateway == gateway}
+
+    def member(self, host: HostId) -> Optional[Member]:
+        return self._records.get(_MEMBER_KIND_BYTE + host)
+
+    def member_count(self) -> int:
+        return sum(map(len, self._members.values()))
+
+    def members(self, *states: EntryState) -> list[Member]:
+        """The held members in `states`, or in any state if none is named,
+        ordered by host."""
+        slots = [self._members.get(state, {}) for state in states or Member.STATES]
+        return sorted((m for slot in slots for m in slot.values()), key=_BY_RECORD_ID)
 
     # --- sync support ---
 

@@ -52,6 +52,9 @@ from appnet.trap import HandleKind, InProcChannel, SocketShim, TrapOp, TrapReply
 
 TRANSFER_CHUNK = 1 << 20
 
+# Nodes started without an ip are numbered up from here: 10.0.0.1 onwards.
+_FIRST_HOST_IP = IPv4Address("10.0.0.0")
+
 _OP_NAMES = {op: op.name.lower() for op in TrapOp}  # as trap trace events spell them
 
 
@@ -231,7 +234,7 @@ class SimCluster:
             raise ScriptError(f"node {label} already started")
         if ip is None:
             self._next_ip += 1
-            ip = f"10.0.0.{self._next_ip}"
+            ip = _FIRST_HOST_IP + self._next_ip
         host_ip = IPv4Address(ip)
         rng = random.Random(f"{self.seed}:{label}")
         host_id = new_host_id(rng)
@@ -639,8 +642,8 @@ class SimCluster:
         rt = self._node(args[0])
         peer = self._node(args[1])
         expected = args[2]
-        record = rt.node.gossip.members.get(peer.node.host)
-        observed = record.status.name.lower() if record else "unknown"
+        record = rt.node.table.member(peer.node.host)
+        observed = record.state.name.lower() if record else "unknown"
         if observed != expected:
             raise AssertionFailed(self.clock, expected, observed)
 

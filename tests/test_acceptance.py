@@ -137,7 +137,7 @@ def _converge_16(loss, extra_budget):
     events = [ScriptEvent(0, "start", ["n0"])]
     events += [ScriptEvent(0, "start", [f"n{i}", "join=n0"]) for i in range(1, 16)]
     cluster.run_until(20, events)
-    assert all(len(rt.node.gossip.members) == 16 for rt in cluster.nodes.values())
+    assert all(len(rt.node.table.members()) == 16 for rt in cluster.nodes.values())
     cluster.run_until(21, [ScriptEvent(21, "add", ["n0", "svc", "--ip", "10.7.0.1"])])
     cluster.run_until(22, [ScriptEvent(22, "serve", ["svc", "8080"])])
     key = ServiceKey(IPv4Address("10.7.0.1"), 8080)

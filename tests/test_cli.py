@@ -173,6 +173,11 @@ def test_run_requires_separator(tmp_path):
     assert main(["run", "echo", "hi"]) == EXIT_SPEC
 
 
+def test_run_dir_without_a_path_exits_2(capsys):
+    assert main(["run", "--run-dir", "--", "true"]) == EXIT_SPEC
+    assert capsys.readouterr().err == "appnet: --run-dir needs a path\n"
+
+
 def test_remove_unknown_app_reports_error(daemon):
     result = _appnet(["remove", "no-such-app"], daemon)
     assert result.returncode == 1

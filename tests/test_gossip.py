@@ -12,8 +12,6 @@ from appnet.gossip import (
     EnvelopeKind,
     Gossip,
     GossipEnvelope,
-    MemberRecord,
-    MemberStatus,
     decode_envelope,
     encode_envelope,
     read_section,
@@ -24,6 +22,8 @@ from appnet.service_table import (
     BUCKETS,
     EntryState,
     GatewayBinding,
+    Member,
+    MergeOutcome,
     ServiceEntry,
     ServiceTable,
     bucket_of,
@@ -41,10 +41,13 @@ def addr(n: int) -> RealEndpoint:
     return RealEndpoint(IPv4Address(f"10.0.0.{n}"), 7946)
 
 
-def member(host, n, status=MemberStatus.ALIVE, incarnation=1, gateway=False):
-    return MemberRecord(
-        host=host, addr=addr(n), status=status, incarnation=incarnation,
-        is_gateway=gateway,
+ALIVE, SUSPECT, DEAD = EntryState.ALIVE, EntryState.SUSPECT, EntryState.DEAD
+MEMBER_STATES = [ALIVE, SUSPECT, DEAD]
+
+
+def member(host, n, state=ALIVE, incarnation=1, gateway=False):
+    return Member(
+        host=host, addr=addr(n), state=state, incarnation=incarnation, is_gateway=gateway,
     )
 
 
@@ -62,18 +65,23 @@ def sample_entry(host=H2, incarnation=1):
 
 
 def make_gossip(host=H1, n=1, gateway=False):
-    table = ServiceTable(host)
-    g = Gossip(member(host, n, gateway=gateway), table, random.Random(f"g{n}"))
-    table.on_local_update = g.queue_delta
-    return g
+    return Gossip(member(host, n, gateway=gateway), ServiceTable(host), random.Random(f"g{n}"))
+
+
+def learn(g: Gossip, *records, now=0) -> None:
+    """Hand `g` records as a SYNC_REPLY of its own would: merged, and each
+    applied one queued and acted on, with no first contact."""
+    reply = GossipEnvelope(
+        kind=EnvelopeKind.SYNC_REPLY, sender=g.local_host, table_deltas=list(records)
+    )
+    g.handle_envelope(reply, now, addr(9))
 
 
 def receive(data: bytes, g: Gossip | None = None) -> GossipEnvelope:
-    """Decode an envelope as a node does: the envelope, then each rumor, each
-    delta and the digest."""
+    """Decode an envelope as a node does: the envelope, then each delta and
+    the digest."""
     env = decode_envelope(data)
     g = g or make_gossip(H4, 4)
-    env.membership_rumors = [g.decode_rumor(item) for item in env.membership_rumors]
     env.table_deltas = [g.table.decode(item) for item in env.table_deltas]
     if env.sync_digest is not None:
         env.sync_digest = g.table.read_digest(env.sync_digest)
@@ -90,17 +98,16 @@ def test_envelope_round_trip():
     env = GossipEnvelope(
         kind=EnvelopeKind.PING,
         sender=H1,
-        membership_rumors=[member(H2, 2), member(H3, 3, MemberStatus.SUSPECT, 4, True)],
-        table_deltas=[sample_entry()],
+        table_deltas=[member(H2, 2), member(H3, 3, SUSPECT, 4, True), sample_entry()],
     )
     data = encode_envelope(env)
     decoded = receive(data)
     assert decoded.kind is EnvelopeKind.PING
     assert decoded.sender == H1
-    assert [m.host for m in decoded.membership_rumors] == [H2, H3]
-    assert decoded.membership_rumors[1].is_gateway
-    assert decoded.membership_rumors[1].status is MemberStatus.SUSPECT
-    assert decoded.table_deltas[0].key == sample_entry().key
+    assert [m.host for m in decoded.table_deltas[:2]] == [H2, H3]
+    assert decoded.table_deltas[1].is_gateway
+    assert decoded.table_deltas[1].state is SUSPECT
+    assert decoded.table_deltas[2].key == sample_entry().key
     assert decoded.sync_digest is None
     # Encoding is bit-stable.
     assert encode_envelope(decoded) == data
@@ -136,7 +143,7 @@ def test_sync_envelope_carries_digest():
 def test_digest_item_without_full_version_rejected():
     old_item = struct.pack(">H", 4) + b"id-1" + struct.pack(">Q", 3)
     header = struct.pack(">BB16s", ENVELOPE_VERSION, EnvelopeKind.SYNC.value, H1)
-    data = header + section([]) + section([]) + section([bitmap(b"id-1"), old_item])
+    data = header + section([]) + section([bitmap(b"id-1"), old_item])
     with pytest.raises(DecodeError):
         receive(data)
 
@@ -166,7 +173,7 @@ def test_truncated_envelope_rejected():
         with pytest.raises(DecodeError):
             decode_envelope(data[:cut])
     with pytest.raises(DecodeError):
-        decode_envelope(b"\x02" + data[1:])  # wrong version
+        decode_envelope(b"\x01" + data[1:])  # the version before members were records
     with pytest.raises(DecodeError):
         decode_envelope(data[:1] + b"\x09" + data[2:])  # unknown kind
 
@@ -202,6 +209,7 @@ _GOLDEN_BINDING = GatewayBinding(
     incarnation=2,
     admit=TagSet.from_pairs(["grp=1"]),
 )
+_GOLDEN_MEMBER = member(H3, 3, SUSPECT, 4, gateway=True)
 _GOLDEN_RECORDS = [
     (
         _GOLDEN_ENTRY,
@@ -218,11 +226,16 @@ _GOLDEN_RECORDS = [
         "01030303030303030303030303030303037530",
         "00130103030303030303030303030303030303753000000000000000020187247019",
     ),
+    (
+        _GOLDEN_MEMBER,
+        "02030303030303030303030303030303030a0000031f0a01020000000000000004",
+        "0203030303030303030303030303030303",
+        "00110203030303030303030303030303030303000000000000000402908a9ce5",
+    ),
 ]
 _GOLDEN_SYNC = (
-    "0104010101010101010101010101010101010000002100"
-    "1f030303030303030303030303030303030a0000031f0a810000000000000004"
-    "00000071"
+    "02040101010101010101010101010101010100000094"
+    "002102030303030303030303030303030303030a0000031f0a01020000000000000004"
     "004200f000000700500a000002a029000102030405060708090a0b0c0d0e0f0002613100"
     "00000000000000030003776562000200056772703d310008746965723d776562"
     "002b01f00000070050030303030303030303030303030303037530010000000000000002"
@@ -250,20 +263,17 @@ def test_records_encode_to_golden_bytes(record, encoded, record_id, item):
 
 
 def test_sync_envelope_encodes_to_golden_bytes():
-    rumor = member(H3, 3, MemberStatus.SUSPECT, 4, gateway=True)
     records = [_GOLDEN_ENTRY, _GOLDEN_BINDING]
     data = encode_envelope(GossipEnvelope(
         kind=EnvelopeKind.SYNC,
         sender=H1,
-        membership_rumors=[rumor],
-        table_deltas=records,
+        table_deltas=[_GOLDEN_MEMBER, *records],
         sync_digest=narrow(*(r.digest_item for r in records)),
     ))
     assert data.hex() == _GOLDEN_SYNC
     decoded = receive(bytes.fromhex(_GOLDEN_SYNC))
     assert (decoded.kind, decoded.sender) == (EnvelopeKind.SYNC, H1)
-    assert decoded.membership_rumors == [rumor]
-    assert decoded.table_deltas == records
+    assert decoded.table_deltas == [_GOLDEN_MEMBER, *records]
     assert decoded.sync_digest.versions == {r.record_id: r.version for r in records}
     assert decoded.sync_digest.buckets == [163, 208]
 
@@ -285,7 +295,7 @@ def test_bucket_hash_sync_encodes_to_golden_bytes():
     # The digest section holds one item, 256 u64 hashes: 256 x 8 bytes, its
     # u16 length and the section's u32 length.
     assert data.hex() == (
-        "0104" + "01" * 16 + "00000000" + "00000000" + "00000802" + "0800" + hashes
+        "0204" + "01" * 16 + "00000000" + "00000802" + "0800" + hashes
     )
     decoded = receive(data)
     assert decoded.sync_digest.hashes == tuple(
@@ -295,7 +305,7 @@ def test_bucket_hash_sync_encodes_to_golden_bytes():
 
 
 def _full_envelope() -> bytes:
-    """A SYNC with two member rumors, one entry, one binding and a digest."""
+    """A SYNC with two members, one entry, one binding and a digest."""
     binding = GatewayBinding(
         key=ServiceKey(IPv4Address("10.1.1.1"), 80),
         gateway=H3,
@@ -308,8 +318,7 @@ def _full_envelope() -> bytes:
     return encode_envelope(GossipEnvelope(
         kind=EnvelopeKind.SYNC,
         sender=H1,
-        membership_rumors=[member(H2, 2), member(H3, 3, MemberStatus.SUSPECT, 4, True)],
-        table_deltas=records,
+        table_deltas=[member(H2, 2), member(H3, 3, SUSPECT, 4, True), *records],
         sync_digest=narrow(*(r.digest_item for r in records)),
     ))
 
@@ -322,7 +331,7 @@ def _length_prefixes(data: bytes) -> list[tuple[int, int]]:
     """(offset, width) of every length prefix and count in _full_envelope()."""
     found = []
     pos = 18  # version, kind, sender
-    for section in range(3):  # rumors, deltas, digest
+    for section in range(2):  # deltas, digest
         found.append((pos, 4))
         end = pos + 4 + int.from_bytes(data[pos : pos + 4], "big")
         pos += 4
@@ -331,16 +340,16 @@ def _length_prefixes(data: bytes) -> list[tuple[int, int]]:
             found.append((pos, 2))
             item = pos + 2
             inner = []
-            if section == 1 and data[item] == 0:  # entry: app id, name, tags
+            if section == 0 and data[item] == 0:  # entry: app id, name, tags
                 inner.append(item + 29)
                 inner.append(inner[-1] + 2 + _u16(data, inner[-1]) + 9)
                 inner.append(inner[-1] + 2 + _u16(data, inner[-1]))
-            elif section == 1:  # binding: tags
+            elif section == 0 and data[item] == 1:  # binding: tags
                 inner.append(item + 34)
-            elif section == 2 and not first:  # digest item: record id
+            elif section == 1 and not first:  # digest item: record id
                 inner.append(item)
             first = False
-            if section == 1:
+            if inner and section == 0:
                 tag = inner[-1] + 2
                 for _ in range(_u16(data, inner[-1])):
                     inner.append(tag)
@@ -353,17 +362,17 @@ def _length_prefixes(data: bytes) -> list[tuple[int, int]]:
 def test_malformed_envelopes_raise_only_decode_error():
     data = _full_envelope()
     decoded = receive(data)
-    assert len(decoded.table_deltas) == 2 and len(decoded.sync_digest.versions) == 2
+    assert len(decoded.table_deltas) == 4 and len(decoded.sync_digest.versions) == 2
     for cut in range(len(data)):
         with pytest.raises(DecodeError):
             receive(data[:cut])
     with pytest.raises(DecodeError):
         receive(data + b"\x00")
     prefixes = _length_prefixes(data)
-    # 3 sections; 2 rumors; 2 records; app id, name, tag count and tag of
-    # the entry; tag count and tag of the binding; the bitmap, 2 digest
-    # items and their ids.
-    assert len(prefixes) == 3 + 2 + 2 + 4 + 2 + 3 + 2
+    # 2 sections; 4 records; app id, name, tag count and tag of the entry;
+    # tag count and tag of the binding; the bitmap, 2 digest items and their
+    # ids.
+    assert len(prefixes) == 2 + 4 + 4 + 2 + 3 + 2
     for offset, width in prefixes:
         with pytest.raises(DecodeError):
             receive(data[:offset] + (0xFFFF).to_bytes(width, "big") + data[offset + width :])
@@ -382,6 +391,11 @@ def _sorted_take(queue: dict, limit: int) -> list:
     return out
 
 
+def _record_lane(g) -> dict:
+    """The queued records that are not members, as {record id: [record, budget]}."""
+    return {k: v[:2] for k, v in g._queue.slots.items() if v[3] == gossip._RECORD_LANE}
+
+
 def test_delta_heap_picks_what_a_full_sort_picks():
     g = make_gossip(H1, 1)
     rng = random.Random(7)
@@ -391,7 +405,7 @@ def test_delta_heap_picks_what_a_full_sort_picks():
     for step in range(4000):
         roll = rng.random()
         if roll < 0.02:  # a new member raises the budget of later deltas
-            g._merge_member(member(HostId(step.to_bytes(16, "big")), 5), 0)
+            g.table.merge_record(member(HostId(step.to_bytes(16, "big")), 5), 0)
         elif roll < 0.55:
             # Mostly re-queue a few hot ids, sometimes one of many.
             pool = records[: rng.choice((3, 3, 3, 40))]
@@ -401,87 +415,86 @@ def test_delta_heap_picks_what_a_full_sort_picks():
             model[record.record_id] = [record, g._budget(), seq]
         else:
             limit = gossip.PIGGYBACK_LIMIT
-            assert g._deltas.take(limit) == _sorted_take(model, limit)
-        assert {k: v[:2] for k, v in g._deltas.slots.items()} == {
-            k: v[:2] for k, v in model.items()
-        }
-    assert len(g.members) > 20  # budgets did change along the way
+            assert g._queue.take((0, limit)) == _sorted_take(model, limit)
+        assert _record_lane(g) == {k: v[:2] for k, v in model.items()}
+    assert len(g.table.members()) > 20  # budgets did change along the way
 
 
 def test_delta_heap_stays_bounded_under_requeues():
     g = make_gossip(H1, 1)
     hot = [replace(sample_entry(), app_id=f"a{i}") for i in range(3)]
+    limit = gossip.PIGGYBACK_LIMIT
     for i in range(10_000):
         g.queue_delta(replace(hot[i % 3], incarnation=i))
         if i % 100 == 99:
-            g._deltas.take(gossip.PIGGYBACK_LIMIT)
-        queued = sum(map(len, g._deltas._fifos.values()))
-        assert queued <= 2 * len(g._deltas.slots) + gossip.PIGGYBACK_LIMIT
-    assert len(g._deltas.slots) == 3
+            g._queue.take((limit, limit))
+        queued = sum(map(len, g._queue._fifos.values()))
+        assert queued <= 2 * len(g._queue.slots) + limit
+    # Our own member record has spent its budget.
+    assert len(g._queue.slots) == 3
 
 
-def _sorted_take_rumors(g, model: dict, first, limit: int) -> list:
-    """Rumor selection by a full sort of {host: [budget, seq]}, as before the heap."""
+def _sorted_take_members(model: dict, first, limit: int) -> list:
+    """Member selection by a full sort of {record id: [record, budget, seq]},
+    as before the heap."""
     out = [] if first is None else [first]
-    seen = {m.host for m in out}
-    for host in sorted(model, key=lambda h: (-model[h][0], model[h][1])):
+    for record_id in sorted(model, key=lambda k: (-model[k][1], model[k][2])):
         if len(out) >= limit:
             break
-        if host in seen:
+        if first is not None and record_id == first.record_id:
             continue
-        out.append(replace(g.members[host]))
-        seen.add(host)
-        model[host][0] -= 1
-        if model[host][0] <= 0:
-            del model[host]
+        out.append(model[record_id][0])
+        model[record_id][1] -= 1
+        if model[record_id][1] <= 0:
+            del model[record_id]
     return out
 
 
 def test_rumor_heap_picks_what_a_full_sort_picks():
     g = make_gossip(H1, 1)
     rng = random.Random(11)
-    model = {H1: [g._budget(), 0]}
+    model = {g.local_record.record_id: [g.local_record, g._budget(), 0]}
     seq = 0
-    queue_rumor = g._queue_rumor
+    push = g._queue.push
 
-    def queue_and_model(host):
+    def push_and_model(key, value, budget, lane):
         nonlocal seq
-        queue_rumor(host)
+        push(key, value, budget, lane)
         seq += 1
-        model[host] = [g._budget(), seq]
+        model[key] = [value, budget, seq]
 
-    g._queue_rumor = queue_and_model
+    g._queue.push = push_and_model
     hosts = [H2]
-    g._merge_member(member(H2, 2), 0)
+    learn(g, member(H2, 2))
     skipped = 0
     for step in range(1, 4001):
         roll = rng.random()
-        if roll < 0.05:  # a new member raises the budget of later rumors
+        if roll < 0.05:  # a new member raises the budget of later records
             host = HostId(step.to_bytes(16, "big"))
             hosts.append(host)
-            g._merge_member(member(host, 5), step)
-        elif roll < 0.2:  # a fresher rumor: alive, suspect or dead
-            old = g.members[rng.choice(hosts)]
-            status = rng.choice(list(MemberStatus))
-            g._merge_member(replace(old, status=status, incarnation=old.incarnation + 1), step)
+            learn(g, member(host, 5), now=step)
+        elif roll < 0.2:  # a fresher record: alive, suspect or dead
+            old = g.table.member(rng.choice(hosts))
+            state = rng.choice(MEMBER_STATES)
+            learn(g, replace(old, state=state, incarnation=old.incarnation + 1), now=step)
         elif roll < 0.28:
             g._suspect(rng.choice(hosts), step)
-        elif roll < 0.32:
-            g.refute(g.local_record.incarnation, step)
+        elif roll < 0.32:  # a suspicion of us, which we refute
+            learn(g, replace(g.local_record, state=SUSPECT), now=step)
         else:
             first = None
             if rng.random() < 0.5:
-                first = replace(g.members[rng.choice(list(model) or hosts)])
-            kept = list(g._rumors.slots.get(first.host, ())) if first else []
-            expected = _sorted_take_rumors(g, model, first, gossip.PIGGYBACK_LIMIT)
-            assert g._take_rumors(first, refresh=False) == expected
-            if kept:  # the explicit first rumor's queued copy keeps its budget and place
-                assert g._rumors.slots[first.host] == kept
+                first = g.table.member(rng.choice(hosts))
+            kept = list(g._queue.slots.get(first.record_id, ())) if first else []
+            expected = _sorted_take_members(model, first, gossip.PIGGYBACK_LIMIT)
+            assert g._envelope(EnvelopeKind.PING_REQ, first=first).table_deltas == expected
+            if kept:  # the explicit first record's queued copy keeps its budget and place
+                assert g._queue.slots[first.record_id] == kept
                 skipped += 1
-        assert {h: slot[1] for h, slot in g._rumors.slots.items()} == {
-            h: budget for h, (budget, _) in model.items()
+        assert {k: slot[1] for k, slot in g._queue.slots.items()} == {
+            k: budget for k, (_, budget, _) in model.items()
         }
-    assert len(g.members) > 100 and skipped > 500
+    assert len(g.table.members()) > 100 and skipped > 500
 
 
 def _rebuilding_ping_target(g):
@@ -489,8 +502,8 @@ def _rebuilding_ping_target(g):
     it on every probe, as before deaths were tracked."""
     peers = [
         m.host
-        for m in g.members.values()
-        if m.host != g.local_host and m.status is not MemberStatus.DEAD
+        for m in g.table.members()
+        if m.host != g.local_host and m.state is not DEAD
     ]
     if not peers:
         return None
@@ -500,7 +513,11 @@ def _rebuilding_ping_target(g):
         g._ping_idx = 0
     host = g._ping_cycle[g._ping_idx]
     g._ping_idx += 1
-    return g.members[host]
+    return g.table.member(host)
+
+
+def _dead(g) -> int:
+    return len(g.table.members(DEAD))
 
 
 def test_probe_cycle_picks_what_a_per_probe_rebuild_picks():
@@ -516,37 +533,37 @@ def test_probe_cycle_picks_what_a_per_probe_rebuild_picks():
             assert (target and target.host) == (expected and expected.host)
             picks += target is not None
             continue
-        before = sum(m.status is MemberStatus.DEAD for m in fast.members.values())
+        before = _dead(fast)
         joins = roll < 0.65 or not hosts
         if joins:
             hosts.append(HostId((step + 16).to_bytes(16, "big")))
         host = hosts[-1] if joins else hosts[rng.randrange(len(hosts))]
-        status = rng.choice(list(MemberStatus))
+        state = rng.choice(MEMBER_STATES)
         for g in (fast, slow):
             if joins:
-                g._merge_member(member(host, 5), step)
-            elif roll < 0.8:  # a fresher rumor: a death, a revival or a suspicion
-                old = g.members[host]
-                g._merge_member(replace(old, status=status, incarnation=old.incarnation + 1), step)
+                learn(g, member(host, 5), now=step)
+            elif roll < 0.8:  # a fresher record: a death, a revival or a suspicion
+                old = g.table.member(host)
+                learn(g, replace(old, state=state, incarnation=old.incarnation + 1), now=step)
             elif roll < 0.9:
                 g._suspect(host, step)
             else:
                 g.suspect_timeout_sweep(step)
-        after = sum(m.status is MemberStatus.DEAD for m in fast.members.values())
-        deaths += max(0, after - before)
+        deaths += max(0, _dead(fast) - before)
     assert fast.rng.getstate() == slow.rng.getstate()
     assert picks > 1500 and deaths > 50
 
 
-def _assert_member_indexes_hold(g):
-    """_by_wire and _suspects equal their values recomputed from members."""
-    assert g._by_wire == {gossip._encode_member(m): m for m in g.members.values()}
-    assert len(g._by_wire) == len(g.members)
-    for m in g._by_wire.values():
-        assert m is g.members[m.host]
-    assert g._suspects == {
-        host for host, m in g.members.items() if m.status is MemberStatus.SUSPECT
-    }
+def _assert_member_index_holds(table):
+    """The table's member index equals its value recomputed from the store."""
+    expected: dict = {}
+    for r in table.records():
+        if type(r) is Member:
+            expected.setdefault(r.state, {})[r.record_id] = r
+    assert table._members == expected
+    for state, held in table._members.items():
+        for record_id, record in held.items():
+            assert record is table._records[record_id]
 
 
 def test_member_indexes_follow_every_write():
@@ -558,84 +575,73 @@ def test_member_indexes_follow_every_write():
     for step in range(1, 2001):
         write = rng.choice(list(writes))
         if write == "merge" and hosts and rng.random() < 0.8:
-            # A fresher, equal or older rumor of a known member, or of us.
+            # A fresher, equal or older record of a known member, or of us.
             host = rng.choice([H1, *hosts])
-            old = g.members[host]
-            status = rng.choice(list(MemberStatus))
+            old = g.table.member(host)
+            state = rng.choice(MEMBER_STATES)
             incarnation = max(0, old.incarnation + rng.choice([-1, 0, 1]))
-            g._merge_member(replace(old, status=status, incarnation=incarnation), step)
+            learn(g, replace(old, state=state, incarnation=incarnation), now=step)
         elif write == "merge":
             hosts.append(HostId((step + 16).to_bytes(16, "big")))
-            g._merge_member(member(hosts[-1], 5), step)
+            learn(g, member(hosts[-1], 5), now=step)
         elif write == "suspect" and hosts:
             g._suspect(rng.choice(hosts), step)
         elif write == "sweep":
-            before = dict(g.members)
+            before = g.table.members()
             newly_dead = g.suspect_timeout_sweep(step)
-            # What a sweep of every member finds, in membership order.
+            # What a sweep of every member finds, in host order.
             assert newly_dead == [
-                host for host, m in before.items()
-                if m.status is MemberStatus.SUSPECT
-                and step - m.last_change >= gossip.SUSPECT_TIMEOUT
+                m.host for m in before
+                if m.state is SUSPECT and step - m.stamp >= gossip.SUSPECT_TIMEOUT
             ]
-            assert all(g.members[host].status is MemberStatus.DEAD for host in newly_dead)
+            assert all(g.table.member(host).state is DEAD for host in newly_dead)
             deaths += len(newly_dead)
         elif write == "refute":
-            g.refute(g.local_record.incarnation + rng.randrange(2), step)
+            learn(g, replace(g.local_record, state=rng.choice([SUSPECT, DEAD])), now=step)
+            assert g.local_record.state is ALIVE
         else:
             hosts.append(HostId((step + 16).to_bytes(16, "big")))
             g.handle_envelope(
                 GossipEnvelope(kind=EnvelopeKind.SYNC_REPLY, sender=hosts[-1]), step, addr(5)
             )
-            assert g.members[hosts[-1]].incarnation == 0
+            assert g.table.member(hosts[-1]).incarnation == 0
         writes[write] += 1
-        suspected += bool(g._suspects)
-        _assert_member_indexes_hold(g)
+        suspected += bool(g.table.members(SUSPECT))
+        _assert_member_index_holds(g.table)
     assert min(writes.values()) > 300, writes
     assert deaths > 20 and suspected > 500
 
 
 def test_held_rumor_resolves_to_the_held_record_and_skips_the_merge():
-    g, old_path = make_gossip(H1, 1), make_gossip(H1, 1)
-    for m in (member(H2, 2), member(H3, 3, MemberStatus.SUSPECT, 4, True)):
-        g._merge_member(m, 0)
-        old_path._merge_member(m, 0)
-    held = [g.members[H2], g.members[H3], g.local_record]
+    g = make_gossip(H1, 1)
+    learn(g, member(H2, 2), member(H3, 3, SUSPECT, 4, True))
+    held = [g.table.member(H2), g.table.member(H3), g.local_record]
     data = encode_envelope(GossipEnvelope(
-        kind=EnvelopeKind.SYNC_REPLY, sender=H2, membership_rumors=held
+        kind=EnvelopeKind.SYNC_REPLY, sender=H2, table_deltas=held
     ))
     env = receive(data, g)
-    assert all(r is m for r, m in zip(env.membership_rumors, held, strict=True))
-    merged = []
-    merge = g._merge_member
-    g._merge_member = lambda rumor, now: merged.append(rumor) or merge(rumor, now)
+    assert all(r is m for r, m in zip(env.table_deltas, held, strict=True))
+    assert [g.table.merge_record(r, 5) for r in env.table_deltas] == [MergeOutcome.STALE] * 3
+    g._queue = gossip._Piggyback()
     g.handle_envelope(env, 5, addr(2))
-    assert merged == []
-    assert [g.members[H2], g.members[H3], g.local_record] == held
-    # stale_rumors moves as merging each decoded rumor moves it: our own
-    # record is not counted.
-    for item in decode_envelope(data).membership_rumors:
-        old_path._merge_member(gossip._decode_member(item), 5)
-    assert g.counters["stale_rumors"] == old_path.counters["stale_rumors"] == 2
-    # A fresher rumor, at a higher incarnation or with a new status, is
-    # decoded and merged.
-    fresher_rumors = (
+    assert g._queue.slots == {}  # nothing stale is queued again
+    # A fresher record, at a higher incarnation or with a new state, is
+    # decoded and merged, and its stamp is the time it merged.
+    fresher_records = (
         replace(held[0], incarnation=2),
-        replace(held[0], status=MemberStatus.SUSPECT, incarnation=2),
+        replace(held[0], state=SUSPECT, incarnation=2),
     )
-    for fresher in fresher_rumors:
-        (rumor,) = receive(encode_envelope(GossipEnvelope(
-            kind=EnvelopeKind.SYNC_REPLY, sender=H2, membership_rumors=[fresher]
-        )), g).membership_rumors
-        assert rumor is not g.members[H2] and rumor == replace(fresher, last_change=0)
+    for fresher in fresher_records:
+        (record,) = receive(encode_envelope(GossipEnvelope(
+            kind=EnvelopeKind.SYNC_REPLY, sender=H2, table_deltas=[fresher]
+        )), g).table_deltas
+        assert record is not g.table.member(H2) and record == fresher
         g.handle_envelope(
-            GossipEnvelope(kind=EnvelopeKind.SYNC_REPLY, sender=H2, membership_rumors=[rumor]),
+            GossipEnvelope(kind=EnvelopeKind.SYNC_REPLY, sender=H2, table_deltas=[record]),
             6, addr(2),
         )
-        assert merged[-1] is rumor
-        assert g.members[H2] == replace(rumor, last_change=6)
-    assert len(merged) == 2 and g.counters["stale_rumors"] == 2
-    _assert_member_indexes_hold(g)
+        assert g.table.member(H2) == record and g.table.member(H2).stamp == 6
+    _assert_member_index_holds(g.table)
 
 
 def test_single_node_emits_nothing():
@@ -655,8 +661,8 @@ def test_two_nodes_ping_each_other_with_alive_records():
     assert dest_a == addr(2)
     assert ping_a.kind is EnvelopeKind.PING
     assert any(
-        r.host == H2 and r.status is MemberStatus.ALIVE
-        for r in ping_a.membership_rumors
+        type(r) is Member and r.host == H2 and r.state is ALIVE
+        for r in ping_a.table_deltas
     )
 
 
@@ -667,11 +673,11 @@ def test_ping_gets_ack_with_self_attestation():
     replies = b.handle_envelope(ping, 1, addr(1))
     acks = [env for _, env in replies if env.kind is EnvelopeKind.ACK]
     assert len(acks) == 1
-    assert acks[0].membership_rumors[0].host == H2
+    assert acks[0].table_deltas[0].host == H2
     # The ack clears the outstanding probe.
     a.handle_envelope(acks[0], 1, addr(2))
     assert H2 not in a._outstanding
-    assert a.members[H2].status is MemberStatus.ALIVE
+    assert a.table.member(H2).state is ALIVE
     # The next period simply probes again; no indirect probes fire.
     out2 = a.tick(2)
     assert [env.kind for _, env in out2] == [EnvelopeKind.PING]
@@ -680,20 +686,19 @@ def test_ping_gets_ack_with_self_attestation():
 def test_unanswered_probe_leads_to_ping_req_then_suspect_then_dead(monkeypatch):
     monkeypatch.setattr(gossip, "SUSPECT_TIMEOUT", 4)
     g = make_gossip(H1, 1)
-    for h, n in [(H2, 2), (H3, 3), (H4, 4)]:
-        g._merge_member(member(h, n), 0)
+    learn(g, member(H2, 2), member(H3, 3), member(H4, 4))
     g.tick(1)  # ping someone
     target = next(iter(g._outstanding))
     out2 = g.tick(2)
     ping_reqs = [env for _, env in out2 if env.kind is EnvelopeKind.PING_REQ]
     assert ping_reqs, "indirect probes expected after a silent period"
-    assert all(env.membership_rumors[0].host == target for env in ping_reqs)
+    assert all(env.table_deltas[0].host == target for env in ping_reqs)
     g.tick(3)
-    assert g.members[target].status is MemberStatus.SUSPECT
+    assert g.table.member(target).state is SUSPECT
     dead = []
     for now in range(4, 9):
         g.tick(now)
-        if g.members[target].status is MemberStatus.DEAD:
+        if g.table.member(target).state is DEAD:
             dead.append(now)
             break
     assert dead and dead[0] == 3 + 4  # suspicion at 3, T_suspect periods later
@@ -701,55 +706,67 @@ def test_unanswered_probe_leads_to_ping_req_then_suspect_then_dead(monkeypatch):
 
 def test_proxy_relays_attestation_ack():
     b = make_gossip(H2, 2)
-    b._merge_member(member(H1, 1), 0)
-    b._merge_member(member(H3, 3), 0)
+    learn(b, member(H1, 1), member(H3, 3))
     ping_req = GossipEnvelope(
-        kind=EnvelopeKind.PING_REQ, sender=H1, membership_rumors=[member(H3, 3)]
+        kind=EnvelopeKind.PING_REQ, sender=H1, table_deltas=[member(H3, 3)]
     )
     out = b.handle_envelope(ping_req, 1, addr(1))
     assert [env.kind for _, env in out] == [EnvelopeKind.PING]
     assert out[0][0] == addr(3)
     ack_from_target = GossipEnvelope(
-        kind=EnvelopeKind.ACK, sender=H3, membership_rumors=[member(H3, 3)]
+        kind=EnvelopeKind.ACK, sender=H3, table_deltas=[member(H3, 3)]
     )
     relayed = b.handle_envelope(ack_from_target, 1, addr(3))
     assert [(dest, env.kind) for dest, env in relayed] == [
         (addr(1), EnvelopeKind.ACK)
     ]
-    assert relayed[0][1].membership_rumors[0].host == H3
+    assert relayed[0][1].table_deltas[0].host == H3
+
+
+def test_ping_req_about_us_is_answered_directly_and_one_without_a_target_is_dropped():
+    g = make_gossip(H1, 1)
+    about_us = GossipEnvelope(kind=EnvelopeKind.PING_REQ, sender=H2, table_deltas=[g.local_record])
+    ((dest, ack),) = g.handle_envelope(about_us, 1, addr(2))
+    assert dest == addr(2) and ack.kind is EnvelopeKind.ACK
+    assert ack.table_deltas[0] is g.local_record
+    # An envelope that opens with no member record names no target.
+    no_target = GossipEnvelope(kind=EnvelopeKind.PING_REQ, sender=H2, table_deltas=[sample_entry()])
+    assert g.handle_envelope(no_target, 1, addr(2)) == []
 
 
 def test_refutation_on_suspect_rumor_about_self():
     g = make_gossip(H1, 1)
-    g._merge_member(member(H2, 2), 0)
+    learn(g, member(H2, 2))
     rumor = GossipEnvelope(
         kind=EnvelopeKind.ACK,
         sender=H2,
-        membership_rumors=[
-            member(H2, 2),
-            member(H1, 1, MemberStatus.SUSPECT, incarnation=1),
-        ],
+        table_deltas=[member(H2, 2), member(H1, 1, SUSPECT, incarnation=1)],
     )
     g.handle_envelope(rumor, 3, addr(2))
-    assert g.local_record.status is MemberStatus.ALIVE
+    assert g.local_record.state is ALIVE
     assert g.local_record.incarnation == 2
+    # Only the owner bumps its incarnation: another's suspicion keeps it.
+    learn(g, member(H2, 2))
+    g._suspect(H2, 4)
+    assert g.table.member(H2).state is SUSPECT and g.table.member(H2).incarnation == 1
 
 
 def test_dead_is_terminal_until_higher_incarnation():
     g = make_gossip(H1, 1)
-    g._merge_member(member(H2, 2, MemberStatus.DEAD, incarnation=5), 0)
-    g._merge_member(member(H2, 2, MemberStatus.ALIVE, incarnation=5), 1)
-    assert g.members[H2].status is MemberStatus.DEAD
-    g._merge_member(member(H2, 2, MemberStatus.ALIVE, incarnation=6), 2)
-    assert g.members[H2].status is MemberStatus.ALIVE
+    learn(g, member(H2, 2, DEAD, incarnation=5))
+    learn(g, member(H2, 2, ALIVE, incarnation=5), now=1)
+    learn(g, member(H2, 2, SUSPECT, incarnation=5), now=1)
+    assert g.table.member(H2).state is DEAD
+    learn(g, member(H2, 2, ALIVE, incarnation=6), now=2)
+    assert g.table.member(H2).state is ALIVE
 
 
 def test_host_death_tombstones_its_entries(monkeypatch):
     monkeypatch.setattr(gossip, "SUSPECT_TIMEOUT", 1)
     g = make_gossip(H1, 1)
     g.table.merge_record(sample_entry(host=H2), 0)
-    g._merge_member(member(H2, 2), 0)
-    g._merge_member(member(H2, 2, MemberStatus.SUSPECT, incarnation=1), 1)
+    learn(g, member(H2, 2))
+    learn(g, member(H2, 2, SUSPECT, incarnation=1), now=1)
     g.suspect_timeout_sweep(5)
     assert g.table.lookup(sample_entry().key) == []
 
@@ -761,8 +778,8 @@ def test_sync_reply_returns_missing_records_and_reverse_syncs():
         replace(sample_entry(host=H1), real=RealEndpoint(IPv4Address("10.0.0.1"), 5)), 0
     )
     # Rumor budgets long spent: only the digests can close the gap now.
-    a._deltas.slots.clear()
-    b._deltas.slots.clear()
+    a._queue = gossip._Piggyback()
+    b._queue = gossip._Piggyback()
     # a's bucket hashes differ from b's, so b lists its items in the buckets
     # that differ, and a answers with its own.
     (dest, narrowed), = b.handle_envelope(
@@ -777,7 +794,7 @@ def test_sync_reply_returns_missing_records_and_reverse_syncs():
     assert EnvelopeKind.SYNC in kinds  # b wants what a has
     reply = next(env for _, env in out if env.kind is EnvelopeKind.SYNC_REPLY)
     assert any(
-        getattr(r, "host", None) == H2 for r in reply.table_deltas
+        type(r) is ServiceEntry and r.host == H2 for r in reply.table_deltas
     )
     a.handle_envelope(reply, 1, addr(2))
     assert len(a.table.lookup(sample_entry().key)) == 2
@@ -789,21 +806,20 @@ def test_applied_deltas_are_requeued_for_spreading():
         kind=EnvelopeKind.PING, sender=H2, table_deltas=[sample_entry(host=H2)]
     )
     g.handle_envelope(env, 1, addr(2))
-    assert g._deltas.slots  # learned news is infective
+    assert _record_lane(g)  # learned news is infective
     g.handle_envelope(env, 2, addr(2))  # replay does not reset budgets
-    (slot,) = g._deltas.slots.values()
+    (slot,) = _record_lane(g).values()
     assert slot[0].host == H2
 
 
 def test_rumor_budget_bounds_piggyback(monkeypatch):
     monkeypatch.setattr(gossip, "PIGGYBACK_LIMIT", 3)
     g = make_gossip(H1, 1)
-    for i in range(2, 9):
-        g._merge_member(member(HostId(bytes([i]) * 16), i), 0)
+    learn(g, *(member(HostId(bytes([i]) * 16), i) for i in range(2, 9)))
     (dest, ping), = [o for o in g.tick(1) if o[1].kind is EnvelopeKind.PING]
     # Budgets grow with the membership: n8 was queued with 10, n6 and n7
     # with 9 each (n6 first), everyone else with less.
-    assert [m.host for m in ping.membership_rumors] == [
+    assert [m.host for m in ping.table_deltas] == [
         HostId(bytes([i]) * 16) for i in (8, 6, 7)
     ]
     assert len(encode_envelope(ping)) < 60000
@@ -819,7 +835,7 @@ def test_join_retries_with_backoff_until_contact():
             sync_ticks.append(now)
     assert sync_ticks[:4] == [0, 1, 3, 7]
     # Contact stops the retry loop.
-    g._merge_member(member(H2, 2), 12)
+    learn(g, member(H2, 2), now=12)
     assert all(
         env.kind is not EnvelopeKind.SYNC or 12 % 10 == 0
         for _, env in g.tick(12)
@@ -832,10 +848,14 @@ def test_equal_tables_exchange_one_sync_of_bucket_hashes_and_one_empty_reply():
         a.table.merge_record(record, 0)
         b.table.merge_record(record, 0)
     b.table.merge_record(a.table.insert_local(replace(sample_entry(H1), app_id="a2"), 0), 0)
-    assert len(b.table.records()) == 4
+    b.table.merge_record(a.local_record, 0)
+    a.table.merge_record(b.local_record, 0)
+    assert len(b.table.records()) == 6
+    # Piggyback budgets long spent.
+    a._queue = gossip._Piggyback()
+    b._queue = gossip._Piggyback()
     data = encode_envelope(a.anti_entropy())
     _, pos = read_section(data, 18)
-    _, pos = read_section(data, pos)
     # The digest section: a u32 length, one u16-prefixed item of 256 hashes.
     assert len(data) - pos == 4 + 2 + 256 * 8
     (dest, reply), = b.handle_envelope(receive(data, b), 1, addr(1))

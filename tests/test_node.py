@@ -20,9 +20,6 @@ from appnet.gossip import (
     MAX_ENVELOPE,
     EnvelopeKind,
     GossipEnvelope,
-    MemberRecord,
-    MemberStatus,
-    _encode_member,
     encode_envelope,
     section,
 )
@@ -39,6 +36,7 @@ from appnet.service_table import (
     BUCKETS,
     EntryState,
     GatewayBinding,
+    Member,
     ServiceEntry,
     bucket_of,
     record_id_of,
@@ -270,7 +268,7 @@ def test_joiner_syncs_a_table_past_the_old_digest_ceiling():
     # The join sync, on the joiner's first tick.
     cluster.run_until(2)
     b = cluster.nodes["b"].node
-    assert b.dump() == a.dump() and len(b.table.records()) == 2000
+    assert b.dump() == a.dump() and len(b.table.snapshot()) == 2000
     # Two anti-entropy periods later the tables are still equal, and between
     # equal tables each SYNC is answered by one empty SYNC_REPLY.
     cluster.run_until(2 * ANTI_ENTROPY_PERIOD)
@@ -364,59 +362,56 @@ def test_bad_copy_of_a_held_record_is_counted_and_nothing_merges(record, corrupt
         1,
     )
     held = node.table.dump()
-    members = dict(node.gossip.members)
+    members = node.table.members()
     bad_record = corrupt(record)
     # Same id as the held record, other bytes: it must be decoded, and fail.
     assert record_id_of(bad_record) == record.record_id and bad_record != record.encoded
     fresh = replace(PEER_ENTRY, app_id="a2")
-    stranger = MemberRecord(
-        host=HostId(b"\x03" * 16),
-        addr=RealEndpoint(IPv4Address("10.0.0.3"), 7946),
-        status=MemberStatus.ALIVE,
-        incarnation=1,
-    )
     good = encode_envelope(GossipEnvelope(
         kind=EnvelopeKind.PING,
         sender=PEER,
-        membership_rumors=[stranger],
-        table_deltas=[fresh, record],
+        table_deltas=[_STRANGER, fresh, record],
     ))
     bad = good.replace(record.encoded, bad_record)
     assert bad != good
     assert node.on_envelope(bad, PEER_ADDR, 2) == []
     assert node.counters["envelope_decode_errors"] == 1
-    # Nothing of the envelope merged: not the fresh delta, not the rumor.
+    # Nothing of the envelope merged: not the fresh delta, not the member.
     assert node.table.dump() == held
-    assert node.gossip.members == members
+    assert node.table.members() == members
     (reply,) = node.on_envelope(good, PEER_ADDR, 2)
     assert reply[1].kind is EnvelopeKind.ACK
     assert fresh.record_id in {r.record_id for r in node.table.records()}
-    assert stranger.host in node.gossip.members
+    assert node.table.member(_STRANGER.host) == _STRANGER
 
 
-_STRANGER = MemberRecord(
+_STRANGER = Member(
     host=HostId(b"\x03" * 16),
     addr=RealEndpoint(IPv4Address("10.0.0.3"), 7946),
-    status=MemberStatus.ALIVE,
+    state=EntryState.ALIVE,
     incarnation=1,
 )
 
 
-def _with_status(rumor: bytes, status: int) -> bytes:
-    # Host id, gossip address and port, then the status byte.
-    return rumor[:22] + bytes([status]) + rumor[23:]
+def _with_byte(record: bytes, offset: int, value: int) -> bytes:
+    return record[:offset] + bytes([value]) + record[offset + 1 :]
+
+
+# A member record: kind byte, host id, gossip address and port, then the
+# gateway flag and the state byte.
+_GATEWAY_AT, _STATE_AT = 23, 24
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda held, stranger: _with_status(held, 0x07),
-        lambda held, stranger: _with_status(held, 0x83),
-        lambda held, stranger: _with_status(stranger, 0x03),
+        lambda held, stranger: _with_byte(held, _STATE_AT, 0x07),
+        lambda held, stranger: _with_byte(held, _GATEWAY_AT, 0x03),
+        lambda held, stranger: _with_byte(stranger, _STATE_AT, EntryState.TOMBSTONE.value),
         lambda held, stranger: stranger[:-1],
         lambda held, stranger: stranger + b"\x00",
     ],
-    ids=["held-member-status-7", "held-member-gateway-status-3", "unheld-member-status-3",
+    ids=["held-member-status-7", "held-member-gateway-status-3", "unheld-member-tombstone",
          "short-rumor", "long-rumor"],
 )
 def test_bad_member_rumor_is_counted_and_nothing_merges(corrupt):
@@ -427,27 +422,28 @@ def test_bad_member_rumor_is_counted_and_nothing_merges(corrupt):
         1,
     )
     held = node.table.dump()
-    members = dict(node.gossip.members)
+    members = node.table.members()
     fresh = replace(PEER_ENTRY, app_id="a2")
     # The peer's record as this node holds it, which resolves unparsed, and
     # a stranger's.
-    rumors = [_encode_member(node.gossip.members[PEER]), _encode_member(_STRANGER)]
+    peer = node.table.member(PEER)
+    assert node.table.decode(peer.encoded) is peer
+    records = [peer.encoded, _STRANGER.encoded]
 
     def ping(items):
         header = struct.pack(">BB16s", ENVELOPE_VERSION, EnvelopeKind.PING.value, PEER)
-        return header + section(items) + section([fresh.encoded]) + section([])
+        return header + section([*items, fresh.encoded]) + section([])
 
-    assert node.on_envelope(ping([*rumors, corrupt(*rumors)]), PEER_ADDR, 2) == []
+    assert node.on_envelope(ping([*records, corrupt(*records)]), PEER_ADDR, 2) == []
     assert node.counters["envelope_decode_errors"] == 1
-    # Nothing of the envelope merged: not the fresh delta, not the rumors.
+    # Nothing of the envelope merged: not the fresh delta, not the members.
     assert node.table.dump() == held
-    assert node.gossip.members == members
-    stale = node.gossip.counters["stale_rumors"]
-    (reply,) = node.on_envelope(ping(rumors), PEER_ADDR, 2)
+    assert node.table.members() == members
+    (reply,) = node.on_envelope(ping(records), PEER_ADDR, 2)
     assert reply[1].kind is EnvelopeKind.ACK
     assert fresh.record_id in {r.record_id for r in node.table.records()}
-    assert _STRANGER.host in node.gossip.members
-    assert node.gossip.counters["stale_rumors"] == stale + 1
+    assert node.table.member(_STRANGER.host) == _STRANGER
+    assert node.table.member(PEER) is peer
     assert node.counters["envelope_decode_errors"] == 1
 
 
@@ -538,34 +534,27 @@ def _assert_bad_sync_is_counted_and_nothing_merges(bad_digest, good_digest, answ
         1,
     )
     held = node.table.dump()
-    members = dict(node.gossip.members)
+    members = node.table.members()
     errors = node.counters["envelope_decode_errors"]
     fresh = replace(PEER_ENTRY, app_id="a2")
-    stranger = MemberRecord(
-        host=HostId(b"\x03" * 16),
-        addr=RealEndpoint(IPv4Address("10.0.0.3"), 7946),
-        status=MemberStatus.ALIVE,
-        incarnation=1,
-    )
 
     def sync(digest):
         return encode_envelope(GossipEnvelope(
             kind=EnvelopeKind.SYNC,
             sender=PEER,
-            membership_rumors=[stranger],
-            table_deltas=[fresh],
+            table_deltas=[_STRANGER, fresh],
             sync_digest=digest,
         ))
 
     assert node.on_envelope(sync(bad_digest), PEER_ADDR, 2) == []
     assert node.counters["envelope_decode_errors"] == errors + 1
-    # Nothing of the envelope merged: not the fresh delta, not the rumor.
+    # Nothing of the envelope merged: not the fresh delta, not the member.
     assert node.table.dump() == held
-    assert node.gossip.members == members
+    assert node.table.members() == members
     replies = node.on_envelope(sync(good_digest), PEER_ADDR, 2)
     assert answer in [env.kind for _, env in replies]
     assert fresh.record_id in {r.record_id for r in node.table.records()}
-    assert stranger.host in node.gossip.members
+    assert node.table.member(_STRANGER.host) == _STRANGER
     assert node.counters["envelope_decode_errors"] == errors + 1
 
 

@@ -117,6 +117,35 @@ def _serve_echo(shim, port):
     return listener, thread
 
 
+def _alive_hosts(runtime) -> set:
+    return runtime.in_loop(lambda: {m.host for m in runtime.node.gossip.alive_members()})
+
+
+def test_fourth_daemon_lists_the_cluster_after_its_first_sync(tmp_path):
+    """Members are table records, so the joiner's first anti-entropy exchange
+    brings it every one: its join SYNC goes out on its first tick, and it
+    lists the whole cluster before its second."""
+    runtimes = []
+
+    def start(label, join, period_ms):
+        config = NodeConfig(bind=RealEndpoint(IPv4Address("127.0.0.1"), free_port()), join=join)
+        runtimes.append(RealNodeRuntime(config, str(tmp_path / label), period_ms).start())
+        return runtimes[-1]
+
+    try:
+        a = start("a", None, 40)
+        b = start("b", a.config.bind, 40)
+        start("c", a.config.bind, 40)
+        three = {r.node.host for r in runtimes}
+        assert _wait_for(lambda: all(_alive_hosts(r) == three for r in runtimes))
+        d = start("d", b.config.bind, 1000)
+        assert _wait_for(lambda: _alive_hosts(d) == three | {d.node.host})
+        assert d.in_loop(lambda: d._tick) == 1
+    finally:
+        for runtime in runtimes:
+            runtime.stop()
+
+
 def test_cross_node_connect_with_fd_passing(cluster, open_shim):
     a, b = cluster
     server_info = a.add_app(["--ip", "10.50.0.1", "--name", "srv", "--tag", "grp=t"])

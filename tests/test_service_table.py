@@ -5,6 +5,8 @@ from dataclasses import replace
 from ipaddress import IPv4Address
 
 import pytest
+from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from appnet.errors import AmbiguousName, DecodeError, DuplicateAppBinding
 from appnet.model import HostId, RealEndpoint, ServiceKey, TagSet
@@ -12,6 +14,7 @@ from appnet.service_table import (
     BUCKETS,
     EntryState,
     GatewayBinding,
+    Member,
     MergeOutcome,
     ServiceEntry,
     ServiceTable,
@@ -23,6 +26,9 @@ from appnet.service_table import (
 H1 = HostId(b"\x01" * 16)
 H2 = HostId(b"\x02" * 16)
 H3 = HostId(b"\x03" * 16)
+
+# The states an entry or a binding takes, in their order.
+_RETIRABLE = [EntryState.ALIVE, EntryState.TOMBSTONE]
 
 
 def entry(
@@ -340,7 +346,7 @@ def test_dump_lists_bindings_after_entries():
         incarnation=0,
         admit=TagSet.from_pairs(["grp=5"]),
     )
-    table.insert_binding(binding, 0)
+    table.write_local(binding, 0)
     entry_line = table.dump().splitlines()[0]
     table.retire(binding.record_id, 1)
     lines = table.dump().splitlines()
@@ -433,7 +439,7 @@ def test_full_replay_idempotence():
 def _rival_writes(rng):
     """Records that share (id, incarnation, state) and differ elsewhere."""
     incarnation = rng.randrange(1, 4)
-    state = rng.choice(list(EntryState))
+    state = rng.choice(_RETIRABLE)
     out = []
     for _ in range(rng.randrange(2, 6)):
         tags = [f"grp={rng.randrange(4)}"]
@@ -506,10 +512,12 @@ def _scan_duplicate(table, key, app_id):
 
 
 def _assert_indexes_hold_exactly_the_current_records(table):
-    by_key, by_vip, by_app, by_name, tombstones = {}, {}, {}, {}, {}
+    by_key, by_vip, by_app, by_name, members, tombstones = {}, {}, {}, {}, {}, {}
     for r in table.records():
         if r.state is EntryState.TOMBSTONE:
             tombstones.setdefault(r.stamp, {})[r.record_id] = r
+        elif isinstance(r, Member):
+            members.setdefault(r.state, {})[r.record_id] = r
         elif isinstance(r, ServiceEntry):
             by_key.setdefault(r.key, {})[r.record_id] = r
             by_vip.setdefault(r.key.vip, {})[r.record_id] = r
@@ -518,7 +526,7 @@ def _assert_indexes_hold_exactly_the_current_records(table):
                 by_name.setdefault(r.name.lower(), {})[r.record_id] = r
     for index, expected in (
         (table._by_key, by_key), (table._by_vip, by_vip), (table._by_app, by_app),
-        (table._by_name, by_name), (table._tombstones, tombstones),
+        (table._by_name, by_name), (table._members, members), (table._tombstones, tombstones),
     ):
         assert index == expected
         # The very objects the stores hold, not equal leftovers of superseded writes.
@@ -657,7 +665,7 @@ def test_bucket_hashes_follow_every_write():
             else:
                 base = _random_entry(rng, rng.choice([H1, H2, H3]))
             table.merge_record(
-                replace(base, incarnation=rng.randrange(1, 4), state=rng.choice(list(EntryState))),
+                replace(base, incarnation=rng.randrange(1, 4), state=rng.choice(_RETIRABLE)),
                 now,
             )
         elif write == "retire":
@@ -750,7 +758,7 @@ def _digest_pool(rng):
             replace(rival, incarnation=incarnation, state=state)
             for rival in rivals
             for incarnation in (1, 2, 3)
-            for state in EntryState
+            for state in _RETIRABLE
         ]
     return pool
 
@@ -888,3 +896,120 @@ def test_byte_digests_give_the_answers_of_tuple_digests():
         assert news == _tuple_digest_has_news(ours, listed.items())
         seen["news" if news else "no news"] += 1
     assert min(seen.values()) >= 50, seen
+
+
+# --- three replicas, any delivery order ---
+
+_REPLICA_HOSTS = [HostId(bytes([0x10 + i]) * 16) for i in range(3)]
+
+
+class _Replicas(RuleBasedStateMachine):
+    """Three tables that write entries and bindings, and suspect, declare
+    dead and refute each other's members, while any record any of them ever
+    held is delivered to any of them, in any order and any number of times,
+    each at its own clock. Tombstones are never collected here."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tables = [ServiceTable(host) for host in _REPLICA_HOSTS]
+        self.clocks = [0, 0, 0]
+        self.wire: list = []  # every record a replica stored, in order
+        self.held: list[dict] = [{}, {}, {}]  # the highest version each has held, by id
+        for table in self.tables:
+            table.on_local_update = self.wire.append
+            table.write_local(
+                Member(table.local_host, RealEndpoint(IPv4Address("10.0.0.1"), 7946),
+                       EntryState.ALIVE, 0), 0)
+
+    def _held_by(self, r: int) -> dict:
+        return {rec.record_id: rec.version for rec in self.tables[r].records()}
+
+    @rule(r=st.integers(0, 2), ticks=st.integers(1, 40))
+    def advance(self, r, ticks):
+        self.clocks[r] += ticks
+
+    @rule(r=st.integers(0, 2), app=st.integers(0, 2), port=st.integers(0, 1))
+    def insert(self, r, app, port):
+        fresh = entry(host=_REPLICA_HOSTS[r], app_id=f"a{app}", port=80 + port,
+                      real_port=40000 + app)
+        try:
+            self.tables[r].insert_local(fresh, self.clocks[r])
+        except DuplicateAppBinding:
+            pass
+
+    @rule(r=st.integers(0, 2), gateway=st.integers(0, 2), port=st.integers(0, 1),
+          group=st.integers(0, 2))
+    def expose(self, r, gateway, port, group):
+        self.tables[r].write_local(replace(
+            _binding(gateway=_REPLICA_HOSTS[gateway], admit=[f"grp={group}"]),
+            external_port=30080 + port,
+        ), self.clocks[r])
+
+    @rule(r=st.integers(0, 2), pick=st.integers(0, 50))
+    def retire(self, r, pick):
+        live = [rec for rec in self.tables[r].records()
+                if rec.state is EntryState.ALIVE and not isinstance(rec, Member)]
+        if live:
+            self.tables[r].retire(live[pick % len(live)].record_id, self.clocks[r])
+
+    @rule(r=st.integers(0, 2), other=st.integers(1, 2), dead=st.booleans())
+    def doubt(self, r, other, dead):
+        """Suspect another host that replica r holds alive, or declare dead
+        one it holds suspect, with the death's retirements."""
+        table = self.tables[r]
+        host = _REPLICA_HOSTS[(r + other) % 3]
+        held = table.member(host)
+        if held is None:
+            return
+        if dead and held.state is EntryState.SUSPECT:
+            table.mark_member(host, EntryState.DEAD, self.clocks[r])
+            table.tombstone_host(host, self.clocks[r])
+        elif not dead and held.state is EntryState.ALIVE:
+            table.mark_member(host, EntryState.SUSPECT, self.clocks[r])
+
+    @rule(r=st.integers(0, 2), pick=st.integers(0, 10**6))
+    def deliver(self, r, pick):
+        if self.wire:
+            self.tables[r].merge_record(self.wire[pick % len(self.wire)], self.clocks[r])
+
+    @invariant()
+    def no_replica_goes_back(self):
+        for r in range(3):
+            now = self._held_by(r)
+            for record_id, version in self.held[r].items():
+                assert now[record_id] >= version
+            self.held[r] = now
+
+    @invariant()
+    def only_the_owner_bumps_a_member(self):
+        for table in self.tables:
+            for m in table.members():
+                owner = self.tables[_REPLICA_HOSTS.index(m.host)]
+                assert m.incarnation <= owner.member(m.host).incarnation
+
+    def teardown(self):
+        # A full exchange: every replica hands every record it holds to every
+        # other, until nothing changes. A refutation is a new write, so it
+        # takes more than one round.
+        for _ in range(10):
+            before = [self._held_by(r) for r in range(3)]
+            for src in range(3):
+                for dst in range(3):
+                    for record in self.tables[src].records():
+                        self.tables[dst].merge_record(record, self.clocks[dst])
+            self.no_replica_goes_back()
+            if [self._held_by(r) for r in range(3)] == before:
+                break
+        views = [self._held_by(r) for r in range(3)]
+        assert views[0] == views[1] == views[2]
+        for table in self.tables:
+            # Every host refuted every doubt about itself.
+            assert {m.state for m in table.members()} == {EntryState.ALIVE}
+            _assert_indexes_hold_exactly_the_current_records(table)
+
+
+_Replicas.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+test_replicas_converge_after_a_full_exchange = _Replicas.TestCase

@@ -12,7 +12,7 @@ import pytest
 from appnet import gossip, service_table
 from appnet.errors import AssertionFailed, ScriptError, WouldBlock
 from appnet.model import ServiceKey
-from appnet.service_table import MergeOutcome, ServiceTable
+from appnet.service_table import EntryState, MergeOutcome, ServiceTable
 from appnet.simharness import (
     ClusterScript,
     ScriptEvent,
@@ -81,12 +81,12 @@ def test_replay_determinism(name):
 # bytes, gossip choices or trap replies moves them; a change that does so on
 # purpose updates the hash here and says why.
 TRACE_SHA256 = {
-    "dns.script": "f82cd522e545852f",
-    "failover.script": "e0922ea6fc002ed4",
-    "gateway.script": "06435ff18e5c5403",
+    "dns.script": "1a5d027b73957f5a",
+    "failover.script": "b8239867d21e207e",
+    "gateway.script": "c23b75eec6afb0af",
     "local.script": "15feae531df18e3c",
-    "partition.script": "0d0e6271bec6a925",
-    "three_tier.script": "9954e1676e097ac6",
+    "partition.script": "ba983950223723c2",
+    "three_tier.script": "3d648abf41e1d527",
 }
 
 
@@ -207,7 +207,7 @@ def test_sixteen_node_convergence_within_ten_ticks(monkeypatch):
     cluster = _start_cluster(16, seed=2)
     monkeypatch.setattr(gossip, "PIGGYBACK_LIMIT", 3)  # tighter fanout still converges
     cluster.run_until(20)
-    assert all(len(rt.node.gossip.members) == 16 for rt in cluster.nodes.values())
+    assert all(len(rt.node.table.members()) == 16 for rt in cluster.nodes.values())
     cluster.run_until(21, [ScriptEvent(21, "add", ["n0", "svc", "--ip", "10.7.0.1"])])
     cluster.run_until(22, [ScriptEvent(22, "serve", ["svc", "8080"])])
     key = ServiceKey(IPv4Address("10.7.0.1"), 8080)
@@ -231,6 +231,53 @@ def test_sixteen_node_convergence_with_loss():
     # Bound: 10 piggyback ticks plus one anti-entropy period.
     cluster.run_until(22 + 10 + 10)
     assert all(rt.node.table.lookup(key) for rt in cluster.nodes.values())
+
+
+def test_late_joiner_lists_every_alive_member_within_three_ticks():
+    """A joiner's first anti-entropy exchange brings it the whole membership,
+    which is table records like any other."""
+    cluster = _start_cluster(32, seed=3)
+    cluster.run_until(150)
+    everyone = {rt.node.host for rt in cluster.nodes.values()}
+    for rt in cluster.nodes.values():
+        assert {m.host for m in rt.node.table.members(EntryState.ALIVE)} == everyone
+    cluster.run_until(151, [ScriptEvent(151, "start", ["late", "join=n0"])])
+    joiner = cluster.nodes["late"].node
+    cluster.run_until(151 + 3)
+    assert {m.host for m in joiner.table.members(EntryState.ALIVE)} == everyone | {joiner.host}
+
+
+def test_three_hundred_nodes_get_distinct_addresses():
+    cluster = SimCluster(seed=1)
+    for i in range(300):
+        cluster.start_node(f"n{i}")
+    ips = [str(rt.host_ip) for rt in cluster.nodes.values()]
+    assert ips[:2] == ["10.0.0.1", "10.0.0.2"]
+    assert ips[254:257] == ["10.0.0.255", "10.0.1.0", "10.0.1.1"]
+    assert len(set(ips)) == 300
+
+
+# Three nodes split for longer than TOMBSTONE_TTL: each side declares the
+# other dead, and a DEAD member is kept (unlike an entry's tombstone), so
+# after the heal the ghost rotation reaches the other side, which refutes.
+_LONG_PARTITION = f"""
+seed 8
+tick 0 start h1
+tick 0 start h2 join=h1
+tick 0 start h3 join=h1
+tick 10 assert converged
+tick 10 partition h1|h2,h3
+tick {10 + service_table.TOMBSTONE_TTL + 50} heal
+""" + "".join(
+    f"tick {10 + service_table.TOMBSTONE_TTL + 75} assert member {a} {b} alive\n"
+    for a in ("h1", "h2", "h3") for b in ("h1", "h2", "h3") if a != b
+) + f"tick {10 + service_table.TOMBSTONE_TTL + 75} assert converged\n"
+
+
+def test_members_dead_past_the_tombstone_ttl_rejoin_after_a_heal():
+    trace = run_script(parse_script(_LONG_PARTITION))
+    asserts = trace.of_type("assert")
+    assert len(asserts) == 8 and all(e["ok"] for e in asserts)
 
 
 def _churn_events(seed: int) -> list[ScriptEvent]:
